@@ -131,7 +131,7 @@ pub fn shard_fingerprint(campaign_fp: u64, shard: usize, of: usize) -> u64 {
 /// directory.
 #[must_use]
 pub fn shard_file_name(shard: usize, of: usize) -> String {
-    format!("shard-{shard}-of-{of}.partial.jsonl")
+    format!("shard-{shard}-of-{of}.ckpt")
 }
 
 #[cfg(test)]

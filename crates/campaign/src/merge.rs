@@ -1,8 +1,9 @@
-//! Checksummed shard records and the deterministic merge.
+//! Shard records and the deterministic merge.
 //!
-//! Each shard checkpoint line carries one grid point's outcome as
-//! `[tag, attempts, …payload…, checksum]` words. The checksum word
-//! hashes the point index together with every other word, so a smudged
+//! Each shard checkpoint is a [`rlckit::checkpoint`] record log: one
+//! line per grid point, keyed by its grid index, whose payload is the
+//! point's outcome as `[tag, attempts, …payload…]` words. The log's
+//! line checksum covers the index and every payload word, so a smudged
 //! byte anywhere in a record — even one that still parses as valid hex
 //! and decodes to a plausible value — is detected at merge time instead
 //! of silently changing the merged CSV.
@@ -11,16 +12,14 @@
 //! fingerprints, mangled lines, duplicate, foreign or missing point
 //! indices, each with a structured [`MergeError`]. Shards that the
 //! supervisor gave up on (restart budget exhausted) are read
-//! *leniently* — whatever well-formed records they managed to write
+//! *leniently* — whatever checksummed records they managed to write
 //! are kept, and their remaining points become explicit `failed` rows.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use rlckit::checkpoint::{fingerprint64, parse_header_line, parse_point_line, CHECKPOINT_VERSION};
+use rlckit::checkpoint::{read_lenient, read_strict, StrictError};
 use rlckit::sweeps::{decode_sweep_point, encode_sweep_point, SweepPoint};
 use rlckit::PointOutcome;
 
@@ -124,38 +123,32 @@ impl PointRecord {
 }
 
 /// Encodes a record as checkpoint words: `[tag, attempts, …9 point
-/// words…, checksum]` (failed points omit the payload). The checksum
-/// hashes the grid `index` plus every preceding word.
+/// words…]` (failed points omit the payload). The grid index is not
+/// part of the payload: the checkpoint writes it as the line's key,
+/// under the same checksum.
 #[must_use]
-pub fn encode_record(index: usize, record: &PointRecord) -> Vec<u64> {
+pub fn encode_record(_index: usize, record: &PointRecord) -> Vec<u64> {
     let mut words = vec![record.tag.to_word(), u64::from(record.attempts)];
     if let Some(point) = &record.point {
         words.extend(encode_sweep_point(point));
     }
-    let checksum = fingerprint64(std::iter::once(index as u64).chain(words.iter().copied()));
-    words.push(checksum);
     words
 }
 
 /// Decodes the words written by [`encode_record`]; `None` for any word
-/// count, tag, payload or checksum that the encoder could not have
-/// produced for this `index`.
+/// count, tag or payload that the encoder could not have produced.
 #[must_use]
-pub fn decode_record(index: usize, words: &[u64]) -> Option<PointRecord> {
-    let (&checksum, body) = words.split_last()?;
-    if checksum != fingerprint64(std::iter::once(index as u64).chain(body.iter().copied())) {
-        return None;
-    }
-    let tag = OutcomeTag::from_word(*body.first()?)?;
-    let attempts = u32::try_from(*body.get(1)?).ok()?;
+pub fn decode_record(words: &[u64]) -> Option<PointRecord> {
+    let tag = OutcomeTag::from_word(*words.first()?)?;
+    let attempts = u32::try_from(*words.get(1)?).ok()?;
     let point = match tag {
         OutcomeTag::Failed => {
-            if body.len() != 2 {
+            if words.len() != 2 {
                 return None;
             }
             None
         }
-        _ => Some(decode_sweep_point(body.get(2..)?)?),
+        _ => Some(decode_sweep_point(words.get(2..)?)?),
     };
     Some(PointRecord {
         tag,
@@ -189,15 +182,16 @@ pub enum MergeError {
         /// What the file carries.
         found: u64,
     },
-    /// A non-header line is not a well-formed point line.
+    /// A non-header line does not parse or fails its checksum (a
+    /// smudged byte, a torn or spliced write, …).
     MangledLine {
         /// Shard index.
         shard: usize,
         /// 1-based line number in the file.
         line: usize,
     },
-    /// A point line parsed, but its words fail the record checksum or
-    /// decode (a smudged byte, truncated payload, bad tag, …).
+    /// A line checksums, but its words do not decode as a record
+    /// (wrong payload length, bad tag, …).
     CorruptRecord {
         /// Shard index.
         shard: usize,
@@ -245,12 +239,11 @@ impl fmt::Display for MergeError {
                  (different campaign, shard slot, or shard count)"
             ),
             Self::MangledLine { shard, line } => {
-                write!(f, "shard {shard}: line {line} is not a well-formed point line")
+                write!(f, "shard {shard}: line {line} does not parse or checksum")
             }
-            Self::CorruptRecord { shard, index } => write!(
-                f,
-                "shard {shard}: record for point {index} fails its checksum or decode"
-            ),
+            Self::CorruptRecord { shard, index } => {
+                write!(f, "shard {shard}: record for point {index} does not decode")
+            }
             Self::DuplicatePoint { shard, index } => {
                 write!(f, "shard {shard}: point {index} recorded twice")
             }
@@ -268,9 +261,9 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Reads one shard file strictly: every line must parse, every record
-/// must checksum, the point set must be exactly the shard's assigned
-/// slice. Returns the records keyed by grid index.
+/// Reads one shard file strictly: every line must checksum, every
+/// record must decode, the point set must be exactly the shard's
+/// assigned slice. Returns the records keyed by grid index.
 ///
 /// # Errors
 ///
@@ -284,53 +277,27 @@ pub fn read_shard_strict(
 ) -> Result<BTreeMap<usize, PointRecord>, MergeError> {
     let expected = shard_fingerprint(spec.fingerprint(), shard, of);
     let path = dir.join(shard_file_name(shard, of));
-    let file = File::open(&path).map_err(|e| MergeError::Io {
-        shard,
-        detail: format!("{}: {e}", path.display()),
-    })?;
-    let mut lines = BufReader::new(file).lines();
-    let header = match lines.next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => {
-            return Err(MergeError::Io {
-                shard,
-                detail: e.to_string(),
-            })
-        }
-        None => return Err(MergeError::MangledHeader { shard }),
-    };
-    match parse_header_line(&header) {
-        Some((CHECKPOINT_VERSION, found)) if found == expected => {}
-        Some((_, found)) => {
-            return Err(MergeError::FingerprintMismatch {
-                shard,
-                expected,
-                found,
-            })
-        }
-        None => return Err(MergeError::MangledHeader { shard }),
-    }
-
-    let assigned: BTreeSet<usize> = shard_points(spec, shard, of)
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect();
-    let mut records = BTreeMap::new();
-    for (n, line) in lines.enumerate() {
-        let line = line.map_err(|e| MergeError::Io {
+    let lines = read_strict(&path, expected).map_err(|e| match e {
+        StrictError::Io(e) => MergeError::Io {
             shard,
-            detail: e.to_string(),
-        })?;
-        let Some((index, words)) = parse_point_line(&line) else {
-            return Err(MergeError::MangledLine {
-                shard,
-                line: n + 2,
-            });
-        };
+            detail: format!("{}: {e}", path.display()),
+        },
+        StrictError::BadLine(1) => MergeError::MangledHeader { shard },
+        StrictError::BadLine(line) => MergeError::MangledLine { shard, line },
+        StrictError::Mismatch(found) => MergeError::FingerprintMismatch {
+            shard,
+            expected,
+            found,
+        },
+    })?;
+    let assigned = assigned_points(spec, shard, of);
+    let mut records = BTreeMap::new();
+    for words in lines {
+        let index = usize::try_from(words[0]).unwrap_or(usize::MAX);
         if !assigned.contains(&index) {
             return Err(MergeError::ForeignPoint { shard, index });
         }
-        let Some(record) = decode_record(index, &words) else {
+        let Some(record) = decode_record(&words[1..]) else {
             return Err(MergeError::CorruptRecord { shard, index });
         };
         if records.insert(index, record).is_some() {
@@ -344,8 +311,8 @@ pub fn read_shard_strict(
 }
 
 /// Reads one shard file leniently, for shards the supervisor degraded:
-/// mangled lines, corrupt records, foreign and duplicate points are
-/// dropped (last well-formed write wins), a missing or mismatched file
+/// bad lines, undecodable records and foreign points are dropped, and
+/// of duplicate points the last wins; a missing or mismatched file
 /// yields no records at all. Never fails.
 #[must_use]
 pub fn read_shard_lenient(
@@ -355,30 +322,27 @@ pub fn read_shard_lenient(
     of: usize,
 ) -> BTreeMap<usize, PointRecord> {
     let expected = shard_fingerprint(spec.fingerprint(), shard, of);
-    let path = dir.join(shard_file_name(shard, of));
-    let Ok(file) = File::open(&path) else {
-        return BTreeMap::new();
-    };
-    let mut lines = BufReader::new(file).lines();
-    match lines.next() {
-        Some(Ok(header)) if parse_header_line(&header) == Some((CHECKPOINT_VERSION, expected)) => {}
-        _ => return BTreeMap::new(),
-    }
-    let assigned: BTreeSet<usize> = shard_points(spec, shard, of)
+    let lines = read_lenient(&dir.join(shard_file_name(shard, of)), expected)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    let assigned = assigned_points(spec, shard, of);
+    lines
+        .into_iter()
+        .filter_map(|words| {
+            let index = usize::try_from(words[0])
+                .ok()
+                .filter(|i| assigned.contains(i))?;
+            Some((index, decode_record(&words[1..])?))
+        })
+        .collect()
+}
+
+fn assigned_points(spec: &CampaignSpec, shard: usize, of: usize) -> BTreeSet<usize> {
+    shard_points(spec, shard, of)
         .into_iter()
         .map(|(i, _)| i)
-        .collect();
-    let mut records = BTreeMap::new();
-    for line in lines.map_while(Result::ok) {
-        if let Some((index, words)) = parse_point_line(&line) {
-            if assigned.contains(&index) {
-                if let Some(record) = decode_record(index, &words) {
-                    records.insert(index, record);
-                }
-            }
-        }
-    }
-    records
+        .collect()
 }
 
 /// A merged campaign: one record per grid point, in index order.
@@ -482,6 +446,7 @@ pub fn render_csv(spec: &CampaignSpec, merged: &MergedCampaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlckit::checkpoint::{format_line, parse_line};
 
     fn sample_point() -> SweepPoint {
         SweepPoint {
@@ -511,7 +476,7 @@ mod tests {
                 point,
             };
             let words = encode_record(7, &record);
-            assert_eq!(decode_record(7, &words), Some(record));
+            assert_eq!(decode_record(&words), Some(record));
         }
     }
 
@@ -522,8 +487,10 @@ mod tests {
             attempts: 0,
             point: Some(sample_point()),
         };
-        let words = encode_record(7, &record);
-        assert_eq!(decode_record(8, &words), None);
+        let mut words = vec![7];
+        words.extend(encode_record(7, &record));
+        let line = format_line(&words).replacen("0000000000000007", "0000000000000008", 1);
+        assert_eq!(parse_line(line.trim_end().as_bytes()), None);
     }
 
     #[test]
@@ -533,11 +500,20 @@ mod tests {
             attempts: 1,
             point: Some(sample_point()),
         };
-        let words = encode_record(3, &record);
-        for i in 0..words.len() {
-            let mut mutated = words.clone();
-            mutated[i] ^= 1 << (i % 64);
-            assert_eq!(decode_record(3, &mutated), None, "word {i} flip accepted");
+        let mut words = vec![3];
+        words.extend(encode_record(3, &record));
+        let line = format_line(&words);
+        assert_eq!(
+            decode_record(&parse_line(line.trim_end().as_bytes()).unwrap()[1..]),
+            Some(record)
+        );
+        for i in 0..=words.len() {
+            let mut mutated = line.trim_end().to_string().into_bytes();
+            // Change word `i`'s last hex digit (`i == len` is the
+            // checksum word itself).
+            let at = 17 * i + 15;
+            mutated[at] = if mutated[at] == b'0' { b'1' } else { b'0' };
+            assert_eq!(parse_line(&mutated), None, "word {i} flip accepted");
         }
     }
 
@@ -549,7 +525,7 @@ mod tests {
             point: Some(sample_point()),
         };
         let words = encode_record(0, &record);
-        assert_eq!(decode_record(0, &words[..words.len() - 1]), None);
-        assert_eq!(decode_record(0, &[]), None);
+        assert_eq!(decode_record(&words[..words.len() - 1]), None);
+        assert_eq!(decode_record(&[]), None);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! One shard owns a deterministic slice of the campaign grid (see
 //! [`crate::grid::shard_of_point`]) and computes it serially, appending
-//! one checksummed record per point to its checkpoint file and flushing
-//! after each — so the supervisor can use file growth as a heartbeat,
+//! one checksummed record per point to its checkpoint log as it
+//! completes — so the supervisor can use file growth as a heartbeat,
 //! and a kill loses at most the in-flight point. On relaunch the
 //! checkpoint is reopened, completed points are skipped, and because
 //! every point's arithmetic and fault scope depend only on its grid
@@ -76,10 +76,11 @@ pub fn run_shard(
 
     let mut summary = ShardSummary::default();
     for (index, inductance) in shard_points(spec, shard, of) {
-        // A checkpointed record only counts as done if it still
-        // checksums; anything else is recomputed in place.
+        // A checkpointed record only counts as done if it decodes
+        // (the log already dropped lines that fail their checksum);
+        // anything else is recomputed in place.
         if let Some(words) = completed.get(&index) {
-            if decode_record(index, words).is_some() {
+            if decode_record(words).is_some() {
                 summary.resumed += 1;
                 counter!("campaign.points.resumed").incr();
                 continue;

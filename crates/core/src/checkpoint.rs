@@ -1,35 +1,48 @@
-//! JSONL checkpoint/resume for long sweep campaigns.
+//! The crash-safe record log behind sweep checkpoints, campaign shard
+//! files and serve snapshots.
 //!
-//! A checkpoint file records each completed campaign point as one JSON
-//! line of exact `f64` bit patterns, preceded by a header that
-//! fingerprints the campaign's inputs. On restart the file is parsed,
-//! points whose fingerprint matches are skipped, and only the missing
-//! points are recomputed — producing results bit-identical to an
-//! uninterrupted run because each point's fault scope and arithmetic
-//! depend only on its original grid index.
+//! Every line of a log is a run of space-separated 16-digit lowercase
+//! hex words whose last word is [`fingerprint64`] over all the words
+//! before it. The first line is the header, `version fingerprint
+//! checksum`, which ties the file to one format version and one set of
+//! inputs. Every further line is a record: its leading word(s) are the
+//! record's key (a grid index, a memo key), then its payload, then the
+//! checksum — so one flipped byte anywhere in a line, key included, is
+//! detected rather than read back as a plausible value.
 //!
-//! The format is append-only and torn-write tolerant: a process killed
-//! mid-write leaves at most one partial trailing line, which the parser
-//! discards (that point is simply recomputed). [`CheckpointFile::open`]
-//! always rewrites the file from its parsed contents, so the on-disk
-//! state is well-formed again after every open.
+//! One implementation of each operation serves all three formats:
+//!
+//! - [`read_lenient`] keeps the records that checksum and drops the
+//!   rest, which covers a torn tail left by a writer killed mid-line;
+//! - [`read_strict`] refuses the file at its first bad line;
+//! - [`CheckpointFile::append`] writes one record and hands it to the
+//!   OS before returning;
+//! - [`rewrite`] writes a whole log to a `.tmp` sibling and renames it
+//!   over the target, so no reader ever sees a half-written file.
+//!
+//! A resumed checkpoint reproduces an uninterrupted run bit for bit:
+//! records hold exact `f64` bit patterns, and each point's fault scope
+//! and arithmetic depend only on its original grid index.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
-use std::path::Path;
+use std::io::{BufWriter, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use rlckit_numeric::{NumericError, Result};
 
-/// Version stamped into checkpoint headers; bump on format changes.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version stamped into every log header; bump on format changes.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// FNV-1a over a stream of `u64` words (fed byte-wise, little-endian).
 ///
-/// Used to fingerprint a campaign's inputs — line parameters, driver
+/// Fingerprints a campaign's inputs — line parameters, driver
 /// parameters, options, and the sweep grid, all as exact bit patterns —
-/// so a checkpoint file is never resumed against different inputs.
+/// so a log is never resumed against different inputs, and checksums
+/// every log line. Any single changed byte of the input changes the
+/// hash.
 #[must_use]
 pub fn fingerprint64(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -42,221 +55,214 @@ pub fn fingerprint64(words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
+/// Renders one log line: `words`, then their checksum, newline-terminated.
+#[must_use]
+pub fn format_line(words: &[u64]) -> String {
+    let mut line = String::with_capacity(17 * (words.len() + 1));
+    for word in words
+        .iter()
+        .copied()
+        .chain([fingerprint64(words.iter().copied())])
+    {
+        let _ = write!(line, "{word:016x} ");
+    }
+    line.pop();
+    line.push('\n');
+    line
+}
+
+/// Parses one log line (without its newline) back into the words
+/// [`format_line`] was given. `None` unless the line is at least two
+/// 16-digit lowercase hex words separated by single spaces whose last
+/// word checksums the rest.
+#[must_use]
+pub fn parse_line(line: &[u8]) -> Option<Vec<u64>> {
+    let mut words = line
+        .split(|&b| b == b' ')
+        .map(parse_word)
+        .collect::<Option<Vec<u64>>>()?;
+    let checksum = words.pop()?;
+    (!words.is_empty() && checksum == fingerprint64(words.iter().copied())).then_some(words)
+}
+
+fn parse_word(hex: &[u8]) -> Option<u64> {
+    if hex.len() != 16 {
+        return None;
+    }
+    hex.iter().try_fold(0u64, |acc, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
+}
+
+/// Every line of a log file, parsed. A complete last line may lack its
+/// newline; a torn one fails to parse like any other bad line.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = Option<Vec<u64>>> + '_ {
+    bytes
+        .strip_suffix(b"\n")
+        .unwrap_or(bytes)
+        .split(|&b| b == b'\n')
+        .map(parse_line)
+}
+
+fn header(fingerprint: u64) -> Vec<u64> {
+    vec![u64::from(CHECKPOINT_VERSION), fingerprint]
+}
+
+/// Why [`read_strict`] refused a log.
+#[derive(Debug)]
+pub enum StrictError {
+    /// The file could not be read.
+    Io(std::io::Error),
+    /// The 1-based number of the first line that does not parse and
+    /// checksum (line 1 is the header).
+    BadLine(usize),
+    /// The header is well-formed but names another version or
+    /// fingerprint; carries the fingerprint found.
+    Mismatch(u64),
+}
+
+/// Reads the log at `path` strictly: the header must carry this
+/// version and `fingerprint`, and every line must checksum. Returns
+/// every record's words in file order.
+///
+/// # Errors
+///
+/// The first deviation found, as a [`StrictError`].
+pub fn read_strict(
+    path: &Path,
+    fingerprint: u64,
+) -> std::result::Result<Vec<Vec<u64>>, StrictError> {
+    let bytes = std::fs::read(path).map_err(StrictError::Io)?;
+    let mut lines = lines(&bytes);
+    match lines.next().flatten() {
+        Some(words) if words == header(fingerprint) => {}
+        Some(words) if words.len() == 2 => return Err(StrictError::Mismatch(words[1])),
+        _ => return Err(StrictError::BadLine(1)),
+    }
+    lines
+        .enumerate()
+        .map(|(n, words)| words.ok_or(StrictError::BadLine(n + 2)))
+        .collect()
+}
+
+/// Reads the log at `path` leniently: the records that checksum, in
+/// file order, with every bad line dropped. `Ok(None)` when the header
+/// is bad or belongs to another version or `fingerprint`.
+///
+/// # Errors
+///
+/// The read error when the file cannot be read (including
+/// [`std::io::ErrorKind::NotFound`]).
+pub fn read_lenient(path: &Path, fingerprint: u64) -> std::io::Result<Option<Vec<Vec<u64>>>> {
+    let bytes = std::fs::read(path)?;
+    let mut lines = lines(&bytes);
+    if lines.next().flatten() != Some(header(fingerprint)) {
+        return Ok(None);
+    }
+    Ok(Some(lines.flatten().collect()))
+}
+
+/// Replaces the log at `path` with a header for `fingerprint` and the
+/// given records: the lines go to `path` with `.tmp` appended to its
+/// file name, which is then renamed over `path`. Returns the written
+/// file, positioned at its end for further appends.
+///
+/// # Errors
+///
+/// Create, write and rename failures (a failed rename leaves the
+/// `.tmp` file behind).
+pub fn rewrite(
+    path: &Path,
+    fingerprint: u64,
+    records: impl IntoIterator<Item = Vec<u64>>,
+) -> std::io::Result<File> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut writer = BufWriter::new(File::create(&tmp)?);
+    writer.write_all(format_line(&header(fingerprint)).as_bytes())?;
+    for words in records {
+        writer.write_all(format_line(&words).as_bytes())?;
+    }
+    let file = writer
+        .into_inner()
+        .map_err(std::io::IntoInnerError::into_error)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(file)
+}
+
 fn io_err(op: &str, e: &std::io::Error) -> NumericError {
     NumericError::InvalidInput(format!("checkpoint {op}: {e}"))
 }
 
-/// Splits one JSON object line into its top-level `key: value` pairs.
-///
-/// Tracks string state (including `\` escapes) and container depth, so
-/// a field-shaped substring inside a string value or a nested container
-/// can never be mistaken for a real field. This replaces the original
-/// raw-substring matching (`line.find("\"index\":")`), which resumed
-/// spliced torn writes as valid points — adopting one point's index
-/// with another point's words. Returns `None` for anything that is not
-/// a single well-formed `{...}` object of string-keyed fields.
-fn top_level_fields(line: &str) -> Option<Vec<(&str, &str)>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = body.as_bytes();
-    let mut fields = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut item_start = 0usize;
-    let mut colon: Option<usize> = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.checked_sub(1)?,
-            b':' if depth == 0 && colon.is_none() => colon = Some(i),
-            b',' if depth == 0 => {
-                fields.push(split_field(body, item_start, colon?, i)?);
-                item_start = i + 1;
-                colon = None;
-            }
-            _ => {}
-        }
-    }
-    if in_string || depth != 0 {
-        return None;
-    }
-    if item_start < bytes.len() || !fields.is_empty() || colon.is_some() {
-        fields.push(split_field(body, item_start, colon?, bytes.len())?);
-    }
-    Some(fields)
+fn keyed(index: usize, words: &[u64]) -> Vec<u64> {
+    std::iter::once(index as u64)
+        .chain(words.iter().copied())
+        .collect()
 }
 
-/// One `"key": value` item from [`top_level_fields`]; the key must be a
-/// plain quoted string (no escapes), the value is returned raw.
-fn split_field(body: &str, start: usize, colon: usize, end: usize) -> Option<(&str, &str)> {
-    let key = body[start..colon].trim();
-    let key = key.strip_prefix('"')?.strip_suffix('"')?;
-    if key.contains(['"', '\\']) {
-        return None;
-    }
-    Some((key, body[colon + 1..end].trim()))
-}
-
-/// Parses a header line; returns `(version, fingerprint)`. Strict: the
-/// line must carry exactly the `type`/`version`/`fingerprint` fields,
-/// each once — unknown or duplicated fields reject the whole line.
-///
-/// Public for consumers that read checkpoint-format files *strictly*
-/// (the `rlckit-campaign` merge refuses a shard file whose lines this
-/// parser rejects, instead of silently dropping them the way resume
-/// does).
-#[must_use]
-pub fn parse_header_line(line: &str) -> Option<(u32, u64)> {
-    let mut ty = None;
-    let mut version = None;
-    let mut fingerprint = None;
-    for (key, value) in top_level_fields(line.trim())? {
-        let slot = match key {
-            "type" => &mut ty,
-            "version" => &mut version,
-            "fingerprint" => &mut fingerprint,
-            _ => return None,
-        };
-        if slot.replace(value).is_some() {
-            return None;
-        }
-    }
-    if ty? != "\"header\"" {
-        return None;
-    }
-    let version: u32 = version?.parse().ok()?;
-    let hex = fingerprint?.strip_prefix("\"0x")?.strip_suffix('"')?;
-    Some((version, u64::from_str_radix(hex, 16).ok()?))
-}
-
-/// Parses a point line; returns `(index, words)`. Any malformed or
-/// truncated line — e.g. a torn final write — yields `None`. Strict in
-/// the same way as [`parse_header_line`]: exactly the
-/// `type`/`index`/`words` fields, each once.
-///
-/// Public for the same strict readers as [`parse_header_line`].
-#[must_use]
-pub fn parse_point_line(line: &str) -> Option<(usize, Vec<u64>)> {
-    let mut ty = None;
-    let mut index = None;
-    let mut words = None;
-    for (key, value) in top_level_fields(line.trim())? {
-        let slot = match key {
-            "type" => &mut ty,
-            "index" => &mut index,
-            "words" => &mut words,
-            _ => return None,
-        };
-        if slot.replace(value).is_some() {
-            return None;
-        }
-    }
-    if ty? != "\"point\"" {
-        return None;
-    }
-    let index: usize = index?.parse().ok()?;
-    let body = words?.strip_prefix('[')?.strip_suffix(']')?;
-    let mut out = Vec::new();
-    if !body.trim().is_empty() {
-        for token in body.split(',') {
-            let hex = token.trim().strip_prefix("\"0x")?.strip_suffix('"')?;
-            out.push(u64::from_str_radix(hex, 16).ok()?);
-        }
-    }
-    Some((index, out))
-}
-
-/// An open campaign checkpoint: an append handle plus the set of
-/// already-completed points parsed at open time.
+/// An open campaign checkpoint: a record log keyed by grid index.
 pub struct CheckpointFile {
-    writer: Mutex<BufWriter<File>>,
+    file: Mutex<File>,
 }
 
 impl CheckpointFile {
     /// Opens (or creates) the checkpoint at `path` for a campaign with
     /// the given input `fingerprint`.
     ///
-    /// Returns the handle and the completed points recovered from the
-    /// file. A missing file, a header mismatch (different fingerprint
-    /// or version), or an unparsable header all start fresh; malformed
-    /// point lines are dropped individually. The file is rewritten
-    /// from the parsed state so it is well-formed after open even if
-    /// the previous writer was killed mid-line.
+    /// Returns the handle and the completed points recovered by
+    /// [`read_lenient`], keyed by grid index (a later record for the
+    /// same index wins). A missing or unreadable file and a header for
+    /// another version or fingerprint all start fresh. The file is
+    /// [`rewrite`]n from the recovered points, so it is well-formed
+    /// after open even if the previous writer was killed mid-line.
     ///
     /// # Errors
     ///
     /// Returns [`NumericError::InvalidInput`] on filesystem errors
     /// (unwritable path, etc.).
     pub fn open(path: &Path, fingerprint: u64) -> Result<(Self, BTreeMap<usize, Vec<u64>>)> {
-        let mut completed = BTreeMap::new();
-        if let Ok(file) = File::open(path) {
-            let mut lines = BufReader::new(file).lines();
-            if let Some(Ok(first)) = lines.next() {
-                if parse_header_line(&first) == Some((CHECKPOINT_VERSION, fingerprint)) {
-                    for line in lines.map_while(std::io::Result::ok) {
-                        if let Some((index, words)) = parse_point_line(&line) {
-                            completed.insert(index, words);
-                        }
-                    }
-                }
-            }
-        }
-        let file = File::create(path).map_err(|e| io_err("create", &e))?;
-        let mut writer = BufWriter::new(file);
-        writeln!(
-            writer,
-            "{{\"type\":\"header\",\"version\":{CHECKPOINT_VERSION},\"fingerprint\":\"{fingerprint:#018x}\"}}"
+        let completed: BTreeMap<usize, Vec<u64>> = read_lenient(path, fingerprint)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|words| Some((usize::try_from(words[0]).ok()?, words[1..].to_vec())))
+            .collect();
+        let file = rewrite(
+            path,
+            fingerprint,
+            completed.iter().map(|(&i, w)| keyed(i, w)),
         )
-        .map_err(|e| io_err("write header", &e))?;
-        for (index, words) in &completed {
-            write_point(&mut writer, *index, words)?;
-        }
-        writer.flush().map_err(|e| io_err("flush", &e))?;
+        .map_err(|e| io_err("rewrite", &e))?;
         Ok((
             Self {
-                writer: Mutex::new(writer),
+                file: Mutex::new(file),
             },
             completed,
         ))
     }
 
-    /// Appends one completed point and flushes, so a kill immediately
-    /// after a point completes loses at most the in-flight line.
+    /// Appends one completed point in a single write, so a kill
+    /// immediately after a point completes loses at most the in-flight
+    /// line.
     ///
     /// # Errors
     ///
     /// Returns [`NumericError::InvalidInput`] on write failures.
     pub fn append(&self, index: usize, words: &[u64]) -> Result<()> {
-        let mut writer = self
-            .writer
+        let line = format_line(&keyed(index, words));
+        self.file
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        write_point(&mut writer, index, words)?;
-        writer.flush().map_err(|e| io_err("flush", &e))
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .write_all(line.as_bytes())
+            .map_err(|e| io_err("append", &e))
     }
-}
-
-fn write_point(writer: &mut BufWriter<File>, index: usize, words: &[u64]) -> Result<()> {
-    let mut line = format!("{{\"type\":\"point\",\"index\":{index},\"words\":[");
-    for (i, word) in words.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!("\"{word:#018x}\""));
-    }
-    line.push_str("]}");
-    writeln!(writer, "{line}").map_err(|e| io_err("write point", &e))
 }
 
 #[cfg(test)]
@@ -311,6 +317,23 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A file from before the record log (version 1 JSONL) starts
+    /// fresh instead of being misread.
+    #[test]
+    fn a_version_1_jsonl_checkpoint_starts_fresh() {
+        let path = temp_path("v1");
+        std::fs::write(
+            &path,
+            "{\"type\":\"header\",\"version\":1,\"fingerprint\":\"0x0000000000000005\"}\n\
+             {\"type\":\"point\",\"index\":0,\"words\":[\"0x0000000000000001\"]}\n",
+        )
+        .unwrap();
+        let (_ck, done) = CheckpointFile::open(&path, 5).unwrap();
+        assert!(done.is_empty());
+        assert!(matches!(read_strict(&path, 5), Ok(records) if records.is_empty()));
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn torn_trailing_line_is_dropped_and_file_repaired() {
         let path = temp_path("torn");
@@ -323,16 +346,24 @@ mod tests {
         }
         // Simulate a kill mid-write: append a torn partial line.
         {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"type\":\"point\",\"index\":7,\"wor").unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            let line = format_line(&[7, 12]);
+            f.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
         }
+        assert!(matches!(
+            read_strict(&path, fp),
+            Err(StrictError::BadLine(4))
+        ));
         let (_ck, done) = CheckpointFile::open(&path, fp).unwrap();
         assert_eq!(done.len(), 2, "torn line must be dropped");
         assert!(!done.contains_key(&7));
         // The rewrite must have repaired the file: reopening again
         // still sees exactly the two valid points.
         drop(_ck);
+        assert_eq!(read_strict(&path, fp).unwrap().len(), 2);
         let (_ck2, done2) = CheckpointFile::open(&path, fp).unwrap();
         assert_eq!(done, done2);
         let _ = std::fs::remove_file(&path);
@@ -343,15 +374,18 @@ mod tests {
         let path = temp_path("malformed");
         let _ = std::fs::remove_file(&path);
         let fp = fingerprint64([1, 2]);
+        let mut smudged = format_line(&[1, 3]).into_bytes();
+        smudged[5] = b'9';
         std::fs::write(
             &path,
-            format!(
-                "{{\"type\":\"header\",\"version\":1,\"fingerprint\":\"{fp:#018x}\"}}\n\
-                 {{\"type\":\"point\",\"index\":0,\"words\":[\"0x0000000000000001\"]}}\n\
-                 not json at all\n\
-                 {{\"type\":\"point\",\"index\":1,\"words\":[\"0xzz\"]}}\n\
-                 {{\"type\":\"point\",\"index\":2,\"words\":[\"0x0000000000000002\"]}}\n"
-            ),
+            [
+                format_line(&header(fp)).into_bytes(),
+                format_line(&[0, 1]).into_bytes(),
+                b"not a log line at all\n".to_vec(),
+                smudged,
+                format_line(&[2, 2]).into_bytes(),
+            ]
+            .concat(),
         )
         .unwrap();
         let (_ck, done) = CheckpointFile::open(&path, fp).unwrap();
@@ -361,112 +395,73 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Regression test for the raw-substring parser: a torn point write
-    /// spliced with the next complete line used to parse as *valid* —
-    /// the torn prefix donated `"index":1`, the complete suffix donated
-    /// `"words":[…]` — silently resuming point 1 with point 2's bits.
-    /// This test FAILED before the field-scanner rewrite.
+    /// A torn point write spliced with the next complete line must not
+    /// parse: the torn prefix would donate point 1's index, the
+    /// complete suffix point 2's words.
     #[test]
     fn torn_splice_cannot_adopt_another_points_words() {
-        let spliced = "{\"type\":\"point\",\"index\":1,\"wor\
-                       {\"type\":\"point\",\"index\":2,\"words\":[\"0x000000000000000b\"]}";
-        assert_eq!(
-            parse_point_line(spliced),
-            None,
-            "a spliced torn write must be dropped, not resumed with mixed fields"
-        );
+        let first = format_line(&[1, 0xa]);
+        let second = format_line(&[2, 0xb]);
+        for cut in 1..first.len() - 1 {
+            let spliced = format!("{}{}", &first[..cut], second.trim_end());
+            assert_eq!(
+                parse_line(spliced.as_bytes()),
+                None,
+                "a spliced torn write (cut {cut}) must be dropped, not resumed"
+            );
+        }
     }
 
-    /// Second pre-fix failure mode: the old parser took the *first*
-    /// `"index":` substring anywhere in the line, so an index-shaped
-    /// field inside a nested container shadowed the real one (the line
-    /// below used to parse as point 7). The strict parser rejects the
-    /// unknown `meta` field outright.
-    #[test]
-    fn nested_index_cannot_shadow_the_top_level_field() {
-        let line = "{\"type\":\"point\",\"meta\":{\"index\":7},\"index\":3,\
-                    \"words\":[\"0x0000000000000001\"]}";
-        assert_eq!(parse_point_line(line), None);
-    }
-
-    #[test]
-    fn duplicate_fields_are_rejected() {
-        assert_eq!(
-            parse_point_line("{\"type\":\"point\",\"index\":1,\"index\":2,\"words\":[]}"),
-            None
-        );
-        assert_eq!(
-            parse_header_line(
-                "{\"type\":\"header\",\"version\":1,\"version\":2,\
-                 \"fingerprint\":\"0x0000000000000000\"}"
-            ),
-            None
-        );
-    }
-
-    /// Seeded adversarial fuzz of the point parser: random truncations,
-    /// splices and byte smudges of valid lines must never panic, and
-    /// whenever two *distinct* valid lines are spliced the result must
-    /// not parse at all — a spliced parse is exactly the mixed-fields
-    /// resume corruption the rewrite fixed.
+    /// Seeded adversarial fuzz of the line parser: random truncations,
+    /// splices and byte smudges of valid lines must never panic, and no
+    /// mangled line may parse as anything but one of its source lines.
     #[test]
     fn mangled_point_lines_never_parse_as_spliced_points() {
         use rlckit_check::{gen, Check};
-        let valid_line = |index: usize, words: &[u64]| {
-            let mut line = format!("{{\"type\":\"point\",\"index\":{index},\"words\":[");
-            for (i, word) in words.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!("\"{word:#018x}\""));
-            }
-            line.push_str("]}");
-            line
-        };
         Check::new().cases(200).run(
             &gen::tuple4(
                 gen::usize_range(0, 5_000),
-                gen::vec_in(gen::usize_range(0, usize::MAX), 0, 5).map(|v| {
-                    v.into_iter().map(|w| w as u64).collect::<Vec<u64>>()
-                }),
-                gen::usize_range(0, 60), // truncation point
-                gen::usize_range(0, 4),  // mangling mode
+                gen::vec_in(gen::usize_range(0, usize::MAX), 0, 5)
+                    .map(|v| v.into_iter().map(|w| w as u64).collect::<Vec<u64>>()),
+                gen::usize_range(0, 120), // truncation point
+                gen::usize_range(0, 4),   // mangling mode
             ),
             |(index, words, cut, mode)| {
-                let line = valid_line(*index, words);
+                let record = keyed(*index, words);
+                let line = format_line(&record);
+                let body = line.trim_end();
                 // The untouched line must round-trip exactly.
                 assert_eq!(
-                    parse_point_line(&line),
-                    Some((*index, words.clone())),
+                    parse_line(body.as_bytes()),
+                    Some(record.clone()),
                     "writer output must parse back bit-for-bit"
                 );
-                let cut = (*cut).min(line.len().saturating_sub(1));
+                let other = keyed(index + 1, &[0xdead]);
+                let cut = (*cut).min(body.len() - 1);
                 let mangled = match mode {
                     // Torn write: truncated mid-line.
-                    0 => line[..cut].to_string(),
+                    0 => body.as_bytes()[..cut].to_vec(),
                     // Splice: torn prefix + a different complete line.
-                    1 => format!("{}{}", &line[..cut], valid_line(index + 1, &[0xdead])),
+                    1 => [
+                        &body.as_bytes()[..cut],
+                        format_line(&other).trim_end().as_bytes(),
+                    ]
+                    .concat(),
                     // Smudge: one byte overwritten with garbage.
                     2 => {
-                        let mut s = line.into_bytes();
+                        let mut s = body.as_bytes().to_vec();
                         s[cut] = b'\x07';
-                        String::from_utf8_lossy(&s).into_owned()
+                        s
                     }
                     // Doubled line (lost newline between two writes).
-                    _ => format!("{}{}", line, valid_line(index + 1, &[1])),
+                    _ => format!("{body}{}", format_line(&other).trim_end()).into_bytes(),
                 };
-                // Never panic; and no mangling may yield a point whose
-                // words differ from BOTH source lines' words (that
-                // would be a fields-mixed resume). Stricter and simpler:
-                // a parse is only acceptable if it reproduces one of
-                // the two source lines exactly.
-                if let Some((i, w)) = parse_point_line(&mangled) {
-                    let first = (i, w.clone()) == (*index, words.clone());
-                    let second = matches!(*mode, 1) && (i, w.as_slice()) == (index + 1, &[0xdead][..]);
+                if let Some(parsed) = parse_line(&mangled) {
                     assert!(
-                        first || second,
+                        parsed == record || (*mode == 1 && parsed == other),
                         "mangled line (mode {mode}, cut {cut}) parsed as a mixed point: \
-                         ({i}, {w:?}) from {mangled:?}"
+                         {parsed:?} from {:?}",
+                        String::from_utf8_lossy(&mangled)
                     );
                 }
             },
@@ -475,13 +470,49 @@ mod tests {
 
     #[test]
     fn header_parse_rejects_garbage() {
-        assert!(parse_header_line("").is_none());
-        assert!(parse_header_line("{\"type\":\"point\",\"index\":0}").is_none());
+        let path = temp_path("header");
+        for text in [
+            String::new(),
+            "\n".to_string(),
+            format_line(&[u64::from(CHECKPOINT_VERSION)]),
+            format_line(&[0, 0xff]).to_uppercase(),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            assert!(
+                matches!(read_strict(&path, 0xff), Err(StrictError::BadLine(1))),
+                "{text:?}"
+            );
+            assert!(read_lenient(&path, 0xff).unwrap().is_none());
+        }
+        std::fs::write(&path, format_line(&[u64::from(CHECKPOINT_VERSION), 0xfe])).unwrap();
+        assert!(matches!(
+            read_strict(&path, 0xff),
+            Err(StrictError::Mismatch(0xfe))
+        ));
+        std::fs::write(&path, format_line(&header(0xff))).unwrap();
+        assert!(matches!(read_strict(&path, 0xff), Ok(records) if records.is_empty()));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rewrite_appends_tmp_to_the_whole_file_name() {
+        let dir = temp_path("rewrite-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        // `memo.tmp` must not be its own temp file, and `a.snap` and
+        // `a.bin` must not share one.
+        for name in ["memo.tmp", "a.snap", "a.bin"] {
+            rewrite(&dir.join(name), 1, [vec![9]]).unwrap();
+        }
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["a.bin", "a.snap", "memo.tmp"]);
         assert_eq!(
-            parse_header_line(
-                "{\"type\":\"header\",\"version\":1,\"fingerprint\":\"0x00000000000000ff\"}"
-            ),
-            Some((1, 255))
+            read_strict(&dir.join("memo.tmp"), 1).unwrap(),
+            vec![vec![9]]
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

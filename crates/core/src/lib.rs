@@ -32,8 +32,9 @@
 //!   binaries.
 //! * [`outcome`] — per-point campaign outcomes and the point-level
 //!   retry wrapper of the fault-tolerant campaign engine.
-//! * [`checkpoint`] — JSONL checkpoint/resume for long campaigns,
-//!   bit-identical across kill-and-resume.
+//! * [`checkpoint`] — the checksummed record log behind sweep
+//!   checkpoints, campaign shard files and serve snapshots;
+//!   checkpoint/resume is bit-identical across kill-and-resume.
 //! * [`memo`] — bounded quantized-key memoization of whole-optimum
 //!   solves for serving layers (explicitly *not* used on campaign
 //!   paths, which require bit-identity).

@@ -337,7 +337,7 @@ pub fn decode_sweep_point(words: &[u64]) -> Option<SweepPoint> {
     })
 }
 
-/// [`inductance_sweep_with`] with JSONL checkpoint/resume: completed
+/// [`inductance_sweep_with`] with checkpoint/resume: completed
 /// points are streamed to `path` as they finish, and a restarted
 /// campaign skips them, recomputing only what is missing.
 ///

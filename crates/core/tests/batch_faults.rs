@@ -5,6 +5,10 @@
 //! leaves the clean path is redone from scratch by the scalar
 //! path under the same deterministic scope — must make the batched
 //! campaign bit-identical to the scalar one even while faults fire.
+//! The tests take `ARMED` for their whole body, so one test's `arm` or
+//! `disarm` cannot land in the middle of another's armed run.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit::batch::{optimize_batch, RlcPoint};
 use rlckit::optimizer::{optimize_rlc_with_retry, OptimizerOptions, RetryPolicy};
@@ -15,6 +19,12 @@ use rlckit_par::Parallelism;
 use rlckit_tech::TechNode;
 use rlckit_tline::LineRlc;
 use rlckit_units::{HenriesPerMeter, Meters};
+
+static ARMED: Mutex<()> = Mutex::new(());
+
+fn armed() -> MutexGuard<'static, ()> {
+    ARMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn grid_points(node: &TechNode, n: usize) -> Vec<RlcPoint> {
     rlckit_numeric::grid::linspace(0.0, 4.95, n)
@@ -55,6 +65,7 @@ fn scalar_campaign(
 
 #[test]
 fn armed_batch_campaign_is_bit_identical_to_scalar() {
+    let _guard = armed();
     let node = TechNode::nm100();
     let options = OptimizerOptions::default();
     let policy = RetryPolicy::default();
@@ -90,6 +101,7 @@ fn armed_batch_campaign_is_bit_identical_to_scalar() {
 /// land on the same plan values a disarmed run produces.
 #[test]
 fn armed_tradeoff_is_thread_invariant_and_value_stable() {
+    let _guard = armed();
     let node = TechNode::nm100();
     let line = LineRlc::new(
         node.line().resistance,
@@ -134,6 +146,7 @@ fn armed_tradeoff_is_thread_invariant_and_value_stable() {
 
 #[test]
 fn armed_batch_reports_injected_fault_telemetry() {
+    let _guard = armed();
     let node = TechNode::nm250();
     let options = OptimizerOptions::default();
     let policy = RetryPolicy::default();

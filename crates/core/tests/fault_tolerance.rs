@@ -70,7 +70,7 @@ fn point_bits(p: &SweepPoint) -> [u64; 9] {
 fn temp_checkpoint(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "rlckit-fault-tolerance-{name}-{}.partial.jsonl",
+        "rlckit-fault-tolerance-{name}-{}.ckpt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&p);
@@ -227,7 +227,11 @@ fn checkpoint_resume_reproduces_the_uninterrupted_campaign() {
         .take(1 + kept)
         .map(|l| format!("{l}\n"))
         .collect();
-    truncated.push_str("{\"type\":\"point\",\"index\":7,\"wor");
+    let torn = contents
+        .lines()
+        .nth(1 + kept)
+        .expect("a further point line");
+    truncated.push_str(&torn[..torn.len() / 2]);
     std::fs::write(&path, truncated).expect("truncate checkpoint");
 
     let before = rlckit_trace::snapshot();
@@ -282,6 +286,48 @@ fn checkpoint_resume_reproduces_the_uninterrupted_campaign() {
             point_bits(r),
             point_bits(u),
             "point {i}: armed resume drifted from the uninterrupted run"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One hex digit changed in a checkpointed point still parses as a
+/// plausible value. Resume must recompute that point, not adopt the
+/// smudged bits.
+#[test]
+fn a_smudged_checkpoint_point_is_recomputed_bit_identically() {
+    let _guard = locked();
+    rlckit_fault::disarm();
+    let node = TechNode::nm250();
+    let n = 9;
+    let uninterrupted = standard_node_sweep(&node, n).expect("plain sweep");
+    let path = temp_checkpoint("smudge");
+    standard_node_sweep_resumable(&node, n, &path).expect("checkpointed sweep");
+
+    let contents = std::fs::read_to_string(&path).expect("checkpoint readable");
+    let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
+    let mut bytes = lines[1].clone().into_bytes();
+    let at = (bytes.len() / 2..bytes.len())
+        .find(|&i| bytes[i].is_ascii_hexdigit())
+        .expect("a hex digit in the point line");
+    bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+    lines[1] = String::from_utf8(bytes).expect("ascii line");
+    std::fs::write(&path, lines.join("\n") + "\n").expect("smudge checkpoint");
+
+    let before = rlckit_trace::snapshot();
+    let resumed = standard_node_sweep_resumable(&node, n, &path).expect("resumed sweep");
+    let delta = rlckit_trace::snapshot().since(&before);
+    assert_eq!(delta.counter("sweeps.checkpoint.skipped"), (n - 1) as u64);
+    assert_eq!(
+        delta.counter("sweeps.checkpoint.streamed"),
+        1,
+        "the smudged point must be recomputed"
+    );
+    for (i, (r, u)) in resumed.iter().zip(&uninterrupted).enumerate() {
+        assert_eq!(
+            point_bits(r),
+            point_bits(u),
+            "point {i}: resume adopted smudged checkpoint bits"
         );
     }
     let _ = std::fs::remove_file(&path);

@@ -561,6 +561,6 @@ mod tests {
             snapshot::LoadOutcome::Loaded(n) => assert_eq!(n, 3),
             other => panic!("snapshot must load cleanly, got {other:?}"),
         }
-        assert!(!path.with_extension("tmp").exists(), "tmp sibling must be renamed away");
+        assert!(!dir.join("rewarm.snap.tmp").exists(), "tmp sibling must be renamed away");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The daemon pre-solves a grid of NTRS technology optima at boot so
 //! the first interactive ask is a memo hit, not a multi-second Newton
-//! solve. That warm-up is itself worth persisting: `save` writes every
-//! retained entry to a plain-text file of hex-encoded `f64` bit
-//! patterns, and `load` replays it through
+//! solve. That warm-up is itself worth persisting: [`save_atomic`]
+//! writes every retained entry to a [`rlckit::checkpoint`] record log
+//! of `f64` bit patterns, and [`load`] replays it through
 //! [`OptimumMemo::preload`] (counter-free, first-answer-wins) on the
 //! next boot. A reloaded entry is **bit-identical** to the solve that
 //! produced it — the snapshot stores raw bits, never decimal round
@@ -12,19 +12,18 @@
 //!
 //! # Format
 //!
-//! Line 1 is a header carrying a format fingerprint over
+//! The log header carries [`format_fingerprint`] over
 //! `(version, QUANT_BITS, key width)`; a snapshot written under a
 //! different quantization or key layout reports
 //! [`LoadOutcome::Incompatible`] and is ignored (the daemon then falls
 //! back to a cold warm-up — never to silently wrong cache hits). Every
-//! further line is one entry: 15 space-separated 16-digit hex words
-//! (the 7 key words, then the 8 value words). A torn tail — a crash
-//! mid-write — stops the load at the last complete entry.
+//! record is one entry: the 7 key words, then the 8 value words, then
+//! the line checksum. A line that fails its checksum — a torn tail, a
+//! flipped byte — is dropped, so its key is solved afresh on demand.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use rlckit::checkpoint::fingerprint64;
+use rlckit::checkpoint::{fingerprint64, read_lenient, rewrite};
 use rlckit::memo::{MemoKey, OptimumMemo, QUANT_BITS};
 use rlckit::optimizer::RlcOptimum;
 use rlckit_tline::Damping;
@@ -33,7 +32,7 @@ use rlckit_units::{HenriesPerMeter, Meters, Seconds};
 /// Version of the snapshot layout described in the module docs.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
-/// Number of hex words on one entry line (7 key + 8 value).
+/// Number of words in one entry record (7 key + 8 value).
 const ENTRY_WORDS: usize = 15;
 
 /// The format fingerprint the header must carry: any change to the
@@ -94,56 +93,29 @@ fn decode_value(words: &[u64]) -> Option<RlcOptimum> {
     })
 }
 
-/// Writes every retained memo entry to `path` (atomically enough for a
-/// boot-time snapshot: full rewrite, torn tails are tolerated by
-/// [`load`]). Returns the number of entries written.
-///
-/// # Errors
-///
-/// Propagates file-creation and write failures.
-pub fn save(path: &Path, memo: &OptimumMemo) -> std::io::Result<usize> {
-    let entries = memo.export();
-    let mut out = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        out,
-        "rlckit-serve-snapshot version={SNAPSHOT_VERSION} quant_bits={QUANT_BITS} \
-         fingerprint={:016x}",
-        format_fingerprint()
-    )?;
-    for (key, value) in &entries {
-        let words: Vec<String> = key
-            .iter()
-            .copied()
-            .chain(encode_value(value))
-            .map(|w| format!("{w:016x}"))
-            .collect();
-        writeln!(out, "{}", words.join(" "))?;
-    }
-    out.flush()?;
-    Ok(entries.len())
-}
-
-/// Like [`save`], but **atomic**: writes to a `.tmp` sibling and
-/// renames it over `path`, so a reader (another daemon booting, an
-/// operator's `cp`) never observes a half-written snapshot. This is
-/// the variant the background re-warmer uses — it refreshes the
-/// snapshot while the daemon is live, where a torn rewrite window
-/// would no longer be a boot-time-only risk.
+/// Writes every retained memo entry to `path` through the log's
+/// [`rewrite`]: the entries go to a `.tmp` sibling that is renamed over
+/// `path`, so a reader (another daemon booting, an operator's `cp`)
+/// never observes a half-written snapshot. The background re-warmer
+/// relies on this to refresh the snapshot while the daemon is live.
+/// Returns the number of entries written.
 ///
 /// # Errors
 ///
 /// Propagates file-creation, write, and rename failures (the `.tmp`
 /// sibling is left behind on failure for post-mortems).
 pub fn save_atomic(path: &Path, memo: &OptimumMemo) -> std::io::Result<usize> {
-    let tmp = path.with_extension("tmp");
-    let written = save(&tmp, memo)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(written)
+    let entries = memo.export();
+    let records = entries
+        .iter()
+        .map(|(key, value)| key.iter().copied().chain(encode_value(value)).collect());
+    rewrite(path, format_fingerprint(), records)?;
+    Ok(entries.len())
 }
 
 /// Preloads `memo` from the snapshot at `path`. Entries re-route to
 /// whatever shard layout `memo` has — the snapshot is layout-agnostic.
-/// A torn tail stops the load at the last complete entry; already
+/// Records that fail their checksum or decode are skipped; already
 /// present keys keep their first answer ([`OptimumMemo::preload`]).
 ///
 /// # Errors
@@ -151,35 +123,19 @@ pub fn save_atomic(path: &Path, memo: &OptimumMemo) -> std::io::Result<usize> {
 /// Propagates read failures other than the file not existing (which is
 /// the normal first-boot case, reported as [`LoadOutcome::Missing`]).
 pub fn load(path: &Path, memo: &OptimumMemo) -> std::io::Result<LoadOutcome> {
-    let file = match std::fs::File::open(path) {
-        Ok(f) => f,
+    let records = match read_lenient(path, format_fingerprint()) {
+        Ok(Some(records)) => records,
+        Ok(None) => return Ok(LoadOutcome::Incompatible),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadOutcome::Missing),
         Err(e) => return Err(e),
     };
-    let mut lines = BufReader::new(file).lines();
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => return Ok(LoadOutcome::Incompatible),
-    };
-    let expected = format!("fingerprint={:016x}", format_fingerprint());
-    if !header.starts_with("rlckit-serve-snapshot ") || !header.contains(&expected) {
-        return Ok(LoadOutcome::Incompatible);
-    }
     let mut loaded = 0usize;
-    for line in lines {
-        let line = line?;
-        let words: Vec<u64> = line
-            .split_ascii_whitespace()
-            .map_while(|w| u64::from_str_radix(w, 16).ok())
-            .collect();
-        if words.len() != ENTRY_WORDS {
-            break; // torn tail: keep what loaded cleanly
-        }
+    for words in records.iter().filter(|w| w.len() == ENTRY_WORDS) {
+        let Some(value) = decode_value(&words[7..]) else {
+            continue;
+        };
         let mut key: MemoKey = [0; 7];
         key.copy_from_slice(&words[..7]);
-        let Some(value) = decode_value(&words[7..]) else {
-            break;
-        };
         if memo.preload(key, value) {
             loaded += 1;
         }
@@ -219,7 +175,7 @@ mod tests {
     fn save_load_round_trip_is_bit_identical() {
         let source = solved_memo(4);
         let path = temp_path("round-trip.snap");
-        assert_eq!(save(&path, &source).unwrap(), 4);
+        assert_eq!(save_atomic(&path, &source).unwrap(), 4);
 
         // Reload into a *differently sharded* memo: entries re-route.
         let target = OptimumMemo::sharded(5, 64);
@@ -249,11 +205,15 @@ mod tests {
         assert_eq!(load(&missing, &memo).unwrap(), LoadOutcome::Missing);
 
         let stale = temp_path("stale.snap");
+        // A version 1 snapshot (the pre-log text header) and a log
+        // header for another format fingerprint.
         std::fs::write(
             &stale,
-            "rlckit-serve-snapshot version=0 quant_bits=13 fingerprint=dead\n",
+            "rlckit-serve-snapshot version=1 quant_bits=13 fingerprint=dead\n",
         )
         .unwrap();
+        assert_eq!(load(&stale, &memo).unwrap(), LoadOutcome::Incompatible);
+        rlckit::checkpoint::rewrite(&stale, format_fingerprint() ^ 1, Vec::new()).unwrap();
         assert_eq!(load(&stale, &memo).unwrap(), LoadOutcome::Incompatible);
         assert!(memo.is_empty());
         std::fs::remove_file(&stale).ok();
@@ -263,7 +223,7 @@ mod tests {
     fn a_torn_tail_keeps_the_complete_prefix() {
         let source = solved_memo(3);
         let path = temp_path("torn.snap");
-        save(&path, &source).unwrap();
+        save_atomic(&path, &source).unwrap();
         // Chop the last line in half, as a crash mid-write would.
         let text = std::fs::read_to_string(&path).unwrap();
         let keep = text.len() - 40;
@@ -272,6 +232,53 @@ mod tests {
         let target = OptimumMemo::default();
         assert_eq!(load(&path, &target).unwrap(), LoadOutcome::Loaded(2));
         assert_eq!(target.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// One hex digit changed in a value word still parses as a
+    /// plausible value; the line checksum must keep it out of the memo.
+    #[test]
+    fn a_smudged_value_word_is_not_preloaded() {
+        let source = solved_memo(3);
+        let path = temp_path("smudged.snap");
+        save_atomic(&path, &source).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let words: Vec<u64> = lines[1]
+            .split(' ')
+            .map(|w| u64::from_str_radix(w, 16).unwrap())
+            .collect();
+        let mut key: MemoKey = [0; 7];
+        key.copy_from_slice(&words[..7]);
+        // Last hex digit of value word 1 (the repeater size).
+        let at = 17 * 8 + 15;
+        let mut bytes = lines[1].clone().into_bytes();
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        lines[1] = String::from_utf8(bytes).unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        let target = OptimumMemo::default();
+        assert_eq!(load(&path, &target).unwrap(), LoadOutcome::Loaded(2));
+        assert!(target.probe(&key).is_none(), "smudged entry was preloaded");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `memo.tmp` must not double as its own temp file: a reader that
+    /// opened the old snapshot keeps seeing it whole while a new one
+    /// is saved.
+    #[test]
+    fn saving_to_a_tmp_path_never_rewrites_the_live_file_in_place() {
+        use std::io::Read as _;
+        let path = temp_path("memo.tmp");
+        save_atomic(&path, &solved_memo(2)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        save_atomic(&path, &solved_memo(3)).unwrap();
+        let mut held = Vec::new();
+        reader.read_to_end(&mut held).unwrap();
+        assert_eq!(held, before, "the live snapshot was rewritten in place");
+        let target = OptimumMemo::default();
+        assert_eq!(load(&path, &target).unwrap(), LoadOutcome::Loaded(3));
         std::fs::remove_file(&path).ok();
     }
 }

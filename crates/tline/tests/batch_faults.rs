@@ -2,11 +2,24 @@
 //!
 //! Lives in its own integration binary because arming `rlckit-fault` is
 //! process-global: unit tests of the library crate must never see
-//! injected faults.
+//! injected faults. For the same reason the tests below take `ARMED`
+//! for their whole body, so one test's `disarm` cannot land in the
+//! middle of another's armed run.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit_numeric::NumericError;
 use rlckit_tline::batch::{solve_delays, DelayConfig, DelayOutcome};
 use rlckit_tline::TwoPole;
+
+static ARMED: Mutex<()> = Mutex::new(());
+
+fn armed() -> MutexGuard<'static, ()> {
+    ARMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fault hits a scope armed at rate 1.0 may take before it poisons.
+const MAX_WARMUP_HITS: usize = 1_000;
 
 fn scalar(config: &DelayConfig) -> Result<DelayOutcome, NumericError> {
     let (delay, iterations) =
@@ -19,6 +32,7 @@ fn scalar(config: &DelayConfig) -> Result<DelayOutcome, NumericError> {
 /// fail with `InjectedFault`, same lanes succeed with identical bits.
 #[test]
 fn armed_batch_reproduces_the_scalar_injection_sequence() {
+    let _guard = armed();
     let configs: Vec<DelayConfig> = (0..48)
         .map(|i| DelayConfig {
             b1: 1.0,
@@ -67,6 +81,7 @@ fn armed_batch_reproduces_the_scalar_injection_sequence() {
 /// suppress further injections in both paths identically.
 #[test]
 fn batch_respects_an_already_poisoned_scope() {
+    let _guard = armed();
     let configs: Vec<DelayConfig> = (0..8)
         .map(|i| DelayConfig {
             b1: 1.0,
@@ -78,9 +93,16 @@ fn batch_respects_an_already_poisoned_scope() {
     let run = |f: &dyn Fn() -> Vec<Result<DelayOutcome, NumericError>>| {
         rlckit_fault::with_scope(3, || {
             // Burn fault hits until the one-shot injection fires.
-            while !rlckit_fault::poisoned() {
+            for _ in 0..MAX_WARMUP_HITS {
+                if rlckit_fault::poisoned() {
+                    break;
+                }
                 let _ = rlckit_fault::should_inject("warmup");
             }
+            assert!(
+                rlckit_fault::poisoned(),
+                "a scope armed at rate 1.0 took {MAX_WARMUP_HITS} fault hits without poisoning"
+            );
             f()
         })
     };

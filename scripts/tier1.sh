@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
+# The benchmark driver (perfbench/, a workspace of its own) calls the
+# crates' public API by path: building it here makes an API break fail
+# the gate instead of the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 # --workspace is a superset of the gate's `cargo test -q`: it also runs
 # every member crate's unit, integration and doc tests.
 cargo test -q --offline --workspace
