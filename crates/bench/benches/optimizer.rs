@@ -75,12 +75,8 @@ fn bench_iteration_claim(h: &mut Harness) {
                     delta.counter("optimizer.fallbacks") as f64 / solves,
                 ),
                 (
-                    "cache_hits_per_solve".to_string(),
-                    delta.counter("optimizer.cache.hits") as f64 / solves,
-                ),
-                (
-                    "cache_misses_per_solve".to_string(),
-                    delta.counter("optimizer.cache.misses") as f64 / solves,
+                    "delay_solves_per_solve".to_string(),
+                    delta.counter("twopole.delay.solves") as f64 / solves,
                 ),
             ]
         },

@@ -47,10 +47,6 @@ fn bench_standard_sweep(h: &mut Harness) {
                         "no_convergence_per_point".to_string(),
                         delta.counters_ending_with(".no_convergence") as f64 / points,
                     ),
-                    (
-                        "optimizer_cache_hits_per_point".to_string(),
-                        delta.counter("optimizer.cache.hits") as f64 / points,
-                    ),
                 ]
             },
         );

@@ -20,7 +20,7 @@
 use rlckit::elmore::rc_optimum;
 use rlckit::optimizer::{optimize_rlc, segment_delay, OptimizerOptions};
 use rlckit_numeric::rng::Rng;
-use rlckit_par::{par_map_chunked, Parallelism};
+use rlckit_par::{par_map, Parallelism};
 use rlckit_tech::TechNode;
 use rlckit_tline::LineRlc;
 use rlckit_units::{HenriesPerMeter, Meters};
@@ -140,18 +140,17 @@ pub fn run_variation_study_with(
     let mut master = Rng::new(cfg.seed);
     let streams: Vec<Rng> = (0..cfg.samples).map(|_| master.split()).collect();
 
-    let samples: Vec<(f64, [f64; 3])> =
-        par_map_chunked(&streams, parallelism, 0, |_, stream| {
-            let mut rng = stream.clone();
-            let l = triangular(&mut rng, cfg.band_lo, cfg.band_hi, cfg.band_mode);
-            let line = line_at(l);
-            let mut per_design = [0.0f64; 3];
-            for (slot, &(_, h, k)) in per_design.iter_mut().zip(designs.iter()) {
-                *slot = segment_delay(&line, &node.driver(), h, k, 0.5)?.get() / h.get();
-            }
-            Ok((l, per_design))
-        })
-        .expect("delay");
+    let samples: Vec<(f64, [f64; 3])> = par_map(&streams, parallelism, |_, stream| {
+        let mut rng = stream.clone();
+        let l = triangular(&mut rng, cfg.band_lo, cfg.band_hi, cfg.band_mode);
+        let line = line_at(l);
+        let mut per_design = [0.0f64; 3];
+        for (slot, &(_, h, k)) in per_design.iter_mut().zip(designs.iter()) {
+            *slot = segment_delay(&line, &node.driver(), h, k, 0.5)?.get() / h.get();
+        }
+        Ok((l, per_design))
+    })
+    .expect("delay");
 
     let draws: Vec<f64> = samples.iter().map(|&(l, _)| l).collect();
     let outcomes = designs

@@ -40,7 +40,7 @@
 //!
 //! Telemetry is accumulated locally and flushed in bulk so the batched
 //! path reports the same counter totals as the scalar loop would
-//! (`optimizer.solves`, `optimizer.cache.*`, `roots.newton_system.*`),
+//! (`optimizer.solves`, `roots.newton_system.*`),
 //! plus the batch-specific `batch.lanes` / `batch.retired_per_iter`
 //! metrics recorded by the delay-batch layer.
 
@@ -188,7 +188,6 @@ struct Lane {
     _span: SpanGuard,
     h0: f64,
     k0: f64,
-    cache: Vec<((u64, u64), [f64; 2])>,
     u: [f64; 2],
     residual: [f64; 2],
     rnorm: f64,
@@ -215,11 +214,10 @@ enum Next<T> {
     Retire,
 }
 
-/// A cache miss pending its batched delay solve.
-struct Miss {
+/// A residual evaluation pending its batched delay solve.
+struct Pending {
     pos: usize,
     req: usize,
-    key: (u64, u64),
     poles: PoleDerivatives,
     h: f64,
     k: f64,
@@ -232,8 +230,6 @@ struct Miss {
 #[derive(Default)]
 struct TraceAcc {
     optimizer_solves: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     newton_solves: u64,
     newton_injected: u64,
     line_search_stalls: u64,
@@ -288,8 +284,6 @@ pub(crate) fn bulk(counter: &'static Counter, n: u64) {
 impl TraceAcc {
     fn flush(&self) {
         bulk(counter!("optimizer.solves"), self.optimizer_solves);
-        bulk(counter!("optimizer.cache.hits"), self.cache_hits);
-        bulk(counter!("optimizer.cache.misses"), self.cache_misses);
         bulk(counter!("roots.newton_system.solves"), self.newton_solves);
         bulk(
             counter!("roots.newton_system.injected_faults"),
@@ -355,17 +349,16 @@ pub(crate) fn batch_point_outcomes<T>(
         .map(|(idx, p)| init_lane(idx, p, driver, &mut acc))
         .collect();
 
-    // One reusable batch and miss list for the whole column: a wave
+    // One reusable batch and pending list for the whole column: a wave
     // solves only a handful of lanes, so a fresh allocation per wave
     // would dominate the lockstep win.
     let mut delay_batch = DelayBatch::with_capacity(4 * live.len());
-    let mut misses: Vec<Miss> = Vec::new();
+    let mut pending: Vec<Pending> = Vec::new();
     while !live.is_empty() {
         // Round part 1: walk every lane's pending requests in order,
         // under that lane's fault scope, exactly as the scalar eval
-        // closure would: positivity guard, cache scan, then a full
-        // moment/pole computation whose delay solve is deferred to the
-        // shared batch.
+        // closure would: positivity guard, then a full moment/pole
+        // computation whose delay solve is deferred to the shared batch.
         for (pos, lane) in live.iter_mut().enumerate() {
             lane.outs.clear();
             let prev = swap_scope(lane.scope);
@@ -375,13 +368,6 @@ pub(crate) fn batch_point_outcomes<T>(
                     lane.outs.push(EvalOut::Nan);
                     continue;
                 }
-                let key = (h.to_bits(), k.to_bits());
-                if let Some(&(_, g)) = lane.cache.iter().find(|(k2, _)| *k2 == key) {
-                    acc.cache_hits += 1;
-                    lane.outs.push(EvalOut::Val(g));
-                    continue;
-                }
-                acc.cache_misses += 1;
                 let m = moment_derivatives(&points[lane.idx].line, driver, h, k);
                 let poles = pole_derivatives(&m);
                 delay_batch.push(DelayConfig {
@@ -391,10 +377,9 @@ pub(crate) fn batch_point_outcomes<T>(
                 });
                 // Placeholder until the batched delay solve resolves it.
                 lane.outs.push(EvalOut::Fail);
-                misses.push(Miss {
+                pending.push(Pending {
                     pos,
                     req,
-                    key,
                     poles,
                     h,
                     k,
@@ -406,21 +391,18 @@ pub(crate) fn batch_point_outcomes<T>(
         // Round part 2: all deferred delay solves advance in lockstep.
         let delays = delay_batch.solve_in_place();
 
-        // Round part 3: assemble residuals for the misses (the scalar
-        // code, shared) and store them in each lane's cache in the same
-        // order the scalar sequence would have.
-        for (miss, delay) in misses.drain(..).zip(delays) {
+        // Round part 3: assemble residuals for the pending evaluations
+        // (the scalar code, shared).
+        for (eval, delay) in pending.drain(..).zip(delays) {
             if let Ok(out) = delay {
                 let g = assemble_residuals(
-                    &miss.poles,
+                    &eval.poles,
                     out.delay.get(),
-                    miss.h,
-                    miss.k,
+                    eval.h,
+                    eval.k,
                     options.threshold,
                 );
-                let lane = &mut live[miss.pos];
-                lane.cache.push((miss.key, g));
-                lane.outs[miss.req] = EvalOut::Val(g);
+                live[eval.pos].outs[eval.req] = EvalOut::Val(g);
             }
         }
 
@@ -472,7 +454,6 @@ fn init_lane(idx: usize, point: &RlcPoint, driver: &DriverParams, acc: &mut Trac
         _span: span,
         h0: rc.segment_length.get(),
         k0: rc.repeater_size,
-        cache: Vec::new(),
         u: [1.0, 1.0],
         residual: [0.0; 2],
         rnorm: 0.0,
@@ -513,9 +494,8 @@ fn advance<T>(
                 acc.newton_injected += 1;
                 return Next::Retire;
             }
-            // The solver's own first evaluation at u₀ hits the cache
-            // the pre-flight just warmed.
-            acc.cache_hits += 1;
+            // The solver's own first evaluation at u₀ takes the
+            // pre-flight value, as the scalar one-shot slot hands it on.
             lane.residual = g;
             lane.rnorm = inf_norm(&g);
             lane.iteration = 0;
@@ -824,8 +804,6 @@ mod tests {
 
         for name in [
             "optimizer.solves",
-            "optimizer.cache.hits",
-            "optimizer.cache.misses",
             "roots.newton_system.solves",
             "twopole.delay.solves",
             "roots.newton_bracketed.solves",

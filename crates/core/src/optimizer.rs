@@ -19,7 +19,7 @@
 //! cross-check ([`optimize_rlc_direct`]); property tests assert the two
 //! agree.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 use rlckit_numeric::fd::central_jacobian;
 use rlckit_numeric::minimize::{nelder_mead, NelderMeadOptions};
@@ -362,42 +362,6 @@ pub(crate) fn assemble_residuals(
     [out1, out2]
 }
 
-/// Exact-bit-keyed memo of successful residual evaluations for one
-/// optimizer call.
-///
-/// The key is the raw bit pattern of `(h, k)`, so a hit returns the
-/// *identical* `f64` bits a fresh evaluation would produce — which is
-/// what keeps the `rlckit-par` serial/parallel determinism contract
-/// intact with caching enabled. Only `Ok` results are stored: an
-/// injected fault or a numerical failure is never cached, so retry
-/// re-runs and perturbed restarts can never be served a poisoned or
-/// stale entry (every stored value is a pure function of the key).
-///
-/// Lookup is a linear scan: one Newton solve touches a few dozen
-/// distinct probe points at most, where a scan beats hashing the key.
-type ResidualCache = RefCell<Vec<((u64, u64), [f64; 2])>>;
-
-/// [`residuals`] through the per-call cache, with
-/// `optimizer.cache.hits`/`optimizer.cache.misses` telemetry.
-fn residuals_cached(
-    cache: &ResidualCache,
-    line: &LineRlc,
-    driver: &DriverParams,
-    h: f64,
-    k: f64,
-    threshold: f64,
-) -> Result<[f64; 2]> {
-    let key = (h.to_bits(), k.to_bits());
-    if let Some(&(_, g)) = cache.borrow().iter().find(|(k2, _)| *k2 == key) {
-        counter!("optimizer.cache.hits").incr();
-        return Ok(g);
-    }
-    counter!("optimizer.cache.misses").incr();
-    let g = residuals(line, driver, h, k, threshold)?;
-    cache.borrow_mut().push((key, g));
-    Ok(g)
-}
-
 /// Optimizes `(h, k)` for minimum delay per unit length by the paper's
 /// Newton method on the stationarity residuals, starting from the Elmore
 /// optimum. Falls back to [`optimize_rlc_direct`] if Newton fails.
@@ -475,18 +439,23 @@ pub fn optimize_rlc_with_retry(
     let h0 = rc.segment_length.get();
     let k0 = rc.repeater_size;
 
-    // Unknowns are scaled: u = (h/h₀, k/k₀). The residual cache is
-    // shared by the Newton evaluations, the FD Jacobian probes and the
-    // pre-flight warm-up below, for the lifetime of this call.
-    let cache: ResidualCache = RefCell::new(Vec::new());
+    // Unknowns are scaled: u = (h/h₀, k/k₀). `preflight_value` is a
+    // one-shot slot: the retry loop below fills it with the residuals it
+    // has just evaluated at the start `u₀`, and `newton_system`'s first
+    // evaluation — which is at `u₀` — takes them instead of re-solving.
+    let preflight_value: Cell<Option<[f64; 2]>> = Cell::new(None);
     let eval = |u: &[f64], out: &mut [f64]| {
+        if let Some(g) = preflight_value.take() {
+            out.copy_from_slice(&g);
+            return;
+        }
         let (h, k) = (u[0] * h0, u[1] * k0);
         if h <= 0.0 || k <= 0.0 {
             out[0] = f64::NAN;
             out[1] = f64::NAN;
             return;
         }
-        match residuals_cached(&cache, line, driver, h, k, options.threshold) {
+        match residuals(line, driver, h, k, options.threshold) {
             Ok(g) => {
                 out[0] = g[0];
                 out[1] = g[1];
@@ -512,14 +481,12 @@ pub fn optimize_rlc_with_retry(
     let mut restarts = 0u32;
     let last_error = loop {
         // Pre-flight: evaluate the residuals at the starting point
-        // through the cache before handing the solver the same closure.
-        // The solver's own first evaluation at `u0` then *hits*, so the
-        // miss here replaces (rather than adds to) the first delay
-        // solve — every optimizer call performs at least one cache hit
-        // at zero net cost, which the tier-1 perf guard checks. A
-        // failing start feeds the retry ladder the genuine error class:
-        // injected faults re-run, numerical failures restart perturbed,
-        // and a degenerate start (InvalidInput) fails the point at once
+        // before handing the solver the closure, and pass the value on
+        // as the solver's first evaluation, so the pre-flight replaces
+        // (rather than adds to) the first delay solve. A failing start
+        // feeds the retry ladder the genuine error class: injected
+        // faults re-run, numerical failures restart perturbed, and a
+        // degenerate start (InvalidInput) fails the point at once
         // instead of burning restarts on NaN residuals.
         let preflight = {
             let (h, k) = (u0[0] * h0, u0[1] * k0);
@@ -528,11 +495,12 @@ pub fn optimize_rlc_with_retry(
                     "optimizer start must be positive, got h = {h:e}, k = {k:e}"
                 )))
             } else {
-                residuals_cached(&cache, line, driver, h, k, options.threshold)
+                residuals(line, driver, h, k, options.threshold)
             }
         };
         let attempt = preflight
-            .and_then(|_| {
+            .and_then(|g| {
+                preflight_value.set(Some(g));
                 newton_system(
                     eval,
                     jac,
@@ -939,62 +907,6 @@ mod tests {
             }
             other => panic!("degenerate point must fail the point, got {other:?}"),
         }
-    }
-
-    /// The cache-transparency contract, property-tested: for arbitrary
-    /// `(l, h, k)` draws, a cache miss, a cache hit, and a direct
-    /// (uncached) evaluation of the stationarity residuals must all
-    /// return the same bits — and errors must never be cached.
-    #[test]
-    fn residual_cache_is_bit_transparent_for_random_points() {
-        use rlckit_check::{gen, Check};
-        Check::new().cases(60).run(
-            &gen::tuple3(
-                gen::range(0.2, 4.5),    // l in nH/mm
-                gen::range(2e-3, 2e-2),  // h in m
-                gen::range(20.0, 500.0), // k
-            ),
-            |(l, h, k)| {
-                let node = TechNode::nm100();
-                let line = line_for(&node, *l);
-                let driver = node.driver();
-                let cache: ResidualCache = RefCell::new(Vec::new());
-                let direct = residuals(&line, &driver, *h, *k, 0.5);
-                let miss = residuals_cached(&cache, &line, &driver, *h, *k, 0.5);
-                let hit = residuals_cached(&cache, &line, &driver, *h, *k, 0.5);
-                match (direct, miss, hit) {
-                    (Ok(d), Ok(m), Ok(h2)) => {
-                        for i in 0..2 {
-                            assert_eq!(d[i].to_bits(), m[i].to_bits(), "miss drifted at {i}");
-                            assert_eq!(d[i].to_bits(), h2[i].to_bits(), "hit drifted at {i}");
-                        }
-                        assert_eq!(cache.borrow().len(), 1, "one entry per unique (h, k)");
-                    }
-                    (Err(_), Err(_), Err(_)) => {
-                        assert!(cache.borrow().is_empty(), "errors must never be cached");
-                    }
-                    other => panic!("cache changed the outcome kind: {other:?}"),
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn cached_solve_performs_at_least_one_hit_per_call() {
-        // The pre-flight warm-up guarantees the solver's first residual
-        // evaluation hits the per-call cache — the engineered hit the
-        // tier-1 perf guard checks for.
-        let node = TechNode::nm250();
-        let line = line_for(&node, 1.0);
-        let before = rlckit_trace::snapshot();
-        optimize_rlc(&line, &node.driver(), OptimizerOptions::default()).unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
-        assert!(
-            delta.counter("optimizer.cache.hits") >= 1,
-            "expected at least one cache hit per solve, got {}",
-            delta.counter("optimizer.cache.hits")
-        );
-        assert!(delta.counter("optimizer.cache.misses") >= 1);
     }
 
     #[test]

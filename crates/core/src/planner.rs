@@ -7,27 +7,18 @@
 //! repeater area and switching capacitance — as well as the delay. This
 //! module discretizes the optimum and exposes the cost/delay trade-off.
 //!
-//! # Probe caching
+//! # The size re-optimization's delay
 //!
-//! The golden-section size re-optimization probes `segment_delay` dozens
-//! of times per point, and its caller then re-evaluates the delay at the
-//! returned minimum — a value the bracket walk has already computed.
-//! Every planner point therefore routes its probes through a per-point
-//! memo table keyed on the exact bit patterns of `(h, k)`: a hit returns
-//! the identical bits the miss produced, so cached and uncached runs are
-//! bit-for-bit the same, and the post-solve re-evaluation is a
-//! guaranteed hit ([`golden_section`](rlckit_numeric::minimize::golden_section)
-//! evaluates its objective at the midpoint it returns). Hits and misses
-//! are observable as the `planner.cache.hits` / `planner.cache.misses`
-//! trace counters. Only `Ok` delays enter the table, and each retry
-//! attempt starts with a fresh table, so injected faults can neither
-//! poison a cache entry nor leak across perturbed restarts.
-
-use std::cell::RefCell;
+//! The golden-section size re-optimization evaluates `segment_delay` at
+//! the midpoint it returns and reports that evaluation as
+//! [`Minimum::value`](rlckit_numeric::minimize::Minimum::value). A
+//! plan's segment delay is taken from there rather than solved again;
+//! only a non-finite value — the objective's `∞` for a failed solve — is
+//! re-evaluated, so the genuine error surfaces.
 
 use rlckit_fault::{fresh_scope, should_inject, swap_scope, ScopeState};
 use rlckit_numeric::{NumericError, Result};
-use rlckit_par::{par_map_guided, Parallelism};
+use rlckit_par::{par_map, Parallelism};
 use rlckit_tech::DriverParams;
 use rlckit_trace::{counter, histogram, span, SpanGuard};
 use rlckit_tline::batch::{DelayBatch, DelayConfig};
@@ -84,34 +75,6 @@ impl RoutePlan {
     }
 }
 
-/// Per-point memo table for `segment_delay` probes, keyed on the exact
-/// bit patterns of `(h, k)`. Linear scan: a planner point performs a few
-/// dozen probes, so a sorted structure would cost more than it saves.
-type ProbeCache = RefCell<Vec<((u64, u64), f64)>>;
-
-/// [`segment_delay`] through a per-point probe cache. Hits return the
-/// exact bits the original miss computed; only `Ok` delays are cached,
-/// so a faulted probe is re-evaluated (and re-draws its fault decision)
-/// on the next request for the same `(h, k)`.
-fn segment_delay_cached(
-    cache: &ProbeCache,
-    line: &LineRlc,
-    driver: &DriverParams,
-    h: Meters,
-    k: f64,
-    threshold: f64,
-) -> Result<Seconds> {
-    let key = (h.get().to_bits(), k.to_bits());
-    if let Some(&(_, d)) = cache.borrow().iter().find(|(k2, _)| *k2 == key) {
-        counter!("planner.cache.hits").incr();
-        return Ok(Seconds::new(d));
-    }
-    counter!("planner.cache.misses").incr();
-    let d = segment_delay(line, driver, h, k, threshold)?;
-    cache.borrow_mut().push((key, d.get()));
-    Ok(d)
-}
-
 /// Re-optimizes the repeater size for a *fixed* segment length by
 /// golden-section search on the rigorous delay (the `h` is dictated by
 /// the integer segmentation; only `k` is free).
@@ -125,29 +88,23 @@ pub fn optimal_size_for_length(
     segment_length: Meters,
     threshold: f64,
 ) -> Result<f64> {
-    optimal_size_for_length_cached(
-        &RefCell::new(Vec::new()),
-        line,
-        driver,
-        segment_length,
-        threshold,
-    )
+    sized_segment(line, driver, segment_length, threshold).map(|(k, _)| k)
 }
 
-/// [`optimal_size_for_length`] with a caller-owned probe cache, so the
-/// caller's follow-up `segment_delay` at the returned size reuses the
-/// bracket walk's final evaluation instead of re-solving it.
-fn optimal_size_for_length_cached(
-    cache: &ProbeCache,
+/// [`optimal_size_for_length`] together with the delay of one segment at
+/// the returned size. The delay is the walk's own final evaluation
+/// (`Minimum::value`); `segment_delay` runs again only when that value
+/// is not finite, so a failed solve surfaces its error.
+fn sized_segment(
     line: &LineRlc,
     driver: &DriverParams,
     segment_length: Meters,
     threshold: f64,
-) -> Result<f64> {
+) -> Result<(f64, Seconds)> {
     let _span = span!("planner.size_reopt");
     counter!("planner.size_reopts").incr();
     let objective = |ln_k: f64| {
-        segment_delay_cached(cache, line, driver, segment_length, ln_k.exp(), threshold)
+        segment_delay(line, driver, segment_length, ln_k.exp(), threshold)
             .map_or(f64::INFINITY, |d| d.get())
     };
     let minimum = rlckit_numeric::minimize::golden_section(
@@ -157,7 +114,13 @@ fn optimal_size_for_length_cached(
         1e-10,
         400,
     )?;
-    Ok(minimum.x[0].exp())
+    let k = minimum.x[0].exp();
+    let tau = if minimum.value.is_finite() {
+        Seconds::new(minimum.value)
+    } else {
+        segment_delay(line, driver, segment_length, k, threshold)?
+    };
+    Ok((k, tau))
 }
 
 /// Plans repeater insertion for a route of length `route_length`:
@@ -225,18 +188,18 @@ fn plan_route_attempt(
     }
     let continuous_bound = Seconds::new(continuous.delay_per_length() * length);
 
-    // One probe cache per attempt: both candidate counts and their
-    // post-solve delay re-evaluations share it (keys carry `h`, so the
-    // two counts cannot collide), and a retried attempt starts fresh.
-    let cache: ProbeCache = RefCell::new(Vec::new());
+    let (floor, ceil) = (
+        ideal_segments.floor() as usize,
+        ideal_segments.ceil() as usize,
+    );
     let mut best: Option<RoutePlan> = None;
-    for n in [ideal_segments.floor() as usize, ideal_segments.ceil() as usize] {
+    // An integral ideal count is one candidate, not two identical walks.
+    for n in std::iter::once(floor).chain((ceil != floor).then_some(ceil)) {
         if n == 0 {
             continue;
         }
         let h = Meters::new(length / n as f64);
-        let k = optimal_size_for_length_cached(&cache, line, driver, h, threshold)?;
-        let tau = segment_delay_cached(&cache, line, driver, h, k, threshold)?;
+        let (k, tau) = sized_segment(line, driver, h, threshold)?;
         let plan = assemble_plan(driver, n, h, k, tau, continuous_bound);
         if best
             .as_ref()
@@ -346,7 +309,7 @@ pub fn segment_count_tradeoff_outcomes(
     // input order, so the outcome vector is bit-identical to serial,
     // unbatched execution.
     let columns: Vec<&[(usize, usize)]> = counts.chunks(COLUMN_WIDTH).collect();
-    let nested = par_map_guided(&columns, parallelism, |_, column| {
+    let nested = par_map(&columns, parallelism, |_, column| {
         Ok(tradeoff_column_outcomes(
             line,
             driver,
@@ -394,10 +357,8 @@ fn plan_for_count(
     continuous_bound: Seconds,
     n: usize,
 ) -> Result<Solved<RoutePlan>> {
-    let cache: ProbeCache = RefCell::new(Vec::new());
     let h = Meters::new(route_length.get() / n as f64);
-    let k = optimal_size_for_length_cached(&cache, line, driver, h, threshold)?;
-    let tau = segment_delay_cached(&cache, line, driver, h, k, threshold)?;
+    let (k, tau) = sized_segment(line, driver, h, threshold)?;
     Ok(Solved::converged(assemble_plan(
         driver,
         n,
@@ -423,7 +384,7 @@ enum PlanPhase {
 /// This wave's probe result for a lane.
 #[derive(Clone, Copy)]
 enum ProbeOut {
-    /// Not yet resolved (only between waves).
+    /// Not yet resolved (before the lane's first wave).
     Pending,
     /// A clean delay, seconds.
     Delay(f64),
@@ -433,7 +394,7 @@ enum ProbeOut {
 }
 
 /// Per-lane golden-section state: the local variables of the scalar
-/// `optimal_size_for_length_cached`, parked between waves.
+/// `sized_segment`, parked between waves.
 struct PlanLane {
     /// Position in the column (and in its outcome vector).
     slot: usize,
@@ -443,8 +404,6 @@ struct PlanLane {
     _reopt_span: SpanGuard,
     /// Segment length `route/n`, metres.
     h: f64,
-    /// The per-point probe memo, `(h, k)` bit keys to delay seconds.
-    cache: Vec<((u64, u64), f64)>,
     a: f64,
     b: f64,
     c: f64,
@@ -469,16 +428,12 @@ enum PlanNext {
 /// Local telemetry tallies for a planner column, flushed in bulk.
 #[derive(Default)]
 struct PlanAcc {
-    cache_hits: u64,
-    cache_misses: u64,
     golden_calls: u64,
     golden_evaluations: HistAcc,
 }
 
 impl PlanAcc {
     fn flush(&self) {
-        bulk(counter!("planner.cache.hits"), self.cache_hits);
-        bulk(counter!("planner.cache.misses"), self.cache_misses);
         bulk(counter!("minimize.golden_section.calls"), self.golden_calls);
         self.golden_evaluations
             .flush(histogram!("minimize.golden_section.evaluations"));
@@ -532,46 +487,29 @@ fn tradeoff_column_outcomes(
         }
     }
 
-    // One reusable batch and miss list for the whole column (a golden
-    // walk takes ~50 waves; fresh per-wave allocations would dominate).
+    // One reusable batch for the whole column (a golden walk takes ~50
+    // waves; fresh per-wave allocations would dominate).
     let mut batch = DelayBatch::with_capacity(live.len());
-    let mut misses: Vec<(usize, (u64, u64))> = Vec::new();
     while !live.is_empty() {
-        // Wave part 1: resolve each lane's probe against its memo (the
-        // scalar cache scan) under the lane's scope, deferring misses
-        // to the shared delay batch.
-        for (pos, lane) in live.iter_mut().enumerate() {
-            lane.out = ProbeOut::Pending;
+        // Wave part 1: set up each lane's probe under the lane's scope,
+        // deferring its delay solve to the shared batch.
+        for lane in &mut live {
             let prev = swap_scope(lane.scope);
-            let k = lane.pending_ln.exp();
-            let key = (lane.h.to_bits(), k.to_bits());
-            if let Some(&(_, tau)) = lane.cache.iter().find(|(k2, _)| *k2 == key) {
-                acc.cache_hits += 1;
-                lane.out = ProbeOut::Delay(tau);
-            } else {
-                acc.cache_misses += 1;
-                let dil = segment_structure(line, driver, Meters::new(lane.h), k);
-                batch.push(DelayConfig {
-                    b1: dil.b1(),
-                    b2: dil.b2(),
-                    threshold,
-                });
-                misses.push((pos, key));
-            }
+            let dil = segment_structure(line, driver, Meters::new(lane.h), lane.pending_ln.exp());
+            batch.push(DelayConfig {
+                b1: dil.b1(),
+                b2: dil.b2(),
+                threshold,
+            });
             lane.scope = swap_scope(prev);
         }
 
-        // Wave part 2: all deferred delay solves advance in lockstep.
+        // Wave part 2: all deferred delay solves advance in lockstep,
+        // one per live lane, in lane order.
         let delays = batch.solve_in_place();
-        for ((pos, key), delay) in misses.drain(..).zip(delays) {
-            let lane = &mut live[pos];
+        for (lane, delay) in live.iter_mut().zip(delays) {
             lane.out = match delay {
-                Ok(out) => {
-                    // Only Ok delays enter the memo, as in the scalar
-                    // `segment_delay_cached`.
-                    lane.cache.push((key, out.delay.get()));
-                    ProbeOut::Delay(out.delay.get())
-                }
+                Ok(out) => ProbeOut::Delay(out.delay.get()),
                 Err(_) => ProbeOut::Failed,
             };
         }
@@ -641,7 +579,6 @@ fn init_plan_lane(slot: usize, index: usize, n: usize, route_length: Meters) -> 
         scope,
         _reopt_span: reopt_span,
         h: route_length.get() / n as f64,
-        cache: Vec::new(),
         a,
         b,
         c,
@@ -690,13 +627,16 @@ fn plan_advance(
             golden_step(lane)
         }
         PlanPhase::AwaitFinal => {
-            // golden_section's exit bookkeeping, then the caller's
-            // post-solve delay probe — a guaranteed memo hit on the
-            // midpoint evaluation the walk just cached.
+            // golden_section's exit bookkeeping; the midpoint evaluation
+            // is the plan's delay, as `sized_segment` takes it from
+            // `Minimum::value`. A non-finite one sends the scalar path
+            // back to `segment_delay`, which is off the clean path.
+            if !value.is_finite() {
+                return PlanNext::Retire;
+            }
             acc.golden_calls += 1;
             acc.golden_evaluations.observe((lane.evaluations + 1) as u64);
             let k = lane.pending_ln.exp();
-            acc.cache_hits += 1;
             PlanNext::Done(PointOutcome::Converged(assemble_plan(
                 driver,
                 lane.n,
@@ -804,11 +744,12 @@ mod tests {
         assert!(at(k) <= at(k * 1.05) && at(k) <= at(k * 0.95));
     }
 
-    /// Cached-vs-uncached bit identity for the size re-optimization:
-    /// the reference below is the same golden-section walk probing
-    /// `segment_delay` directly, with no cache anywhere. The cached
-    /// public path must land on the same repeater size to the last bit
-    /// for arbitrary lines and forced segment lengths.
+    /// The size re-optimization against a direct reference: the same
+    /// golden-section walk probing `segment_delay` itself. For arbitrary
+    /// lines and forced segment lengths the public path must land on the
+    /// same repeater size to the last bit, and the plan's delay — taken
+    /// from the walk's final evaluation — must equal a fresh
+    /// `segment_delay(h, k)` to the last bit.
     #[test]
     fn probe_cache_is_bit_transparent_for_the_size_reopt() {
         use rlckit_check::{gen, Check};
@@ -839,34 +780,21 @@ mod tests {
                 .unwrap()
                 .x[0]
                     .exp();
-                let cached = optimal_size_for_length(&line, &driver, h, 0.5).unwrap();
+                let k = optimal_size_for_length(&line, &driver, h, 0.5).unwrap();
                 assert_eq!(
-                    cached.to_bits(),
+                    k.to_bits(),
                     reference.to_bits(),
-                    "cached size re-opt drifted at l = {l} nH/mm, h = {h_mm} mm"
+                    "size re-opt drifted at l = {l} nH/mm, h = {h_mm} mm"
+                );
+                let (k, tau) = sized_segment(&line, &driver, h, 0.5).unwrap();
+                let fresh = segment_delay(&line, &driver, h, k, 0.5).unwrap();
+                assert_eq!(
+                    tau.get().to_bits(),
+                    fresh.get().to_bits(),
+                    "plan delay drifted at l = {l} nH/mm, h = {h_mm} mm"
                 );
             },
         );
-    }
-
-    /// The engineered hit: `golden_section` evaluates its objective at
-    /// the midpoint it returns, so the planner's post-solve
-    /// `segment_delay` at the optimal size must find that probe in the
-    /// per-point cache. This is the planner half of the tier-1 perf
-    /// guard's cache-liveness check.
-    #[test]
-    fn size_reopt_probe_cache_hits_at_least_once_per_point() {
-        let (line, driver) = setup();
-        let before = rlckit_trace::snapshot();
-        plan_route(&line, &driver, Meters::from_milli(40.0), 0.5).unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
-        assert!(
-            delta.counter("planner.cache.hits") >= 1,
-            "post-solve delay re-evaluation must hit the probe cache, got {} hits / {} misses",
-            delta.counter("planner.cache.hits"),
-            delta.counter("planner.cache.misses"),
-        );
-        assert!(delta.counter("planner.cache.misses") >= 1);
     }
 
     /// The lockstep column engine against the genuine scalar per-count
@@ -927,7 +855,7 @@ mod tests {
     }
 
     /// Clean-run telemetry totals of the batched trade-off must equal
-    /// the scalar path's: probe-cache traffic, golden-section calls,
+    /// the scalar path's: size re-optimizations, golden-section calls,
     /// and the delay-solver counters underneath.
     #[test]
     fn batched_tradeoff_telemetry_matches_the_scalar_totals() {
@@ -973,8 +901,6 @@ mod tests {
         let batch_delta = rlckit_trace::snapshot().since(&before_batch);
 
         for name in [
-            "planner.cache.hits",
-            "planner.cache.misses",
             "planner.size_reopts",
             "minimize.golden_section.calls",
             "twopole.delay.solves",

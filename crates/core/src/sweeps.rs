@@ -12,14 +12,14 @@
 //! static chunks leave workers idle at the tail). Results are
 //! **bit-identical to the serial evaluation** for every thread count
 //! (the per-point computation is a pure function and
-//! `rlckit_par::par_map_guided` reassembles in input order);
+//! `rlckit_par::par_map` reassembles in input order);
 //! `RLCKIT_THREADS=1` or [`inductance_sweep_with`] with
 //! [`Parallelism::Serial`] forces the serial path.
 
 use std::path::Path;
 
 use rlckit_numeric::{NumericError, Result};
-use rlckit_par::{par_map_guided, Parallelism};
+use rlckit_par::{par_map, Parallelism};
 use rlckit_tech::{DriverParams, LineParams, TechNode};
 use rlckit_trace::{counter, span};
 use rlckit_tline::twopole::Damping;
@@ -146,7 +146,7 @@ pub fn inductance_sweep_outcomes(
     let rc = rc_optimum(line, driver);
     let indexed: Vec<(usize, HenriesPerMeter)> = inductances.into_iter().enumerate().collect();
     let columns: Vec<&[(usize, HenriesPerMeter)]> = indexed.chunks(SWEEP_COLUMN_WIDTH).collect();
-    let nested = par_map_guided(&columns, parallelism, |_, column| {
+    let nested = par_map(&columns, parallelism, |_, column| {
         Ok(sweep_column_outcomes(
             line, driver, &rc, column, options, policy,
         ))
@@ -380,7 +380,7 @@ pub fn inductance_sweep_checkpointed(
     }
 
     let columns: Vec<&[(usize, HenriesPerMeter)]> = missing.chunks(SWEEP_COLUMN_WIDTH).collect();
-    let nested = par_map_guided(&columns, parallelism, |_, column| {
+    let nested = par_map(&columns, parallelism, |_, column| {
         Ok(sweep_column_outcomes(
             line, driver, &rc, column, options, policy,
         ))

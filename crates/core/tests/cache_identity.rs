@@ -1,7 +1,7 @@
-//! Cache-correctness at campaign scale: the hot-path caches (optimizer
-//! residual cache, planner probe cache) and the guided self-scheduler
-//! must not change a single bit of campaign output — serial, at
-//! multiple thread counts, and under armed fault injection.
+//! Campaign-scale bit identity: the batched sweep engine and the guided
+//! self-scheduler must not change a single bit of campaign output
+//! against the scalar per-point path — serial, at multiple thread
+//! counts, and under armed fault injection.
 //!
 //! Fault arming and trace counters are process-global, so every test
 //! takes `FAULT_LOCK` for its whole body and sets the armed state

@@ -6,22 +6,22 @@
 //! provides the execution substrate for that loop — and for the §3.2
 //! Monte-Carlo and the route-planner sweep — without pulling in any
 //! registry dependency: scoped threads from `std::thread::scope`, work
-//! distribution by an atomic chunk counter, and results collected **in
-//! input order** regardless of scheduling.
+//! distribution by guided claims off one atomic counter, and results
+//! collected **in input order** regardless of scheduling.
 //!
 //! # Determinism contract
 //!
-//! [`par_map_chunked`] guarantees that its output vector is element-wise
+//! [`par_map`] guarantees that its output vector is element-wise
 //! identical — bit-for-bit for floating-point payloads — to the serial
-//! `items.iter().map(f)` evaluation, for every thread count and chunk
-//! size. Two ingredients make this true:
+//! `items.iter().map(f)` evaluation, for every thread count. Two
+//! ingredients make this true:
 //!
 //! 1. the mapped function receives the item *and its input index*, never
 //!    any shared mutable state, so each element's value is a pure
 //!    function of the input; and
-//! 2. every chunk writes its results into a dedicated slot keyed by
-//!    chunk index, so collection order is input order, not completion
-//!    order.
+//! 2. every claim is recorded under its start index and the claims are
+//!    reassembled sorted by start, so collection order is input order,
+//!    not completion order.
 //!
 //! Stochastic callers (the §3.2 Monte-Carlo) keep the contract by
 //! deriving one child generator per item up front via
@@ -30,11 +30,14 @@
 //!
 //! # Panic policy
 //!
-//! A panic inside a worker must not poison a lock or wedge the join: the
-//! worker catches it, the remaining chunks are still processed, and the
-//! whole map returns [`NumericError::InvalidInput`] naming the panic
-//! message. Callers therefore see an `Err`, never a hang and never an
-//! abort of the calling thread.
+//! A panic inside `f` must not poison a lock, wedge the join, or unwind
+//! into the caller: every run of `f` — on a worker or on the calling
+//! thread's serial path — sits inside `catch_unwind`, the remaining
+//! claims are still processed, and the whole map returns
+//! [`NumericError::InvalidInput`] naming the index of the earliest
+//! panicking item and its panic message. Callers therefore see an
+//! `Err`, never a hang and never an abort of the calling thread, and the
+//! message is the same for every worker count.
 //!
 //! # Worker count
 //!
@@ -52,25 +55,22 @@
 //!
 //! # Scheduling
 //!
-//! [`par_map_chunked`] distributes fixed-size chunks (~4 per worker by
-//! default) off an atomic counter. [`par_map_guided`] is the adaptive
-//! alternative for workloads with large per-item cost variance (the
-//! route planner's trade-off sweep spans ~3× between its cheapest and
-//! dearest points): workers claim `remaining / (2·workers)` items at a
-//! time, so claims start large and halve toward the tail, bounding the
-//! straggler tail by the cost of one small claim while keeping the
-//! claim count — and therefore counter contention — logarithmic. Both
-//! modes collect results by input index and are bit-identical to the
-//! serial evaluation.
+//! [`par_map`] uses guided self-scheduling, which suits workloads with
+//! large per-item cost variance (the route planner's trade-off sweep
+//! spans ~3× between its cheapest and dearest points): workers claim
+//! `remaining / (2·workers)` items at a time, so claims start large and
+//! halve toward the tail, bounding the straggler tail by the cost of one
+//! small claim while keeping the claim count — and therefore counter
+//! contention — logarithmic.
 //!
 //! # Examples
 //!
 //! ```
-//! use rlckit_par::{par_map_chunked, Parallelism};
+//! use rlckit_par::{par_map, Parallelism};
 //!
 //! # fn main() -> Result<(), rlckit_numeric::NumericError> {
 //! let xs: Vec<f64> = (0..1000).map(f64::from).collect();
-//! let squares = par_map_chunked(&xs, Parallelism::Auto, 0, |_, &x| Ok(x * x))?;
+//! let squares = par_map(&xs, Parallelism::Auto, |_, &x| Ok(x * x))?;
 //! assert_eq!(squares[7], 49.0);
 //! # Ok(())
 //! # }
@@ -83,6 +83,7 @@ pub mod pool;
 
 pub use pool::{PoolClosed, ShardedPool};
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -165,137 +166,12 @@ fn parse_threads(raw: &str) -> Option<usize> {
     }
 }
 
-/// What one worker records for one chunk.
-enum ChunkOutcome<U> {
-    Done(Vec<U>),
-    Failed(NumericError),
-    Panicked(String),
-}
-
 /// Maps `f` over `items` with `parallelism` workers, collecting results
 /// in input order.
 ///
-/// `f` receives `(input_index, &item)` and may fail; the map returns the
-/// error of the **earliest** failing input, matching what the serial
-/// loop would report first. `chunk_size` is the number of consecutive
-/// items a worker claims at a time; pass `0` to let the engine pick
-/// (targets ~4 chunks per worker so stragglers rebalance).
-///
-/// The output is bit-identical to the serial evaluation for every
-/// worker count and chunk size — see the crate-level determinism
-/// contract.
-///
-/// # Errors
-///
-/// Propagates the earliest `Err` returned by `f`, or
-/// [`NumericError::InvalidInput`] if a worker panicked.
-pub fn par_map_chunked<T, U, F>(
-    items: &[T],
-    parallelism: Parallelism,
-    chunk_size: usize,
-    f: F,
-) -> Result<Vec<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> Result<U> + Sync,
-{
-    let threads = parallelism.resolve();
-    if threads <= 1 || items.len() <= 1 {
-        return serial_map(items, &f);
-    }
-    let chunk = effective_chunk_size(items.len(), threads, chunk_size);
-    if chunk >= items.len() {
-        return serial_map(items, &f);
-    }
-
-    let n_chunks = items.len().div_ceil(chunk);
-    let next_chunk = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<ChunkOutcome<U>>>> = {
-        let mut v = Vec::with_capacity(n_chunks);
-        v.resize_with(n_chunks, || None);
-        Mutex::new(v)
-    };
-
-    let worker = || {
-        // Scheduling telemetry for the ROADMAP's work-stealing rung:
-        // how many tasks and chunks this worker ended up claiming.
-        // These are the one `par.*` metric family that is *not*
-        // deterministic run-to-run (totals are; the per-worker split is
-        // whatever the race produced).
-        let mut my_tasks = 0u64;
-        let mut my_chunks = 0u64;
-        loop {
-            let ci = next_chunk.fetch_add(1, Ordering::Relaxed);
-            if ci >= n_chunks {
-                break;
-            }
-            let start = ci * chunk;
-            let end = (start + chunk).min(items.len());
-            my_tasks += (end - start) as u64;
-            my_chunks += 1;
-            // Catch panics *outside* the slot lock: a panicking `f` can
-            // then never poison the mutex, so sibling workers keep
-            // draining chunks and the scope join always completes.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                let mut out = Vec::with_capacity(end - start);
-                for (i, item) in items[start..end].iter().enumerate() {
-                    out.push(f(start + i, item)?);
-                }
-                Ok(out)
-            })) {
-                Ok(Ok(values)) => ChunkOutcome::Done(values),
-                Ok(Err(e)) => ChunkOutcome::Failed(e),
-                Err(payload) => ChunkOutcome::Panicked(panic_message(payload.as_ref())),
-            };
-            let mut guard = slots.lock().expect("outcome slots never poisoned");
-            guard[ci] = Some(outcome);
-        }
-        histogram!("par.tasks_per_worker").observe(my_tasks);
-        histogram!("par.chunks_per_worker").observe(my_chunks);
-    };
-
-    counter!("par.maps").incr();
-    counter!("par.tasks").add(items.len() as u64);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            scope.spawn(worker);
-        }
-    });
-
-    let slots = slots.into_inner().expect("outcome slots never poisoned");
-    let mut results = Vec::with_capacity(items.len());
-    for (ci, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(ChunkOutcome::Done(values)) => results.extend(values),
-            Some(ChunkOutcome::Failed(e)) => return Err(e),
-            Some(ChunkOutcome::Panicked(msg)) => {
-                return Err(NumericError::InvalidInput(format!(
-                    "parallel worker panicked while mapping chunk {ci}: {msg}"
-                )))
-            }
-            None => {
-                // Unreachable: every chunk index below n_chunks is
-                // claimed by exactly one worker before the scope joins.
-                return Err(NumericError::InvalidInput(format!(
-                    "parallel chunk {ci} was never processed"
-                )));
-            }
-        }
-    }
-    Ok(results)
-}
-
-/// Maps `f` over `items` with guided self-scheduling: each worker
-/// CAS-claims `remaining / (2·workers)` consecutive items at a time, so
-/// claims start large and halve toward the tail.
-///
-/// Prefer this over [`par_map_chunked`] when per-item cost varies a lot
-/// (the route planner's trade-off sweep spans ~3× between points): a
-/// fixed chunk sized for the mean either leaves the tail imbalanced or
-/// pays counter traffic on every item, while guided claims bound the
-/// straggler tail by one small claim and keep the total claim count
-/// logarithmic in the input length.
+/// `f` receives `(input_index, &item)` and may fail. Workers CAS-claim
+/// `remaining / (2·workers)` consecutive items at a time (guided
+/// self-scheduling), so claims start large and halve toward the tail.
 ///
 /// The output is bit-identical to the serial evaluation for every
 /// worker count: each element is a pure function of `(input_index,
@@ -307,10 +183,10 @@ where
 /// # Errors
 ///
 /// Propagates the earliest `Err` returned by `f`, or
-/// [`NumericError::InvalidInput`] if a worker panicked (the message
-/// names the start of the claim being processed, which may vary with
-/// scheduling; result values never do).
-pub fn par_map_guided<T, U, F>(items: &[T], parallelism: Parallelism, f: F) -> Result<Vec<U>>
+/// [`NumericError::InvalidInput`] naming the earliest item whose `f`
+/// panicked — the same error for every worker count, including the
+/// serial path.
+pub fn par_map<T, U, F>(items: &[T], parallelism: Parallelism, f: F) -> Result<Vec<U>>
 where
     T: Sync,
     U: Send,
@@ -319,13 +195,18 @@ where
     let threads = parallelism.resolve();
     let len = items.len();
     if threads <= 1 || len <= 1 {
-        return serial_map(items, &f);
+        counter!("par.serial_maps").incr();
+        return map_range(items, 0..len, &f);
     }
 
     let next = AtomicUsize::new(0);
-    let claims: Mutex<Vec<(usize, ChunkOutcome<U>)>> = Mutex::new(Vec::new());
+    let claims: Mutex<Vec<(usize, Result<Vec<U>>)>> = Mutex::new(Vec::new());
 
     let worker = || {
+        // Scheduling telemetry: how many tasks and claims this worker
+        // ended up taking. These are the one `par.*` metric family that
+        // is *not* deterministic run-to-run (totals are; the per-worker
+        // split is whatever the race produced).
         let mut my_tasks = 0u64;
         let mut my_claims = 0u64;
         let mut start = next.load(Ordering::Relaxed);
@@ -346,19 +227,9 @@ where
             };
             my_tasks += (end - start) as u64;
             my_claims += 1;
-            // Same panic policy as the fixed-chunk engine: catch outside
-            // the lock so a panicking `f` can never poison the mutex.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                let mut out = Vec::with_capacity(end - start);
-                for (i, item) in items[start..end].iter().enumerate() {
-                    out.push(f(start + i, item)?);
-                }
-                Ok(out)
-            })) {
-                Ok(Ok(values)) => ChunkOutcome::Done(values),
-                Ok(Err(e)) => ChunkOutcome::Failed(e),
-                Err(payload) => ChunkOutcome::Panicked(panic_message(payload.as_ref())),
-            };
+            // `map_range` catches panics, so the lock below is never
+            // taken by a panicking thread and can never be poisoned.
+            let outcome = map_range(items, start..end, &f);
             claims
                 .lock()
                 .expect("claim slots never poisoned")
@@ -378,21 +249,13 @@ where
     });
 
     // The claims partition [0, len); sorted by start they reproduce the
-    // input order, and the first non-`Done` claim in that order contains
-    // the earliest failing input (each claim short-circuits in-order).
+    // input order, and the first failed claim in that order contains the
+    // earliest failing input (each claim short-circuits in order).
     let mut claims = claims.into_inner().expect("claim slots never poisoned");
     claims.sort_unstable_by_key(|&(start, _)| start);
     let mut results = Vec::with_capacity(len);
-    for (start, outcome) in claims {
-        match outcome {
-            ChunkOutcome::Done(values) => results.extend(values),
-            ChunkOutcome::Failed(e) => return Err(e),
-            ChunkOutcome::Panicked(msg) => {
-                return Err(NumericError::InvalidInput(format!(
-                    "parallel worker panicked while mapping items from {start}: {msg}"
-                )))
-            }
-        }
+    for (_, outcome) in claims {
+        results.extend(outcome?);
     }
     debug_assert_eq!(results.len(), len, "claims must partition the input");
     Ok(results)
@@ -406,41 +269,32 @@ fn guided_claim(remaining: usize, threads: usize) -> usize {
     (remaining / (threads * 2)).max(1)
 }
 
-/// Maps an infallible `f` over `items`; a convenience wrapper around
-/// [`par_map_chunked`] for pure per-item computations.
-///
-/// # Errors
-///
-/// Returns [`NumericError::InvalidInput`] only if a worker panicked.
-pub fn par_map<T, U, F>(items: &[T], parallelism: Parallelism, f: F) -> Result<Vec<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_chunked(items, parallelism, 0, |i, item| Ok(f(i, item)))
-}
-
-/// The serial reference path: a plain in-order loop on the caller's
-/// thread, short-circuiting on the first error exactly like `collect`
-/// over `Result`s.
-fn serial_map<T, U>(items: &[T], f: &(impl Fn(usize, &T) -> Result<U> + Sync)) -> Result<Vec<U>> {
-    counter!("par.serial_maps").incr();
-    let mut out = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        out.push(f(i, item)?);
+/// Maps `f` over `items[range]` in order on the calling thread,
+/// short-circuiting on the first error exactly like `collect` over
+/// `Result`s. A panic in `f` is caught and returned as
+/// [`NumericError::InvalidInput`] naming the panicking item's index.
+/// This is the serial reference path and the body of every claim.
+fn map_range<T, U>(
+    items: &[T],
+    range: Range<usize>,
+    f: &impl Fn(usize, &T) -> Result<U>,
+) -> Result<Vec<U>> {
+    let mut out = Vec::with_capacity(range.len());
+    let mut at = range.start;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        for i in range {
+            at = i;
+            out.push(f(i, &items[i])?);
+        }
+        Ok(())
+    }));
+    match run {
+        Ok(done) => done.map(|()| out),
+        Err(payload) => Err(NumericError::InvalidInput(format!(
+            "mapped function panicked at item {at}: {}",
+            panic_message(payload.as_ref())
+        ))),
     }
-    Ok(out)
-}
-
-/// Picks the chunk size: the caller's when positive, otherwise sized for
-/// ~4 chunks per worker so a slow chunk (a hard optimization point) can
-/// be rebalanced around.
-fn effective_chunk_size(len: usize, threads: usize, requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    len.div_ceil(threads * 4).max(1)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -457,21 +311,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// Every execution path: the serial reference, the parallel engine
+    /// at several worker counts, and `Threads(1)` (serial by policy).
+    const MODES: [Parallelism; 5] = [
+        Parallelism::Serial,
+        Parallelism::Threads(1),
+        Parallelism::Threads(2),
+        Parallelism::Threads(3),
+        Parallelism::Threads(8),
+    ];
+
     #[test]
-    fn serial_and_parallel_agree_on_squares() {
-        let xs: Vec<f64> = (0..257).map(|i| f64::from(i) * 0.37).collect();
-        let serial = par_map_chunked(&xs, Parallelism::Serial, 0, |i, &x| Ok(x * x + i as f64))
-            .unwrap();
-        for threads in [2, 3, 8] {
-            for chunk in [0, 1, 7, 64, 1000] {
-                let par = par_map_chunked(&xs, Parallelism::Threads(threads), chunk, |i, &x| {
-                    Ok(x * x + i as f64)
-                })
-                .unwrap();
-                assert_eq!(serial.len(), par.len());
-                for (a, b) in serial.iter().zip(&par) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} chunk={chunk}");
-                }
+    fn parallel_matches_serial_bit_for_bit() {
+        let xs: Vec<f64> = (0..511).map(|i| f64::from(i) * 0.73 - 4.0).collect();
+        let f = |i: usize, &x: &f64| Ok((x * x).sin() + i as f64 * 1e-3);
+        let serial: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| f(i, x).unwrap())
+            .collect();
+        for mode in MODES {
+            let got = par_map(&xs, mode, f).unwrap();
+            assert_eq!(serial.len(), got.len());
+            for (a, b) in serial.iter().zip(&got) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{mode:?}");
             }
         }
     }
@@ -479,72 +342,84 @@ mod tests {
     #[test]
     fn indices_arrive_in_input_order() {
         let xs: Vec<u32> = (0..100).collect();
-        let out = par_map_chunked(&xs, Parallelism::Threads(4), 3, |i, &x| {
-            assert_eq!(i as u32, x, "index must match the input position");
-            Ok(i)
-        })
-        .unwrap();
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn earliest_error_wins() {
-        let xs: Vec<usize> = (0..64).collect();
-        let run = |parallelism| {
-            par_map_chunked(&xs, parallelism, 2, |i, _| {
-                if i >= 10 {
-                    Err(NumericError::InvalidInput(format!("boom at {i}")))
-                } else {
-                    Ok(i)
-                }
+        for mode in MODES {
+            let out = par_map(&xs, mode, |i, &x| {
+                assert_eq!(i as u32, x, "index must match the input position");
+                Ok(i)
             })
-        };
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-            match run(parallelism) {
-                Err(NumericError::InvalidInput(msg)) => {
-                    assert!(msg.contains("boom at 10"), "{parallelism:?}: {msg}")
-                }
-                other => panic!("{parallelism:?}: expected earliest error, got {other:?}"),
-            }
+            .unwrap();
+            assert_eq!(out, (0..100).collect::<Vec<_>>(), "{mode:?}");
         }
     }
 
     #[test]
-    fn worker_panic_becomes_an_error_not_a_hang() {
-        let xs: Vec<usize> = (0..32).collect();
-        let out = par_map_chunked(&xs, Parallelism::Threads(4), 1, |i, _| {
-            assert!(i != 13, "unlucky index");
-            Ok(i)
-        });
-        match out {
-            Err(NumericError::InvalidInput(msg)) => {
-                assert!(msg.contains("panicked"), "{msg}");
-                assert!(msg.contains("unlucky index"), "{msg}");
+    fn earliest_error_wins() {
+        let xs: Vec<usize> = (0..96).collect();
+        for mode in MODES {
+            match par_map(&xs, mode, |i, _| {
+                if i >= 23 {
+                    Err(NumericError::InvalidInput(format!("boom at {i}")))
+                } else {
+                    Ok(i)
+                }
+            }) {
+                Err(NumericError::InvalidInput(msg)) => {
+                    assert!(msg.contains("boom at 23"), "{mode:?}: {msg}");
+                }
+                other => panic!("{mode:?}: expected earliest error, got {other:?}"),
             }
-            other => panic!("expected surfaced panic, got {other:?}"),
+        }
+    }
+
+    /// The serial path used to call `f` bare, so under `Serial`,
+    /// `Threads(1)` or a one-item input a panicking `f` unwound the
+    /// caller; the parallel path named the claim start, which varies
+    /// with scheduling. Every path must now return the same `Err`,
+    /// naming the earliest panicking item.
+    #[test]
+    fn a_panic_is_the_same_error_on_every_path() {
+        let xs: Vec<usize> = (0..48).collect();
+        let f = |i: usize, _: &usize| {
+            assert!(i != 29 && i != 41, "unlucky index");
+            Ok(i)
+        };
+        for mode in MODES {
+            match par_map(&xs, mode, f) {
+                Err(NumericError::InvalidInput(msg)) => assert_eq!(
+                    msg, "mapped function panicked at item 29: unlucky index",
+                    "{mode:?}"
+                ),
+                other => panic!("{mode:?}: expected a surfaced panic, got {other:?}"),
+            }
+        }
+        let one = [7usize];
+        match par_map(&one, Parallelism::Threads(8), |_, _| -> Result<usize> {
+            panic!("lone item")
+        }) {
+            Err(NumericError::InvalidInput(msg)) => {
+                assert_eq!(msg, "mapped function panicked at item 0: lone item");
+            }
+            other => panic!("expected a surfaced panic, got {other:?}"),
         }
     }
 
     #[test]
     fn empty_and_single_inputs_stay_on_the_calling_thread() {
+        let caller = std::thread::current().id();
         let empty: [f64; 0] = [];
         assert_eq!(
-            par_map_chunked(&empty, Parallelism::Threads(8), 0, |_, &x: &f64| Ok(x)).unwrap(),
+            par_map(&empty, Parallelism::Threads(8), |_, &x: &f64| Ok(x)).unwrap(),
             Vec::<f64>::new()
         );
         let one = [42.0f64];
         assert_eq!(
-            par_map_chunked(&one, Parallelism::Threads(8), 0, |_, &x| Ok(x * 2.0)).unwrap(),
+            par_map(&one, Parallelism::Threads(8), |_, &x| {
+                assert_eq!(std::thread::current().id(), caller);
+                Ok(x * 2.0)
+            })
+            .unwrap(),
             vec![84.0]
         );
-    }
-
-    #[test]
-    fn infallible_wrapper_matches_serial_map() {
-        let xs: Vec<i64> = (0..500).collect();
-        let expected: Vec<i64> = xs.iter().map(|&x| x * 3 - 1).collect();
-        let got = par_map(&xs, Parallelism::Threads(5), |_, &x| x * 3 - 1).unwrap();
-        assert_eq!(expected, got);
     }
 
     #[test]
@@ -553,14 +428,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).resolve(), 1);
         assert_eq!(Parallelism::Threads(6).resolve(), 6);
         assert!(Parallelism::Auto.resolve() >= 1);
-    }
-
-    #[test]
-    fn auto_chunking_gives_multiple_chunks_per_worker() {
-        assert_eq!(effective_chunk_size(1000, 4, 0), 63);
-        assert_eq!(effective_chunk_size(1000, 4, 17), 17);
-        assert_eq!(effective_chunk_size(3, 8, 0), 1);
-        assert_eq!(effective_chunk_size(0, 8, 0), 1);
     }
 
     #[test]
@@ -578,67 +445,5 @@ mod tests {
         assert_eq!(guided_claim(100, 4), 12);
         assert_eq!(guided_claim(8, 4), 1);
         assert_eq!(guided_claim(1, 4), 1);
-    }
-
-    #[test]
-    fn guided_matches_serial_bit_for_bit() {
-        let xs: Vec<f64> = (0..511).map(|i| f64::from(i) * 0.73 - 4.0).collect();
-        let f = |i: usize, &x: &f64| Ok((x * x).sin() + i as f64 * 1e-3);
-        let serial = par_map_chunked(&xs, Parallelism::Serial, 0, f).unwrap();
-        for threads in [2, 3, 8] {
-            let guided = par_map_guided(&xs, Parallelism::Threads(threads), f).unwrap();
-            assert_eq!(serial.len(), guided.len());
-            for (a, b) in serial.iter().zip(&guided) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn guided_earliest_error_wins() {
-        let xs: Vec<usize> = (0..96).collect();
-        for threads in [2, 4] {
-            match par_map_guided(&xs, Parallelism::Threads(threads), |i, _| {
-                if i >= 23 {
-                    Err(NumericError::InvalidInput(format!("boom at {i}")))
-                } else {
-                    Ok(i)
-                }
-            }) {
-                Err(NumericError::InvalidInput(msg)) => {
-                    assert!(msg.contains("boom at 23"), "threads={threads}: {msg}")
-                }
-                other => panic!("threads={threads}: expected earliest error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn guided_worker_panic_becomes_an_error_not_a_hang() {
-        let xs: Vec<usize> = (0..48).collect();
-        match par_map_guided(&xs, Parallelism::Threads(4), |i, _| {
-            assert!(i != 29, "unlucky index");
-            Ok(i)
-        }) {
-            Err(NumericError::InvalidInput(msg)) => {
-                assert!(msg.contains("panicked"), "{msg}");
-                assert!(msg.contains("unlucky index"), "{msg}");
-            }
-            other => panic!("expected surfaced panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn guided_empty_and_single_inputs_stay_on_the_calling_thread() {
-        let empty: [f64; 0] = [];
-        assert_eq!(
-            par_map_guided(&empty, Parallelism::Threads(8), |_, &x: &f64| Ok(x)).unwrap(),
-            Vec::<f64>::new()
-        );
-        let one = [42.0f64];
-        assert_eq!(
-            par_map_guided(&one, Parallelism::Threads(8), |_, &x| Ok(x * 2.0)).unwrap(),
-            vec![84.0]
-        );
     }
 }

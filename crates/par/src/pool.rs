@@ -1,10 +1,9 @@
 //! A sharded, bounded-queue worker pool for long-running services.
 //!
-//! [`par_map_chunked`](crate::par_map_chunked) and
-//! [`par_map_guided`](crate::par_map_guided) execute one finite batch
-//! and join; a serving daemon instead needs workers that outlive any
-//! single request and a **bounded** intake so a burst backpressures the
-//! producer instead of growing an unbounded buffer. [`ShardedPool`]
+//! [`par_map`](crate::par_map) executes one finite batch and joins; a
+//! serving daemon instead needs workers that outlive any single request
+//! and a **bounded** intake so a burst backpressures the producer
+//! instead of growing an unbounded buffer. [`ShardedPool`]
 //! provides that: one OS thread and one bounded FIFO queue per shard,
 //! with requests routed to an explicit shard index.
 //!

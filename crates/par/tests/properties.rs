@@ -1,11 +1,11 @@
-//! The determinism contract, property-tested: `par_map_chunked` must
-//! equal the serial map **bit-for-bit** for arbitrary inputs, chunk
-//! sizes and thread counts. Seeded via the `rlckit-check` harness, so a
-//! failure replays from its reported `RLCKIT_CHECK_SEED`.
+//! The determinism contract, property-tested: `par_map` must equal the
+//! serial map **bit-for-bit** for arbitrary inputs and thread counts.
+//! Seeded via the `rlckit-check` harness, so a failure replays from its
+//! reported `RLCKIT_CHECK_SEED`.
 
 use rlckit_check::{gen, Check};
 use rlckit_numeric::{NumericError, Result};
-use rlckit_par::{par_map_chunked, Parallelism};
+use rlckit_par::{par_map, Parallelism};
 
 /// A mildly expensive, strictly per-item pure function: enough floating
 /// point that any cross-thread interference or reordering would show up
@@ -19,25 +19,23 @@ fn work(i: usize, x: f64) -> f64 {
 }
 
 #[test]
-fn par_map_chunked_equals_serial_map_for_random_shapes() {
+fn par_map_equals_serial_map_for_random_shapes() {
     Check::new().cases(48).run(
-        &gen::tuple4(
+        &gen::tuple3(
             gen::vec_in(gen::range(-1e3, 1e3), 0, 300),
-            gen::usize_range(0, 40),  // chunk size (0 = auto)
-            gen::usize_range(1, 9),   // thread count
-            gen::range(-10.0, 10.0),  // offset folded into the work
+            gen::usize_range(1, 9),  // thread count
+            gen::range(-10.0, 10.0), // offset folded into the work
         ),
-        |(xs, chunk, threads, offset)| {
+        |(xs, threads, offset)| {
             let f = |i: usize, x: &f64| -> Result<f64> { Ok(work(i, x + offset)) };
-            let serial = par_map_chunked(xs, Parallelism::Serial, *chunk, f).unwrap();
-            let parallel =
-                par_map_chunked(xs, Parallelism::Threads(*threads), *chunk, f).unwrap();
+            let serial = par_map(xs, Parallelism::Serial, f).unwrap();
+            let parallel = par_map(xs, Parallelism::Threads(*threads), f).unwrap();
             assert_eq!(serial.len(), parallel.len());
             for (idx, (a, b)) in serial.iter().zip(&parallel).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "element {idx} diverged (chunk={chunk}, threads={threads})"
+                    "element {idx} diverged (threads={threads})"
                 );
             }
         },
@@ -48,7 +46,7 @@ fn par_map_chunked_equals_serial_map_for_random_shapes() {
 fn errors_replay_identically_in_serial_and_parallel() {
     Check::new().cases(32).run(
         &gen::tuple3(
-            gen::usize_range(2, 200),  // input length
+            gen::usize_range(2, 200), // input length
             gen::usize_range(0, 199), // first failing index
             gen::usize_range(1, 8),   // thread count
         ),
@@ -61,8 +59,8 @@ fn errors_replay_identically_in_serial_and_parallel() {
                     Ok(i)
                 }
             };
-            let serial = par_map_chunked(&items, Parallelism::Serial, 0, f);
-            let parallel = par_map_chunked(&items, Parallelism::Threads(*threads), 0, f);
+            let serial = par_map(&items, Parallelism::Serial, f);
+            let parallel = par_map(&items, Parallelism::Threads(*threads), f);
             match (serial, parallel) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b),
                 (Err(ea), Err(eb)) => assert_eq!(

@@ -29,7 +29,7 @@
 //! `par.*` family** they are a pure function of the computation's
 //! inputs — re-running the same campaign yields bit-identical values,
 //! regardless of thread count. The `par.*` metrics intentionally record
-//! scheduling (tasks per worker, chunks claimed) and vary run to run.
+//! scheduling (tasks per worker, claims taken) and vary run to run.
 //! Wall-clock quantities appear **only** under JSON keys ending in
 //! `_ns` (and the derived `mean_ns`), so a determinism check can parse
 //! the JSONL sink and ignore exactly the `*_ns` keys.

@@ -68,20 +68,15 @@ for bin in fig04_lcrit fig05_hopt_ratio fig06_kopt_ratio fig07_delay_ratio fig08
     echo "tier-1 gate: FAIL — $bin CSV drifted under fault injection" >&2
     exit 1
   fi
-  # Cache liveness: every Fig. 4–8 campaign must take optimizer residual
-  # cache hits (the pre-flight warm guarantees ≥ 1 per solve); a silent
-  # zero means the hot-path cache has been disconnected.
-  if ! grep -q 'optimizer\.cache\.hits' "$fault_log"; then
-    echo "tier-1 gate: FAIL — $bin recorded no optimizer cache hits" >&2
-    exit 1
-  fi
 done
 
 # Scheduler identity: campaign CSVs must be byte-identical across the
 # serial reference and guided work-stealing execution at two thread
 # counts (each `cargo run` is a fresh process, so RLCKIT_THREADS is
-# honored under its once-per-process semantics).
-for bin in fig04_lcrit fig07_delay_ratio; do
+# honored under its once-per-process semantics). The §3.2 Monte-Carlo
+# is included: its per-sample streams are split up front, so its
+# statistics must not depend on the schedule either.
+for bin in fig04_lcrit fig07_delay_ratio variation_monte_carlo; do
   RLCKIT_RESULTS_DIR="$sched_serial" RLCKIT_THREADS=1 \
     cargo run --release --offline -q -p rlckit-bench --bin "$bin" >/dev/null
   RLCKIT_RESULTS_DIR="$sched_two" RLCKIT_THREADS=2 \
@@ -293,9 +288,11 @@ if ! cmp -s "$campaign_dir/solo.csv" "$campaign_dir/run.csv"; then
 fi
 
 # Perf guard on the committed bench baselines: the delay solver must
-# hold the paper's ≤4-iteration claim, and the optimizer's engineered
-# pre-flight cache hit must still land (exactly one hit per solve on
-# the clean path — zero means the cache was disconnected).
+# hold the paper's ≤4-iteration claim, and one optimizer solve must not
+# spend more delay solves than it needs. The 250 nm single point takes
+# 26 residual evaluations plus the optimum's own delay in `finish`; the
+# pre-flight residual at the start point is handed to the Newton
+# solver's first evaluation, so a re-evaluation there shows up as 28.
 bench_metric() { # group name metric
   grep "\"name\":\"$2\"" "results/BENCH_$1.json" \
     | grep -o "\"$3\":[0-9.]*" | cut -d: -f2
@@ -305,9 +302,9 @@ if ! awk -v x="${iters:-99}" 'BEGIN { exit !(x <= 4.1) }'; then
   echo "tier-1 gate: FAIL — delay solver iterations_per_solve regressed (${iters:-missing} > 4.1)" >&2
   exit 1
 fi
-hits="$(bench_metric optimizer single_point_250nm cache_hits_per_solve)"
-if ! awk -v x="${hits:-0}" 'BEGIN { exit !(x >= 1.0) }'; then
-  echo "tier-1 gate: FAIL — optimizer cache hits per solve dropped to ${hits:-0} (< 1)" >&2
+delay_solves="$(bench_metric optimizer single_point_250nm delay_solves_per_solve)"
+if ! awk -v x="${delay_solves:-99}" 'BEGIN { exit !(x <= 27.0) }'; then
+  echo "tier-1 gate: FAIL — optimizer delay solves per solve rose to ${delay_solves:-missing} (> 27)" >&2
   exit 1
 fi
 # Serving guard (BENCH_serve): the committed hot-mix baseline must show
