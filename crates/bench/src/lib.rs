@@ -46,7 +46,7 @@ pub fn emit(name: &str, heading: &str, table: &Table) {
 /// stderr and flushes the `RLCKIT_TRACE` sink (a no-op when tracing is
 /// disabled). Call at the end of every experiment binary's `main` so
 /// CSV regeneration logs record points solved, `NoConvergence` tallies
-/// and relaxed-tolerance accepts.
+/// and fallbacks.
 pub fn trace_footer(bin: &str) {
     eprintln!("{bin}: {}", rlckit::report::campaign_trace_summary());
     rlckit_trace::flush();

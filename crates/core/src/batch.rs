@@ -1,11 +1,13 @@
 //! Batched structure-of-arrays optimizer core.
 //!
 //! [`optimize_batch`] runs many independent `(h, k)` Newton
-//! optimizations in lockstep: every lane advances one phase per round
-//! (pre-flight residual, finite-difference Jacobian probes, line-search
-//! trial), and all residual evaluations the round produced — each of
+//! optimizations in lockstep: every lane makes exactly one residual
+//! evaluation per round (its pre-flight at the start point, then one
+//! line-search trial per round), and the round's evaluations — each of
 //! which contains a two-pole delay solve — are handed to one
-//! [`rlckit_tline::batch::DelayBatch`]. The transcendental-heavy delay
+//! [`rlckit_tline::batch::DelayBatch`]. Each evaluation also yields the
+//! exact Jacobian ([`crate::optimizer`]'s dual-number residuals), so a
+//! Newton step needs no extra evaluations. The transcendental-heavy delay
 //! iterations then run as dense loops over lane arrays, which is where
 //! the batched path earns its speedup: a scalar solve is one long
 //! dependent `exp` chain, while the batch gives the CPU dozens of
@@ -19,10 +21,12 @@
 //!
 //! * Every per-lane arithmetic step replicates the scalar operation
 //!   tree exactly — the Newton bookkeeping mirrors
-//!   `rlckit_numeric::roots::newton_system`, the Jacobian assembly
-//!   mirrors `central_jacobian`, the `2×2` solve *calls* the same
-//!   `Matrix::lu` code, and the residual assembly is the scalar
-//!   [`crate::optimizer`] code (shared, not duplicated).
+//!   `rlckit_numeric::roots::newton_system`, the `2×2` solve *calls*
+//!   the same `Matrix::lu` code, and the residual and Jacobian assembly
+//!   is the scalar [`crate::optimizer`] code (shared, not duplicated).
+//!   Each lane's delay solve starts where the scalar one would: at the
+//!   first-order prediction from the lane's last successful evaluation
+//!   (none for the pre-flight).
 //! * Fault-injection decisions are replayed per lane: each lane owns a
 //!   [`rlckit_fault::ScopeState`] that is swapped in around exactly the
 //!   work the scalar path would have done under that point's scope, so
@@ -46,6 +50,7 @@
 
 use rlckit_fault::{fresh_scope, should_inject, swap_scope, ScopeState};
 use rlckit_numeric::dense::Matrix;
+use rlckit_numeric::roots::inf_norm;
 use rlckit_numeric::Result;
 use rlckit_tech::DriverParams;
 use rlckit_trace::{counter, histogram, span, Counter, Histogram, SpanGuard};
@@ -55,7 +60,7 @@ use rlckit_tline::LineRlc;
 use crate::elmore::rc_optimum;
 use crate::optimizer::{
     assemble_residuals, finish, moment_derivatives, optimize_rlc_with_retry, pole_derivatives,
-    OptimizerOptions, PoleDerivatives, RetryPolicy, RlcOptimum,
+    OptimizerOptions, PoleDerivatives, Residuals, RetryPolicy, RlcOptimum,
 };
 use crate::outcome::{run_point, PointOutcome, Solved};
 
@@ -75,8 +80,6 @@ pub struct RlcPoint {
 // RootOptions: replicated here so the lockstep bookkeeping makes the
 // identical accept/reject decisions.
 const F_TOL: f64 = 1e-10;
-const RELAXED_F_TOL: f64 = 1e-9;
-const FD_SCALE: f64 = 1e-6;
 const MAX_LINE_SEARCH_TRIALS: u32 = 30;
 
 /// Optimizes every point of `points` for minimum delay per unit length,
@@ -150,34 +153,8 @@ pub fn optimize_batch(
 enum Phase {
     /// The pre-flight residual at the scaled start `u₀ = (1, 1)`.
     Preflight,
-    /// The four central-difference Jacobian probes of this iteration.
-    AwaitJac,
     /// One damped line-search trial.
     AwaitTrial,
-}
-
-/// Outcome of one residual evaluation request.
-#[derive(Clone, Copy)]
-enum EvalOut {
-    /// Clean residuals.
-    Val([f64; 2]),
-    /// Positivity guard tripped (the scalar closure's NaN path).
-    Nan,
-    /// The evaluation failed (delay solve error); only pre-flight
-    /// distinguishes this from NaN — everywhere else the scalar closure
-    /// maps errors to NaN too.
-    Fail,
-}
-
-fn out_val(out: EvalOut) -> [f64; 2] {
-    match out {
-        EvalOut::Val(g) => g,
-        EvalOut::Nan | EvalOut::Fail => [f64::NAN, f64::NAN],
-    }
-}
-
-fn inf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, &a| m.max(a.abs()))
 }
 
 /// Per-lane solver state; the whole struct is the scalar solve's local
@@ -192,16 +169,19 @@ struct Lane {
     residual: [f64; 2],
     rnorm: f64,
     iteration: usize,
-    hsteps: [f64; 2],
     step: [f64; 2],
     lambda: f64,
     trials: u32,
     trial_u: [f64; 2],
     phase: Phase,
-    /// Scaled-coordinate evaluation points wanted this round.
-    requests: Vec<[f64; 2]>,
-    /// Results of `requests`, same order.
-    outs: Vec<EvalOut>,
+    /// Scaled-coordinate point this round evaluates.
+    request: [f64; 2],
+    /// Its residuals; `None` where the scalar closure yields NaN (the
+    /// positivity guard, or a failed delay solve).
+    out: Option<[f64; 2]>,
+    /// The last successful evaluation: the scalar closure's `last`
+    /// slot (Jacobian source and warm start).
+    last: Option<Residuals>,
 }
 
 /// What a lane does after consuming its round's evaluations.
@@ -217,7 +197,6 @@ enum Next<T> {
 /// A residual evaluation pending its batched delay solve.
 struct Pending {
     pos: usize,
-    req: usize,
     poles: PoleDerivatives,
     h: f64,
     k: f64,
@@ -234,7 +213,6 @@ struct TraceAcc {
     newton_injected: u64,
     line_search_stalls: u64,
     budget_exhausted: u64,
-    relaxed_accepts: u64,
     newton_iterations: HistAcc,
     optimizer_iterations: HistAcc,
 }
@@ -297,10 +275,6 @@ impl TraceAcc {
             counter!("roots.newton_system.budget_exhausted"),
             self.budget_exhausted,
         );
-        bulk(
-            counter!("roots.newton_system.relaxed_accepts"),
-            self.relaxed_accepts,
-        );
         self.newton_iterations
             .flush(histogram!("roots.newton_system.iterations"));
         self.optimizer_iterations
@@ -352,57 +326,52 @@ pub(crate) fn batch_point_outcomes<T>(
     // One reusable batch and pending list for the whole column: a wave
     // solves only a handful of lanes, so a fresh allocation per wave
     // would dominate the lockstep win.
-    let mut delay_batch = DelayBatch::with_capacity(4 * live.len());
+    let mut delay_batch = DelayBatch::with_capacity(live.len());
     let mut pending: Vec<Pending> = Vec::new();
     while !live.is_empty() {
-        // Round part 1: walk every lane's pending requests in order,
-        // under that lane's fault scope, exactly as the scalar eval
-        // closure would: positivity guard, then a full moment/pole
-        // computation whose delay solve is deferred to the shared batch.
+        // Round part 1: walk every lane's evaluation, under that lane's
+        // fault scope, exactly as the scalar eval closure would:
+        // positivity guard, then a full moment/pole computation whose
+        // delay solve — warm-started from the lane's last evaluation —
+        // is deferred to the shared batch.
         for (pos, lane) in live.iter_mut().enumerate() {
-            lane.outs.clear();
-            let prev = swap_scope(lane.scope);
-            for (req, point) in lane.requests.iter().enumerate() {
-                let (h, k) = (point[0] * lane.h0, point[1] * lane.k0);
-                if h <= 0.0 || k <= 0.0 {
-                    lane.outs.push(EvalOut::Nan);
-                    continue;
-                }
-                let m = moment_derivatives(&points[lane.idx].line, driver, h, k);
-                let poles = pole_derivatives(&m);
-                delay_batch.push(DelayConfig {
-                    b1: m.b1,
-                    b2: m.b2,
-                    threshold: options.threshold,
-                });
-                // Placeholder until the batched delay solve resolves it.
-                lane.outs.push(EvalOut::Fail);
-                pending.push(Pending {
-                    pos,
-                    req,
-                    poles,
-                    h,
-                    k,
-                });
+            lane.out = None;
+            let (h, k) = (lane.request[0] * lane.h0, lane.request[1] * lane.k0);
+            if h <= 0.0 || k <= 0.0 {
+                continue;
             }
+            let prev = swap_scope(lane.scope);
+            let m = moment_derivatives(&points[lane.idx].line, driver, h, k);
+            let poles = pole_derivatives(&m);
+            delay_batch.push_from(
+                DelayConfig {
+                    b1: m.b1.v,
+                    b2: m.b2.v,
+                    threshold: options.threshold,
+                },
+                lane.last.map(|r| r.predict_delay(h, k)),
+            );
             lane.scope = swap_scope(prev);
+            pending.push(Pending { pos, poles, h, k });
         }
 
         // Round part 2: all deferred delay solves advance in lockstep.
         let delays = delay_batch.solve_in_place();
 
-        // Round part 3: assemble residuals for the pending evaluations
-        // (the scalar code, shared).
+        // Round part 3: assemble residuals and Jacobians for the pending
+        // evaluations (the scalar code, shared).
         for (eval, delay) in pending.drain(..).zip(delays) {
             if let Ok(out) = delay {
-                let g = assemble_residuals(
+                let r = assemble_residuals(
                     &eval.poles,
                     out.delay.get(),
                     eval.h,
                     eval.k,
                     options.threshold,
                 );
-                live[eval.pos].outs[eval.req] = EvalOut::Val(g);
+                let lane = &mut live[eval.pos];
+                lane.last = Some(r);
+                lane.out = Some(r.g);
             }
         }
 
@@ -458,14 +427,14 @@ fn init_lane(idx: usize, point: &RlcPoint, driver: &DriverParams, acc: &mut Trac
         residual: [0.0; 2],
         rnorm: 0.0,
         iteration: 0,
-        hsteps: [0.0; 2],
         step: [0.0; 2],
         lambda: 1.0,
         trials: 0,
         trial_u: [0.0; 2],
         phase: Phase::Preflight,
-        requests: vec![[1.0, 1.0]],
-        outs: Vec::new(),
+        request: [1.0, 1.0],
+        out: None,
+        last: None,
     }
 }
 
@@ -485,7 +454,7 @@ fn advance<T>(
         Phase::Preflight => {
             // The scalar pre-flight surfaces evaluation errors to the
             // retry ladder — off the clean path, retire.
-            let EvalOut::Val(g) = lane.outs[0] else {
+            let Some(g) = lane.out else {
                 return Next::Retire;
             };
             // newton_system wrapper entry: solve counter + faultpoint.
@@ -501,33 +470,8 @@ fn advance<T>(
             lane.iteration = 0;
             newton_top(lane, points, driver, options, acc, tail)
         }
-        Phase::AwaitJac => {
-            // central_jacobian's probe order: column 0 `+h`, `−h`, then
-            // column 1. Errors become NaN entries, as in the scalar
-            // eval closure.
-            let fp0 = out_val(lane.outs[0]);
-            let fm0 = out_val(lane.outs[1]);
-            let fp1 = out_val(lane.outs[2]);
-            let fm1 = out_val(lane.outs[3]);
-            let mut jacobian = Matrix::zeros(2, 2);
-            for i in 0..2 {
-                jacobian[(i, 0)] = (fp0[i] - fm0[i]) / (2.0 * lane.hsteps[0]);
-                jacobian[(i, 1)] = (fp1[i] - fm1[i]) / (2.0 * lane.hsteps[1]);
-            }
-            // The identical LU code the scalar path runs — a singular
-            // Jacobian feeds the scalar retry ladder, so retire.
-            let step = match jacobian.lu().and_then(|lu| lu.solve(&lane.residual)) {
-                Ok(step) => step,
-                Err(_) => return Next::Retire,
-            };
-            lane.step = [step[0], step[1]];
-            lane.lambda = 1.0;
-            lane.trials = 0;
-            push_trial(lane);
-            Next::Continue
-        }
         Phase::AwaitTrial => {
-            let trial_res = out_val(lane.outs[0]);
+            let trial_res = lane.out.unwrap_or([f64::NAN; 2]);
             let tnorm = inf_norm(&trial_res);
             if tnorm.is_finite() && tnorm < lane.rnorm {
                 lane.u = lane.trial_u;
@@ -555,8 +499,9 @@ fn advance<T>(
     }
 }
 
-/// Top of the scalar Newton loop: convergence checks, then the next
-/// iteration's Jacobian probe requests.
+/// Top of the scalar Newton loop: convergence checks, then the Newton
+/// step from the Jacobian of the lane's last evaluation (which is at
+/// `u`), and its first line-search trial.
 fn newton_top<T>(
     lane: &mut Lane,
     points: &[RlcPoint],
@@ -567,20 +512,8 @@ fn newton_top<T>(
 ) -> Next<T> {
     lane.iteration += 1;
     if lane.iteration > options.max_iterations {
-        // Budget exhausted while improving: the scalar solve accepts a
-        // relaxed residual (opted into by the optimizer), else fails.
-        if lane.rnorm <= F_TOL.max(RELAXED_F_TOL) {
-            acc.relaxed_accepts += 1;
-            return succeed(
-                lane,
-                options.max_iterations,
-                points,
-                driver,
-                options,
-                acc,
-                tail,
-            );
-        }
+        // Budget exhausted while improving: NoConvergence in the scalar
+        // wrapper, which feeds the retry ladder.
         acc.budget_exhausted += 1;
         return Next::Retire;
     }
@@ -591,15 +524,25 @@ fn newton_top<T>(
     if lane.rnorm <= F_TOL {
         return succeed(lane, lane.iteration - 1, points, driver, options, acc, tail);
     }
-    for j in 0..2 {
-        lane.hsteps[j] = FD_SCALE * lane.u[j].abs().max(1.0);
-    }
-    lane.requests.clear();
-    lane.requests.push([lane.u[0] + lane.hsteps[0], lane.u[1]]);
-    lane.requests.push([lane.u[0] - lane.hsteps[0], lane.u[1]]);
-    lane.requests.push([lane.u[0], lane.u[1] + lane.hsteps[1]]);
-    lane.requests.push([lane.u[0], lane.u[1] - lane.hsteps[1]]);
-    lane.phase = Phase::AwaitJac;
+    // The scalar `jac` closure hands over the Jacobian of its last
+    // evaluation when that is at `u`, as it always is here; anything
+    // else is off the clean path.
+    let (h, k) = (lane.u[0] * lane.h0, lane.u[1] * lane.k0);
+    let Some(last) = lane.last.filter(|r| r.h == h && r.k == k) else {
+        return Next::Retire;
+    };
+    let mut jacobian = Matrix::zeros(2, 2);
+    last.scaled_jacobian(lane.h0, lane.k0, &mut jacobian);
+    // The identical LU code the scalar path runs — a singular Jacobian
+    // feeds the scalar retry ladder, so retire.
+    let step = match jacobian.lu().and_then(|lu| lu.solve(&lane.residual)) {
+        Ok(step) => step,
+        Err(_) => return Next::Retire,
+    };
+    lane.step = [step[0], step[1]];
+    lane.lambda = 1.0;
+    lane.trials = 0;
+    push_trial(lane);
     Next::Continue
 }
 
@@ -607,8 +550,7 @@ fn push_trial(lane: &mut Lane) {
     for i in 0..2 {
         lane.trial_u[i] = lane.u[i] - lane.lambda * lane.step[i];
     }
-    lane.requests.clear();
-    lane.requests.push(lane.trial_u);
+    lane.request = lane.trial_u;
     lane.phase = Phase::AwaitTrial;
 }
 

@@ -71,6 +71,7 @@
 pub mod baselines;
 pub mod batch;
 pub mod checkpoint;
+mod dual;
 pub mod elmore;
 pub mod failure;
 pub mod memo;

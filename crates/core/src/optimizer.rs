@@ -10,9 +10,13 @@
 //!   carried in complex arithmetic so the same code covers the over- and
 //!   under-damped regimes (the residuals are real by conjugate symmetry);
 //! * the `f·100 %` delay `τ` inside the residuals is the rigorous Newton
-//!   solve of Eq. (3) ([`rlckit_tline::twopole::TwoPole::delay`]);
-//! * the outer Jacobian of `(g₁, g₂)` is taken by central differences,
-//!   which is robust across the critically-damped manifold.
+//!   solve of Eq. (3) ([`rlckit_tline::twopole::TwoPole::delay_from`]),
+//!   warm-started at the first-order prediction from the previous
+//!   evaluation;
+//! * the outer Jacobian of `(g₁, g₂)` is exact: the same closed forms run
+//!   on forward-mode dual numbers over `(h, k)`, and `∂τ/∂(h, k)` follows
+//!   from Eq. 3 by the implicit function theorem. Each Newton evaluation
+//!   therefore costs one delay solve, Jacobian included.
 //!
 //! A derivative-free Nelder–Mead minimizer over `(ln h, ln k)` is
 //! provided both as an automatic fallback and as an independent
@@ -21,7 +25,7 @@
 
 use std::cell::Cell;
 
-use rlckit_numeric::fd::central_jacobian;
+use rlckit_numeric::dense::Matrix;
 use rlckit_numeric::minimize::{nelder_mead, NelderMeadOptions};
 use rlckit_numeric::rng::Rng;
 use rlckit_numeric::roots::{newton_system, RootOptions};
@@ -32,6 +36,7 @@ use rlckit_tline::twopole::{Damping, TwoPole};
 use rlckit_tline::{DriverInterconnectLoad, LineRlc};
 use rlckit_units::{Farads, HenriesPerMeter, Meters, Ohms, Seconds};
 
+use crate::dual::Dual;
 use crate::elmore::rc_optimum;
 
 /// Options for the RLC optimizer.
@@ -202,14 +207,16 @@ pub fn segment_delay(
         .delay(threshold)
 }
 
-/// Moments and their analytic sensitivities at `(h, k)`.
+/// Moments and their analytic sensitivities at `(h, k)`, each carried as
+/// a [`Dual`] so the second derivatives the outer Jacobian needs come
+/// along.
 pub(crate) struct MomentDerivatives {
-    pub(crate) b1: f64,
-    pub(crate) b2: f64,
-    db1_dh: f64,
-    db1_dk: f64,
-    db2_dh: f64,
-    db2_dk: f64,
+    pub(crate) b1: Dual<f64>,
+    pub(crate) b2: Dual<f64>,
+    db1_dh: Dual<f64>,
+    db1_dk: Dual<f64>,
+    db2_dh: Dual<f64>,
+    db2_dk: Dual<f64>,
 }
 
 pub(crate) fn moment_derivatives(
@@ -224,6 +231,7 @@ pub(crate) fn moment_derivatives(
     let rs = driver.output_resistance.get();
     let c0 = driver.input_capacitance.get();
     let cp = driver.parasitic_capacitance.get();
+    let (h, k) = (Dual::h(h), Dual::k(k));
 
     let rch2 = r * c * h * h;
     // b₁ = r_s(c_p+c₀) + rch²/2 + r_s·c·h/k + c₀·r·h·k
@@ -263,28 +271,43 @@ pub(crate) fn moment_derivatives(
 
 /// Pole pair and their sensitivities (complex when underdamped).
 pub(crate) struct PoleDerivatives {
-    s1: Complex,
-    s2: Complex,
-    ds1_dh: Complex,
-    ds2_dh: Complex,
-    ds1_dk: Complex,
-    ds2_dk: Complex,
+    s1: Dual<Complex>,
+    s2: Dual<Complex>,
+    ds1_dh: Dual<Complex>,
+    ds2_dh: Dual<Complex>,
+    ds1_dk: Dual<Complex>,
+    ds2_dk: Dual<Complex>,
 }
 
 pub(crate) fn pole_derivatives(m: &MomentDerivatives) -> PoleDerivatives {
     let disc = m.b1 * m.b1 - 4.0 * m.b2;
-    // Nudge exact criticality so 1/w stays finite; the FD outer Jacobian
-    // absorbs the resulting O(ε) noise.
-    let disc = if disc.abs() < 1e-30 { 1e-30 } else { disc };
-    let w = Complex::from_real(disc).sqrt();
-    let two_b2 = 2.0 * m.b2;
-    let s1 = (w - m.b1) / two_b2;
-    let s2 = (-w - m.b1) / two_b2;
+    // Nudge exact criticality so 1/w stays finite (the nudged point
+    // carries no sensitivity). Near criticality the 1/w terms cancel in
+    // the residuals; `jacobian_is_harmless_across_l_crit` checks the
+    // Jacobian against the finite-difference oracle there.
+    let disc = if disc.v.abs() < 1e-30 {
+        Dual::constant(1e-30)
+    } else {
+        disc
+    };
+    // w = √disc: real when overdamped, imaginary when underdamped.
+    let w = if disc.v > 0.0 {
+        disc.sqrt().complex()
+    } else {
+        (-disc).sqrt().imaginary()
+    };
+    let inv_w = w.recip();
+    let inv_two_b2 = 0.5 / m.b2;
+    let b1 = m.b1.complex();
+    let s1 = (w - b1) * inv_two_b2;
+    let s2 = (-w - b1) * inv_two_b2;
 
-    let ds = |db1: f64, db2: f64| -> (Complex, Complex) {
-        let core = (Complex::from_real(m.b1 * db1 - 2.0 * db2)) / w;
-        let d1 = (core - db1) / two_b2 - s1 * (db2 / m.b2);
-        let d2 = ((-core) - db1) / two_b2 - s2 * (db2 / m.b2);
+    let ds = |db1: Dual<f64>, db2: Dual<f64>| -> (Dual<Complex>, Dual<Complex>) {
+        let core = inv_w * (m.b1 * db1 - 2.0 * db2);
+        let rel = db2 / m.b2;
+        let db1 = db1.complex();
+        let d1 = (core - db1) * inv_two_b2 - s1 * rel;
+        let d2 = (-core - db1) * inv_two_b2 - s2 * rel;
         (d1, d2)
     };
     let (ds1_dh, ds2_dh) = ds(m.db1_dh, m.db2_dh);
@@ -299,53 +322,112 @@ pub(crate) fn pole_derivatives(m: &MomentDerivatives) -> PoleDerivatives {
     }
 }
 
-/// Evaluates the stationarity residuals `(g₁, g₂)` of Eqs. (7)–(8) at
-/// `(h, k)`, divided by `(s₂ − s₁)` and normalized to relative
-/// stationarity violations.
+/// One evaluation of the stationarity system at `(h, k)`: the residuals
+/// `(g₁, g₂)`, their exact Jacobian, and the delay `τ` with its
+/// gradient.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Residuals {
+    pub(crate) h: f64,
+    pub(crate) k: f64,
+    pub(crate) g: [f64; 2],
+    /// `∂gᵢ/∂(h, k)`, row `i`.
+    jac: [[f64; 2]; 2],
+    /// `τ` and `∂τ/∂(h, k)` (Eq. 3 by the implicit function theorem).
+    tau: Dual<f64>,
+}
+
+impl Residuals {
+    /// The first-order prediction of the delay at `(h, k)`: where the
+    /// next delay solve starts its Newton iteration.
+    pub(crate) fn predict_delay(&self, h: f64, k: f64) -> f64 {
+        self.tau.v + self.tau.dh * (h - self.h) + self.tau.dk * (k - self.k)
+    }
+
+    /// The Jacobian in the optimizer's scaled unknowns `u = (h/h₀, k/k₀)`.
+    pub(crate) fn scaled_jacobian(&self, h0: f64, k0: f64, m: &mut Matrix) {
+        for i in 0..2 {
+            m[(i, 0)] = self.jac[i][0] * h0;
+            m[(i, 1)] = self.jac[i][1] * k0;
+        }
+    }
+}
+
+/// Evaluates the stationarity residuals `(g₁, g₂)` of Eqs. (7)–(8) and
+/// their Jacobian at `(h, k)`, solving Eq. 3 once (its Newton starts
+/// at `start` when that lies inside the bracket).
 ///
-/// Dividing by `(s₂ − s₁)` matters: the paper's `gᵢ` come from Eq. 3
-/// *multiplied by* `(s₂ − s₁)`, so with a complex-conjugate pole pair
-/// they are purely imaginary — the information lives in `g/(s₂ − s₁)`,
-/// which is real in both damping regimes and continuous across the
-/// critical boundary. The normalizer `|∂F/∂τ|·τ/h` (resp. `τ/k`) turns
-/// the residual into "relative error of the stationarity condition",
-/// making the Newton tolerance meaningful across technologies.
+/// # Errors
+///
+/// Non-positive moments are [`NumericError::InvalidInput`] (a perturbed
+/// restart or a degenerate sweep point must fail the point, never panic
+/// the campaign process); delay-solve failures propagate.
 fn residuals(
     line: &LineRlc,
     driver: &DriverParams,
     h: f64,
     k: f64,
     threshold: f64,
-) -> Result<[f64; 2]> {
+    start: Option<f64>,
+) -> Result<Residuals> {
     let m = moment_derivatives(line, driver, h, k);
     let p = pole_derivatives(&m);
-    // `try_new`, not `new`: a perturbed restart or a degenerate sweep
-    // point can reach non-positive moments, which must fail the point
-    // (non-retryable InvalidInput), never panic the campaign process.
-    let tau = TwoPole::try_new(m.b1, m.b2)?.delay(threshold)?.get();
-    Ok(assemble_residuals(&p, tau, h, k, threshold))
+    let (tau, _) = TwoPole::try_new(m.b1.v, m.b2.v)?.delay_from(threshold, start)?;
+    Ok(assemble_residuals(&p, tau.get(), h, k, threshold))
 }
 
-/// The pure arithmetic tail of [`residuals`]: Eqs. (7)–(8) given the
-/// already-solved delay `tau`. Shared with the batched engine in
-/// [`crate::batch`], which amortizes the delay solves across lanes and
-/// must reproduce the scalar residual bits exactly.
+/// The arithmetic tail of [`residuals`]: Eqs. (7)–(8) and their
+/// Jacobian given the already-solved delay `tau`. Shared with the
+/// batched engine in [`crate::batch`], which amortizes the delay solves
+/// across lanes and must reproduce the scalar bits exactly.
+///
+/// The residuals are divided by `(s₂ − s₁)` and normalized to relative
+/// stationarity violations. Dividing by `(s₂ − s₁)` matters: the
+/// paper's `gᵢ` come from Eq. 3 *multiplied by* `(s₂ − s₁)`, so with a
+/// complex-conjugate pole pair they are purely imaginary — the
+/// information lives in `g/(s₂ − s₁)`, which is real in both damping
+/// regimes and continuous across the critical boundary. The normalizer
+/// `|∂F/∂τ|·τ/h` (resp. `τ/k`) turns the residual into "relative error
+/// of the stationarity condition", making the Newton tolerance
+/// meaningful across technologies.
 pub(crate) fn assemble_residuals(
     p: &PoleDerivatives,
     tau: f64,
     h: f64,
     k: f64,
     threshold: f64,
-) -> [f64; 2] {
+) -> Residuals {
     let one_minus_f = 1.0 - threshold;
+    let inv_diff = (p.s2 - p.s1).recip();
+    // e^{s·τ} with its partials at fixed τ.
     let e1 = (p.s1 * tau).exp();
     let e2 = (p.s2 * tau).exp();
-    let diff = p.s2 - p.s1;
+
+    // τ(h, k) is defined by v(τ; h, k) = f (Eq. 3), with
+    // v = 1 + (s₁e^{s₂τ} − s₂e^{s₁τ})/(s₂ − s₁), so
+    // ∂τ/∂(h, k) = −(∂v/∂(h, k) at fixed τ) / v′(τ).
+    let v = (p.s1 * e2 - p.s2 * e1) * inv_diff;
+    let v_tau = (p.s1.v * p.s2.v * (e2.v - e1.v) * inv_diff.v).re;
+    let tau = Dual {
+        v: tau,
+        dh: -v.dh.re / v_tau,
+        dk: -v.dk.re / v_tau,
+    };
+    // Now let τ move with (h, k) too: ∂e^{sτ} gains s·e^{sτ}·∂τ.
+    let with_tau = |e: Dual<Complex>, s: Dual<Complex>| {
+        let se = s.v * e.v;
+        Dual {
+            v: e.v,
+            dh: e.dh + se * tau.dh,
+            dk: e.dk + se * tau.dk,
+        }
+    };
+    let (e1, e2) = (with_tau(e1, p.s1), with_tau(e2, p.s2));
+    let inv_h = 1.0 / Dual::h(h);
 
     // g₁ (Eq. 7): stationarity in h with dτ/dh = τ/h substituted.
     let g1 = (p.ds2_dh - p.ds1_dh) * one_minus_f - p.ds2_dh * e1 + p.ds1_dh * e2
-        - p.s2 * tau * (p.ds1_dh + p.s1 / h) * e1
-        + p.s1 * tau * (p.ds2_dh + p.s2 / h) * e2;
+        - p.s2 * tau * (p.ds1_dh + p.s1 * inv_h) * e1
+        + p.s1 * tau * (p.ds2_dh + p.s2 * inv_h) * e2;
 
     // g₂ (Eq. 8): stationarity in k with dτ/dk = 0 substituted.
     let g2 = (p.ds2_dk - p.ds1_dk) * one_minus_f - p.ds2_dk * e1 - p.s2 * tau * p.ds1_dk * e1
@@ -354,12 +436,23 @@ pub(crate) fn assemble_residuals(
 
     // ∂F/∂τ / (s₂ − s₁) = s₁s₂·(e^{s₂τ} − e^{s₁τ})/(s₂ − s₁): finite and
     // nonzero everywhere the first crossing exists.
-    let f_tau = p.s1 * p.s2 * (e2 - e1) / diff;
-    let f_tau_mag = f_tau.abs().max(f64::MIN_POSITIVE);
+    let f_tau = p.s1 * p.s2 * (e2 - e1) * inv_diff;
+    let f_tau_mag = f_tau.abs();
+    let f_tau_mag = if f_tau_mag.v < f64::MIN_POSITIVE {
+        Dual::constant(f64::MIN_POSITIVE)
+    } else {
+        f_tau_mag
+    };
 
-    let out1 = (g1 / diff).re / (f_tau_mag * tau / h);
-    let out2 = (g2 / diff).re / (f_tau_mag * tau / k);
-    [out1, out2]
+    let out1 = (g1 * inv_diff).re() / (f_tau_mag * tau * inv_h);
+    let out2 = (g2 * inv_diff).re() / (f_tau_mag * tau / Dual::k(k));
+    Residuals {
+        h,
+        k,
+        g: [out1.v, out2.v],
+        jac: [[out1.dh, out1.dk], [out2.dh, out2.dk]],
+        tau,
+    }
 }
 
 /// Optimizes `(h, k)` for minimum delay per unit length by the paper's
@@ -439,39 +532,42 @@ pub fn optimize_rlc_with_retry(
     let h0 = rc.segment_length.get();
     let k0 = rc.repeater_size;
 
-    // Unknowns are scaled: u = (h/h₀, k/k₀). `preflight_value` is a
-    // one-shot slot: the retry loop below fills it with the residuals it
-    // has just evaluated at the start `u₀`, and `newton_system`'s first
-    // evaluation — which is at `u₀` — takes them instead of re-solving.
-    let preflight_value: Cell<Option<[f64; 2]>> = Cell::new(None);
-    let eval = |u: &[f64], out: &mut [f64]| {
-        if let Some(g) = preflight_value.take() {
-            out.copy_from_slice(&g);
-            return;
-        }
-        let (h, k) = (u[0] * h0, u[1] * k0);
-        if h <= 0.0 || k <= 0.0 {
-            out[0] = f64::NAN;
-            out[1] = f64::NAN;
-            return;
-        }
-        match residuals(line, driver, h, k, options.threshold) {
-            Ok(g) => {
-                out[0] = g[0];
-                out[1] = g[1];
-            }
-            Err(_) => {
-                out[0] = f64::NAN;
-                out[1] = f64::NAN;
-            }
-        }
+    // Unknowns are scaled: u = (h/h₀, k/k₀). `last` holds the attempt's
+    // last successful evaluation: its Jacobian is what `jac` hands the
+    // solver (the solver asks for the Jacobian exactly where it last
+    // evaluated), and its delay gradient warm-starts the next delay
+    // solve. `preflight_pending` is a one-shot flag: the retry loop below
+    // evaluates the start `u₀` itself, and `newton_system`'s first
+    // evaluation — which is at `u₀` — takes that value instead of
+    // re-solving.
+    let last: Cell<Option<Residuals>> = Cell::new(None);
+    let preflight_pending = Cell::new(false);
+    let evaluate = |h: f64, k: f64| {
+        let start = last.get().map(|r| r.predict_delay(h, k));
+        let r = residuals(line, driver, h, k, options.threshold, start)?;
+        last.set(Some(r));
+        Ok::<_, NumericError>(r)
     };
-    let jac = |u: &[f64], m: &mut rlckit_numeric::dense::Matrix| {
-        let j = central_jacobian(eval, u, 2, 1e-6);
-        for i in 0..2 {
-            for jj in 0..2 {
-                m[(i, jj)] = j[(i, jj)];
-            }
+    let eval = |u: &[f64], out: &mut [f64]| {
+        let (h, k) = (u[0] * h0, u[1] * k0);
+        let g = if preflight_pending.replace(false) {
+            last.get().map(|r| r.g)
+        } else if h > 0.0 && k > 0.0 {
+            evaluate(h, k).ok().map(|r| r.g)
+        } else {
+            None
+        };
+        out.copy_from_slice(&g.unwrap_or([f64::NAN; 2]));
+    };
+    let jac = |u: &[f64], m: &mut Matrix| {
+        let (h, k) = (u[0] * h0, u[1] * k0);
+        let here = match last.get() {
+            Some(r) if r.h == h && r.k == k => Some(r),
+            _ => evaluate(h, k).ok(),
+        };
+        match here {
+            Some(r) => r.scaled_jacobian(h0, k0, m),
+            None => *m = Matrix::from_rows(&[&[f64::NAN; 2], &[f64::NAN; 2]]),
         }
     };
 
@@ -480,6 +576,10 @@ pub fn optimize_rlc_with_retry(
     let mut transient_retries = 0u32;
     let mut restarts = 0u32;
     let last_error = loop {
+        // Every attempt starts cold: no warm start carries over from a
+        // failed attempt, so a retried attempt retraces exactly the
+        // delay solves a first attempt from `u₀` would make.
+        last.set(None);
         // Pre-flight: evaluate the residuals at the starting point
         // before handing the solver the closure, and pass the value on
         // as the solver's first evaluation, so the pre-flight replaces
@@ -495,12 +595,12 @@ pub fn optimize_rlc_with_retry(
                     "optimizer start must be positive, got h = {h:e}, k = {k:e}"
                 )))
             } else {
-                residuals(line, driver, h, k, options.threshold)
+                evaluate(h, k)
             }
         };
         let attempt = preflight
-            .and_then(|g| {
-                preflight_value.set(Some(g));
+            .and_then(|_| {
+                preflight_pending.set(true);
                 newton_system(
                     eval,
                     jac,
@@ -509,12 +609,6 @@ pub fn optimize_rlc_with_retry(
                         x_tol: options.tolerance,
                         f_tol: 1e-10,
                         max_iterations: options.max_iterations,
-                        // Explicitly requested: the FD outer Jacobian limits the
-                        // achievable stationarity residual, so a budget-exhausted
-                        // solve that got below 1e-9 is still a usable optimum (the
-                        // Nelder–Mead fallback would find the same point more
-                        // slowly).
-                        relaxed_f_tol: Some(1e-9),
                     },
                 )
             })
@@ -676,24 +770,33 @@ mod tests {
         let m = moment_derivatives(&line, &d, h, k);
         let eps_h = h * 1e-6;
         let eps_k = k * 1e-6;
-        let b1 = |h: f64, k: f64| moment_derivatives(&line, &d, h, k).b1;
-        let b2 = |h: f64, k: f64| moment_derivatives(&line, &d, h, k).b2;
+        let b1 = |h: f64, k: f64| moment_derivatives(&line, &d, h, k).b1.v;
+        let b2 = |h: f64, k: f64| moment_derivatives(&line, &d, h, k).b2.v;
         assert!(
-            ((b1(h + eps_h, k) - b1(h - eps_h, k)) / (2.0 * eps_h) - m.db1_dh).abs()
-                < 1e-6 * m.db1_dh.abs()
+            ((b1(h + eps_h, k) - b1(h - eps_h, k)) / (2.0 * eps_h) - m.db1_dh.v).abs()
+                < 1e-6 * m.db1_dh.v.abs()
         );
         assert!(
-            ((b1(h, k + eps_k) - b1(h, k - eps_k)) / (2.0 * eps_k) - m.db1_dk).abs()
-                < 1e-6 * m.db1_dk.abs().max(1e-20)
+            ((b1(h, k + eps_k) - b1(h, k - eps_k)) / (2.0 * eps_k) - m.db1_dk.v).abs()
+                < 1e-6 * m.db1_dk.v.abs().max(1e-20)
         );
         assert!(
-            ((b2(h + eps_h, k) - b2(h - eps_h, k)) / (2.0 * eps_h) - m.db2_dh).abs()
-                < 1e-6 * m.db2_dh.abs()
+            ((b2(h + eps_h, k) - b2(h - eps_h, k)) / (2.0 * eps_h) - m.db2_dh.v).abs()
+                < 1e-6 * m.db2_dh.v.abs()
         );
         assert!(
-            ((b2(h, k + eps_k) - b2(h, k - eps_k)) / (2.0 * eps_k) - m.db2_dk).abs()
-                < 1e-6 * m.db2_dk.abs().max(1e-30)
+            ((b2(h, k + eps_k) - b2(h, k - eps_k)) / (2.0 * eps_k) - m.db2_dk.v).abs()
+                < 1e-6 * m.db2_dk.v.abs().max(1e-30)
         );
+        // The hand-written sensitivities are the duals' own partials.
+        for (hand, dual) in [
+            (m.db1_dh.v, m.b1.dh),
+            (m.db1_dk.v, m.b1.dk),
+            (m.db2_dh.v, m.b2.dh),
+            (m.db2_dk.v, m.b2.dk),
+        ] {
+            assert!((hand - dual).abs() <= 1e-13 * hand.abs(), "{hand:e} vs {dual:e}");
+        }
     }
 
     #[test]
@@ -704,8 +807,8 @@ mod tests {
         let (h, k) = (0.011, 500.0);
         let m = moment_derivatives(&line, &d, h, k);
         let dil = segment_structure(&line, &d, Meters::new(h), k);
-        assert!((m.b1 - dil.b1()).abs() / dil.b1() < 1e-12);
-        assert!((m.b2 - dil.b2()).abs() / dil.b2() < 1e-12);
+        assert!((m.b1.v - dil.b1()).abs() / dil.b1() < 1e-12);
+        assert!((m.b2.v - dil.b2()).abs() / dil.b2() < 1e-12);
     }
 
     #[test]
@@ -718,19 +821,101 @@ mod tests {
             let p_at = |h: f64, k: f64| pole_derivatives(&moment_derivatives(&line, &d, h, k));
             let p = p_at(h, k);
             let eps = h * 1e-6;
-            let fd1 = (p_at(h + eps, k).s1 - p_at(h - eps, k).s1) / (2.0 * eps);
+            let fd1 = (p_at(h + eps, k).s1.v - p_at(h - eps, k).s1.v) / (2.0 * eps);
             assert!(
-                (fd1 - p.ds1_dh).abs() < 1e-4 * p.ds1_dh.abs(),
+                (fd1 - p.ds1_dh.v).abs() < 1e-4 * p.ds1_dh.v.abs(),
                 "l={l}: {fd1} vs {}",
-                p.ds1_dh
+                p.ds1_dh.v
             );
             let eps = k * 1e-6;
-            let fd2 = (p_at(h, k + eps).s2 - p_at(h, k - eps).s2) / (2.0 * eps);
+            let fd2 = (p_at(h, k + eps).s2.v - p_at(h, k - eps).s2.v) / (2.0 * eps);
             assert!(
-                (fd2 - p.ds2_dk).abs() < 1e-4 * p.ds2_dk.abs(),
+                (fd2 - p.ds2_dk.v).abs() < 1e-4 * p.ds2_dk.v.abs(),
                 "l={l}: {fd2} vs {}",
-                p.ds2_dk
+                p.ds2_dk.v
             );
+        }
+    }
+
+    /// Largest entry-wise gap between the analytic Jacobian at `(h, k)`
+    /// and the central-difference oracle over the scaled unknowns, each
+    /// row relative to its largest entry.
+    fn jacobian_gap(line: &LineRlc, driver: &DriverParams, h: f64, k: f64, f: f64) -> f64 {
+        let r = residuals(line, driver, h, k, f, None).unwrap();
+        let mut analytic = Matrix::zeros(2, 2);
+        r.scaled_jacobian(h, k, &mut analytic);
+        let oracle = rlckit_numeric::fd::central_jacobian(
+            |u: &[f64], out: &mut [f64]| {
+                let g = residuals(line, driver, u[0] * h, u[1] * k, f, None).unwrap().g;
+                out.copy_from_slice(&g);
+            },
+            &[1.0, 1.0],
+            2,
+            1e-6,
+        );
+        let mut gap = 0.0f64;
+        for i in 0..2 {
+            let scale = oracle[(i, 0)].abs().max(oracle[(i, 1)].abs());
+            for j in 0..2 {
+                gap = gap.max((analytic[(i, j)] - oracle[(i, j)]).abs() / scale);
+            }
+        }
+        gap
+    }
+
+    #[test]
+    fn analytic_jacobian_matches_the_central_difference_oracle() {
+        // Over-, near-critically and under-damped segments on both
+        // Table 1 nodes, around the optimizer's start point.
+        for node in [TechNode::nm250(), TechNode::nm100()] {
+            let d = node.driver();
+            let rc = rc_optimum(&node.line(), &d);
+            let (h0, k0) = (rc.segment_length.get(), rc.repeater_size);
+            for l in [0.0, 0.5, 1.5, 3.0, 4.5] {
+                let line = line_for(&node, l);
+                for (hs, ks) in [(1.0, 1.0), (1.4, 0.7), (0.8, 1.2)] {
+                    let (h, k) = (h0 * hs, k0 * ks);
+                    let damping = segment_structure(&line, &d, Meters::new(h), k)
+                        .two_pole()
+                        .damping();
+                    for f in [0.1, 0.5, 0.9] {
+                        let gap = jacobian_gap(&line, &d, h, k, f);
+                        assert!(
+                            gap < 1e-5,
+                            "{} l={l} ({hs},{ks}) {damping} f={f}: gap {gap:e}",
+                            node.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jacobian_is_harmless_across_l_crit() {
+        // Within ±1 % of the critical inductance the pole sensitivities
+        // blow up like 1/√disc, yet the residuals stay smooth and the
+        // analytic Jacobian keeps tracking the oracle at every
+        // threshold. (Closer in, at ±1e-4, the oracle's own 1e-6 step
+        // is already the noisier of the two.)
+        for node in [TechNode::nm250(), TechNode::nm100()] {
+            let d = node.driver();
+            let rc = rc_optimum(&node.line(), &d);
+            let (h, k) = (rc.segment_length.get(), rc.repeater_size);
+            let l_crit = segment_structure(&line_for(&node, 1.0), &d, Meters::new(h), k)
+                .critical_inductance()
+                .get();
+            for offset in [-1e-2, -3e-3, -1e-3, 1e-3, 3e-3, 1e-2] {
+                let line = LineRlc::new(
+                    node.line().resistance,
+                    HenriesPerMeter::new(l_crit * (1.0 + offset)),
+                    node.line().capacitance,
+                );
+                for f in [0.1, 0.5, 0.9] {
+                    let gap = jacobian_gap(&line, &d, h, k, f);
+                    assert!(gap < 1e-4, "{} offset {offset} f={f}: gap {gap:e}", node.name());
+                }
+            }
         }
     }
 
@@ -871,8 +1056,10 @@ mod tests {
         let line = line_for(&node, 2.0);
         let opt = optimize_rlc(&line, &node.driver(), OptimizerOptions::default()).unwrap();
         assert!(!opt.used_fallback, "newton path expected");
-        // Paper: ≤ 6 iterations; damping can add a few.
-        assert!(opt.iterations <= 15, "{} iterations", opt.iterations);
+        // Paper: ≤ 6 iterations, the measured maximum at 250 nm (the
+        // threshold grid guard in tests/convergence_claims.rs covers
+        // both nodes).
+        assert!(opt.iterations <= 6, "{} iterations", opt.iterations);
     }
 
     #[test]

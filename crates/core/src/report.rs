@@ -7,8 +7,8 @@
 use std::fmt::Write as _;
 
 /// One-line audit summary of a campaign's solver telemetry: points
-/// solved, surfaced `NoConvergence` failures, and relaxed-tolerance
-/// optimizer accepts, read from the process-wide trace registry.
+/// solved, surfaced `NoConvergence` failures, fallbacks, retries and
+/// injected faults, read from the process-wide trace registry.
 ///
 /// The fig/table binaries print this to stderr after regenerating their
 /// CSVs so a silent per-point failure (a point dropped from a sweep, a
@@ -20,7 +20,6 @@ pub fn campaign_trace_summary() -> String {
     let optimizer_solves = snap.counter("optimizer.solves");
     let delay_solves = snap.counter("twopole.delay.solves");
     let no_convergence = snap.counters_ending_with(".no_convergence");
-    let relaxed = snap.counter("roots.newton_system.relaxed_accepts");
     let fallbacks = snap.counter("optimizer.fallbacks");
     let retries = snap.counter("optimizer.retries") + snap.counter("campaign.point_retries");
     let degraded = snap.counter("optimizer.degraded");
@@ -29,7 +28,7 @@ pub fn campaign_trace_summary() -> String {
     format!(
         "trace: {points} campaign points, {optimizer_solves} optimizer solves, \
          {delay_solves} delay solves, {no_convergence} no-convergence, \
-         {relaxed} relaxed-tolerance accepts, {fallbacks} fallbacks, \
+         {fallbacks} fallbacks, \
          {retries} retries, {degraded} degraded, {injected} injected faults, \
          {failed} failed points"
     )

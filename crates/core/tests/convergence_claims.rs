@@ -21,9 +21,13 @@
 
 use std::sync::OnceLock;
 
+use rlckit::optimizer::{optimize_rlc, optimize_rlc_direct, OptimizerOptions};
 use rlckit::sweeps::standard_node_sweep;
+use rlckit_numeric::grid::linspace;
 use rlckit_tech::TechNode;
+use rlckit_tline::LineRlc;
 use rlckit_trace::Snapshot;
+use rlckit_units::HenriesPerMeter;
 
 /// Grid density per node: the fig bins sweep 50 points over the paper's
 /// `0 ≤ l < 5 nH/mm` range.
@@ -97,11 +101,17 @@ fn batched_lanes_stay_within_the_paper_budgets() {
     let delta = campaign_delta();
     // The campaign must actually have run through the lockstep batch
     // engine — a silent fall-back to scalar would make this test's
-    // budget assertions vacuous for the batch path.
+    // budget assertions vacuous for the batch path. On a clean campaign
+    // every optimizer evaluation (pre-flight and line-search trials) is
+    // a batched lane, and exactly two delay solves per point run on the
+    // scalar path: the optimum's own delay in `finish` and the
+    // RC-design probe.
     let lanes = delta.counter("batch.lanes");
-    assert!(
-        lanes > 1_000,
-        "campaign solved only {lanes} batched delay lanes"
+    let points = (campaign_nodes().len() * GRID_POINTS) as u64;
+    assert_eq!(
+        lanes,
+        delta.counter("twopole.delay.solves") - 2 * points,
+        "batched lanes drifted from the optimizer's evaluations"
     );
     assert!(
         delta.histograms["batch.retired_per_iter"].count > 0,
@@ -157,11 +167,50 @@ fn campaign_completes_without_surfaced_or_internal_failures() {
         0,
         "the optimizer fell back to Nelder-Mead on a campaign point"
     );
-    assert_eq!(
-        delta.counter("roots.newton_system.relaxed_accepts"),
-        0,
-        "a stationarity solve only met the relaxed tolerance"
-    );
+}
+
+#[test]
+fn newton_converges_at_every_threshold_without_fallback() {
+    // The paper's method works for any delay threshold and any
+    // damping: over both Table 1 nodes, the 10/50/90 % thresholds and
+    // the campaign's inductance grid, every optimum comes from the
+    // first Newton attempt — no perturbed restart, no Nelder–Mead
+    // fallback. Checked per solve (not from the process-global trace
+    // counters, which sibling tests in this binary also move).
+    let mut worst = 0;
+    for node in TechNode::table1() {
+        for f in [0.1, 0.5, 0.9] {
+            let options = OptimizerOptions {
+                threshold: f,
+                ..OptimizerOptions::default()
+            };
+            for l in linspace(0.0, 4.95, GRID_POINTS) {
+                let line = LineRlc::new(
+                    node.line().resistance,
+                    HenriesPerMeter::from_nano_per_milli(l),
+                    node.line().capacitance,
+                );
+                let opt = optimize_rlc(&line, &node.driver(), options).expect("optimum");
+                let at = format!("{} f={f} l={l:.3}", node.name());
+                assert!(!opt.used_fallback, "{at}: fell back to Nelder-Mead");
+                assert_eq!(opt.restarts, 0, "{at}: restarted");
+                worst = worst.max(opt.iterations);
+                // The optimum is the derivative-free minimizer's: the
+                // same delay per length (measured ≤ 7e-15 apart) and
+                // `(h, k)` within the simplex's own tolerance.
+                let direct = optimize_rlc_direct(&line, &node.driver(), options).expect("direct");
+                let gap = opt.delay_per_length() / direct.delay_per_length() - 1.0;
+                assert!(gap.abs() < 1e-12, "{at}: τ/h off the direct optimum by {gap:e}");
+                let gap_h = opt.segment_length / direct.segment_length - 1.0;
+                let gap_k = opt.repeater_size / direct.repeater_size - 1.0;
+                assert!(gap_h.abs() < 5e-3 && gap_k.abs() < 5e-3, "{at}: (h, k) off by ({gap_h:e}, {gap_k:e})");
+            }
+        }
+    }
+    // Measured maximum. The paper claims < 6 in all cases; this
+    // reproduction takes 6 on some points and 7 on five 100 nm points at
+    // f = 0.5 (see DESIGN.md).
+    assert!(worst <= 7, "worst optimizer solve took {worst} iterations");
 }
 
 #[test]

@@ -64,10 +64,12 @@ pub use rlckit_trace as __trace;
 /// The target hit index is drawn uniformly from `0..TARGET_WINDOW`; a
 /// scope whose computation performs fewer hits than its target simply
 /// stays clean, so the effective fault rate is slightly below the
-/// configured one for short scopes. One `rlckit` sweep point performs
-/// roughly 40–80 hits (optimizer entry plus every inner delay solve),
-/// so 64 spreads injections across the whole solve ladder.
-pub const TARGET_WINDOW: u32 = 64;
+/// configured one for short scopes. One clean `rlckit` sweep point
+/// performs about 18 hits: the optimizer's Newton entry plus two per
+/// delay solve (about 7 for the Newton solve's evaluations, one for the
+/// optimum's own delay, one for the RC-design probe). A window of 16
+/// keeps the effective rate at the configured one for such points.
+pub const TARGET_WINDOW: u32 = 16;
 
 // Programmatic override, mirroring rlckit-trace's FORCED pattern:
 // 0 = follow the environment, 1 = forced armed, 2 = forced disarmed.

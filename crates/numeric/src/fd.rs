@@ -1,9 +1,8 @@
 //! Finite-difference derivative helpers.
 //!
-//! The optimizer uses analytic derivatives for the residuals themselves
-//! (the paper's `∂s₁,₂/∂h,k`) but estimates the outer Jacobian of the
-//! stationarity system by central differences, which is robust across the
-//! damping-regime boundary. These helpers centralize the step-size
+//! The repeater optimizer's derivatives are all analytic (its outer
+//! Jacobian comes from dual numbers); these helpers are the oracles its
+//! tests check them against, and they centralize the step-size
 //! heuristics.
 
 /// Central-difference first derivative of `f` at `x`.

@@ -32,13 +32,6 @@ pub struct RootOptions {
     pub f_tol: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Opt-in loosened acceptance for [`newton_system`]: when `Some`,
-    /// a solve that exhausts its budget while still improving is
-    /// accepted if the residual norm is below this looser tolerance
-    /// (on top of `f_tol`). `None` (the default) keeps the caller's
-    /// `f_tol` strict — budget exhaustion above `f_tol` is reported as
-    /// [`NumericError::NoConvergence`], never silently accepted.
-    pub relaxed_f_tol: Option<f64>,
 }
 
 impl Default for RootOptions {
@@ -47,7 +40,6 @@ impl Default for RootOptions {
             x_tol: 1e-14,
             f_tol: 1e-14,
             max_iterations: 100,
-            relaxed_f_tol: None,
         }
     }
 }
@@ -401,7 +393,8 @@ pub fn newton_bracketed(
 }
 
 /// [`newton_bracketed`] for callers that can evaluate the function and
-/// its derivative together, optionally seeding the endpoint residuals.
+/// its derivative together, optionally seeding the endpoint residuals
+/// and the first iterate.
 ///
 /// `fdf(x)` returns `(f(x), f'(x))` in one call — the two-pole step
 /// response and its derivative share their discriminant, pole and
@@ -409,13 +402,16 @@ pub fn newton_bracketed(
 /// more than either alone. `seed`, when `Some((f_lo, f_hi))`, supplies
 /// the residuals at `lo` and `hi` so the solver does not re-evaluate
 /// endpoints the caller has already computed (the delay solve's bracket
-/// expansion ends on exactly such an evaluation).
+/// expansion ends on exactly such an evaluation). `start`, when it lies
+/// strictly inside the bracket, replaces the midpoint as the first
+/// iterate (a warm start from a nearby solve); otherwise — `None`,
+/// outside, or NaN — the solve starts at the midpoint.
 ///
-/// The iterate sequence — and therefore the returned [`Root`] — is
-/// bit-identical to [`newton_bracketed`] with separate `f`/`df`
-/// closures, provided `fdf` returns the same bits as the separate
-/// evaluations and the seeded residuals match `f(lo)`/`f(hi)` exactly.
-/// Only the *number* of closure calls changes.
+/// With `start = None` the iterate sequence — and therefore the
+/// returned [`Root`] — is bit-identical to [`newton_bracketed`] with
+/// separate `f`/`df` closures, provided `fdf` returns the same bits as
+/// the separate evaluations and the seeded residuals match
+/// `f(lo)`/`f(hi)` exactly. Only the *number* of closure calls changes.
 ///
 /// # Errors
 ///
@@ -426,6 +422,7 @@ pub fn newton_bracketed_fdf(
     lo: f64,
     hi: f64,
     seed: Option<(f64, f64)>,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     counter!("roots.newton_bracketed.solves").incr();
@@ -434,7 +431,7 @@ pub fn newton_bracketed_fdf(
             site: "roots.newton_bracketed",
         });
     }
-    let result = newton_bracketed_fdf_impl(fdf, lo, hi, seed, options);
+    let result = newton_bracketed_fdf_impl(fdf, lo, hi, seed, start, options);
     tally_root(
         histogram!("roots.newton_bracketed.iterations"),
         counter!("roots.newton_bracketed.budget_exhausted"),
@@ -448,6 +445,7 @@ fn newton_bracketed_fdf_impl(
     lo: f64,
     hi: f64,
     seed: Option<(f64, f64)>,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     let (mut a, mut b) = (lo.min(hi), lo.max(hi));
@@ -473,7 +471,10 @@ fn newton_bracketed_fdf_impl(
         return Err(NumericError::InvalidBracket { lo: a, hi: b });
     }
 
-    let mut x = 0.5 * (a + b);
+    let mut x = match start {
+        Some(x) if x > a && x < b => x,
+        _ => 0.5 * (a + b),
+    };
     let mut eval = fdf(x);
     for iteration in 1..=options.max_iterations {
         let (fx, dfx) = eval;
@@ -611,6 +612,22 @@ pub struct SystemRoot {
     pub iterations: usize,
 }
 
+/// The infinity norm `max |vᵢ|` of `v`, NaN if any entry is NaN.
+///
+/// `f64::max` ignores a NaN operand, so a plain `fold(0.0, f64::max)`
+/// reads a NaN residual as 0 — an exact root. [`newton_system`]'s line
+/// search must see such a trial as the failure it is and backtrack.
+#[must_use]
+pub fn inf_norm(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |m, &a| {
+        if m.is_nan() || a.is_nan() {
+            f64::NAN
+        } else {
+            m.max(a.abs())
+        }
+    })
+}
+
 /// Damped Newton for a small nonlinear system `F(x) = 0`.
 ///
 /// The caller supplies the residual `f(x, &mut out)` and Jacobian
@@ -619,11 +636,13 @@ pub struct SystemRoot {
 /// backtracking), which is what lets the optimizer cross the
 /// critically-damped manifold where the residual is non-smooth.
 ///
+/// A trial whose residual is non-finite (NaN included, see
+/// [`inf_norm`]) is rejected and the step halved.
+///
 /// Convergence requires the residual norm to meet `options.f_tol` (or a
 /// small step under `options.x_tol` while improving). If the iteration
 /// budget runs out with the residual still above `f_tol`, the solve
-/// fails — unless the caller opted into a looser acceptance via
-/// [`RootOptions::relaxed_f_tol`].
+/// fails.
 ///
 /// # Errors
 ///
@@ -665,7 +684,6 @@ fn newton_system_impl(
     let mut x = x0.to_vec();
     let mut residual = vec![0.0; n];
     let mut jacobian = crate::dense::Matrix::zeros(n, n);
-    let inf_norm = |v: &[f64]| v.iter().fold(0.0f64, |m, &a| m.max(a.abs()));
 
     f(&x, &mut residual);
     crate::injected_abort("roots.newton_system")?;
@@ -727,22 +745,6 @@ fn newton_system_impl(
             return Err(NumericError::NoConvergence {
                 iterations: iteration,
                 residual: rnorm,
-            });
-        }
-    }
-    // Budget exhausted while still improving. Accepting a residual
-    // looser than the caller's `f_tol` is opt-in only: callers like the
-    // RLC optimizer ask for it explicitly via `relaxed_f_tol` (the FD
-    // outer Jacobian limits achievable accuracy there); everyone else
-    // gets an honest `NoConvergence` rather than a silently loosened
-    // tolerance.
-    if let Some(relaxed) = options.relaxed_f_tol {
-        if rnorm <= options.f_tol.max(relaxed) {
-            counter!("roots.newton_system.relaxed_accepts").incr();
-            return Ok(SystemRoot {
-                x,
-                residual: rnorm,
-                iterations: options.max_iterations,
             });
         }
     }
@@ -888,30 +890,23 @@ mod tests {
         assert!((sol.x[1] - 1.0).abs() < 1e-8);
     }
 
-    /// A deliberately slow 1-D solve: Newton on `x³` contracts by 2/3
-    /// per step, so a budget of 30 from `x₀ = 1` lands the residual
-    /// near 1.4e-16 — far above an `f_tol` of 1e-40, but inside the old
-    /// hard-wired 1e-9 acceptance window.
-    fn run_slow_cubic(options: RootOptions) -> Result<SystemRoot> {
-        let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] * x[0] * x[0];
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 3.0 * x[0] * x[0];
-        };
-        newton_system(f, jac, &[1.0], options)
-    }
-
     #[test]
     fn system_newton_keeps_caller_f_tol_strict_on_budget_exhaustion() {
         // Regression: on budget exhaustion the solver used to accept
         // `rnorm <= f_tol.max(1e-9)`, silently overriding a stricter
-        // caller-requested f_tol. Strict is now the default.
+        // caller-requested f_tol. Newton on `x³` contracts by 2/3 per
+        // step, so a budget of 30 from `x₀ = 1` lands the residual near
+        // 1.4e-16 — far above an `f_tol` of 1e-40, inside the old window.
+        let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] * x[0] * x[0];
+        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
+            m[(0, 0)] = 3.0 * x[0] * x[0];
+        };
         let strict = RootOptions {
             f_tol: 1e-40,
             x_tol: 1e-30,
             max_iterations: 30,
-            relaxed_f_tol: None,
         };
-        match run_slow_cubic(strict) {
+        match newton_system(f, jac, &[1.0], strict) {
             Err(NumericError::NoConvergence { residual, .. }) => {
                 assert!(residual > 1e-40 && residual < 1e-9, "residual {residual:e}")
             }
@@ -920,18 +915,55 @@ mod tests {
     }
 
     #[test]
-    fn system_newton_relaxed_acceptance_is_opt_in() {
-        // The same starved solve succeeds when the caller explicitly
-        // opts into the looser acceptance (as the RLC optimizer does).
-        let relaxed = RootOptions {
-            f_tol: 1e-40,
-            x_tol: 1e-30,
-            max_iterations: 30,
-            relaxed_f_tol: Some(1e-9),
+    fn system_newton_backtracks_from_nan_trials() {
+        // Regression: the residual `ln x` is NaN outside the positive
+        // quadrant, and the full Newton step from (3, 0.5) lands at
+        // x₀ ≈ −0.30. The NaN-blind norm read that trial as an exact
+        // root (norm 0), accepted it and returned x₀ < 0 as converged.
+        // The trial must be rejected and the step halved instead.
+        let f = |x: &[f64], out: &mut [f64]| {
+            out[0] = x[0].ln();
+            out[1] = x[1].ln();
         };
-        let sol = run_slow_cubic(relaxed).expect("relaxed acceptance");
-        assert!(sol.residual < 1e-9, "residual {:e}", sol.residual);
-        assert_eq!(sol.iterations, 30);
+        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
+            m[(0, 0)] = 1.0 / x[0];
+            m[(0, 1)] = 0.0;
+            m[(1, 0)] = 0.0;
+            m[(1, 1)] = 1.0 / x[1];
+        };
+        let sol = newton_system(f, jac, &[3.0, 0.5], RootOptions::default()).unwrap();
+        assert!((sol.x[0] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
+        assert!((sol.x[1] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
+        assert!(sol.residual <= RootOptions::default().f_tol);
+    }
+
+    #[test]
+    fn inf_norm_propagates_nan() {
+        assert_eq!(inf_norm(&[]), 0.0);
+        assert_eq!(inf_norm(&[-3.0, 2.0]), 3.0);
+        for v in [[f64::NAN, 1.0], [1.0, f64::NAN], [f64::NAN, f64::NAN]] {
+            assert!(inf_norm(&v).is_nan(), "{v:?}");
+        }
+        assert_eq!(inf_norm(&[f64::INFINITY, 1.0]), f64::INFINITY);
+    }
+
+    #[test]
+    fn warm_started_bracketed_newton_keeps_the_root() {
+        // A start inside the bracket replaces the midpoint and converges
+        // to the same root in fewer iterations; a start outside the
+        // bracket (or NaN) is ignored bit for bit.
+        let fdf = |t: f64| (0.5 - (-t).exp(), (-t).exp());
+        let cold = newton_bracketed_fdf(fdf, 0.0, 10.0, None, None, RootOptions::default()).unwrap();
+        let warm =
+            newton_bracketed_fdf(fdf, 0.0, 10.0, None, Some(0.7), RootOptions::default()).unwrap();
+        assert!((warm.x - std::f64::consts::LN_2).abs() < 1e-12);
+        assert!(warm.iterations < cold.iterations, "{warm:?} vs {cold:?}");
+        for start in [Some(-1.0), Some(0.0), Some(10.0), Some(12.0), Some(f64::NAN)] {
+            let ignored =
+                newton_bracketed_fdf(fdf, 0.0, 10.0, None, start, RootOptions::default()).unwrap();
+            assert_eq!(ignored.x.to_bits(), cold.x.to_bits(), "{start:?}");
+            assert_eq!(ignored.iterations, cold.iterations, "{start:?}");
+        }
     }
 
     #[test]

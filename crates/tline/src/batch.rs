@@ -3,7 +3,8 @@
 //! [`solve_delays`] computes the rigorous `f·100 %` delay (paper Eq. 3)
 //! for a whole batch of two-pole models in one pass. Per element it is
 //! **bit-identical** to the scalar sequence
-//! `TwoPole::try_new(b1, b2).and_then(|tp| tp.delay_with_iterations(f))`
+//! `TwoPole::try_new(b1, b2).and_then(|tp| tp.delay_from(f, start))`
+//! (`start = None` for [`DelayBatch::push`] and [`solve_delays`])
 //! — the same `f64` bits on success, the same error variant on failure,
 //! and (with `rlckit-fault` armed) the same injection decisions, because
 //! the per-lane prologue runs in input order under the ambient fault
@@ -307,7 +308,14 @@ impl DelayBatch {
     /// bracket expansion, or fault injection are finished immediately;
     /// the rest enter the lockstep Newton solve.
     pub fn push(&mut self, config: DelayConfig) {
-        let result = self.push_inner(config);
+        self.push_from(config, None);
+    }
+
+    /// [`push`](Self::push) with a warm start: the lane's Newton solve
+    /// begins at `start` when it lies strictly inside the lane's
+    /// bracket, exactly like the scalar `TwoPole::delay_from`.
+    pub fn push_from(&mut self, config: DelayConfig, start: Option<f64>) {
+        let result = self.push_inner(config, start);
         self.results.push(result.err());
     }
 
@@ -318,6 +326,7 @@ impl DelayBatch {
     fn push_inner(
         &mut self,
         config: DelayConfig,
+        start: Option<f64>,
     ) -> Result<(), Result<DelayOutcome, NumericError>> {
         let slot = self.results.len();
         let f = config.threshold;
@@ -389,7 +398,10 @@ impl DelayBatch {
             return Err(Err(NumericError::InvalidBracket { lo: a, hi: b }));
         }
 
-        let x = 0.5 * (a + b);
+        let x = match start {
+            Some(x) if x > a && x < b => x,
+            _ => 0.5 * (a + b),
+        };
         self.model.push(LaneModel::from_two_pole(&tp, damping));
         self.threshold.push(f);
         self.slot.push(slot);
@@ -408,7 +420,7 @@ impl DelayBatch {
     }
 
     /// Tallies a converged root exactly like the scalar wrapper stack
-    /// (`newton_bracketed_fdf` → `delay_with_iterations`).
+    /// (`newton_bracketed_fdf` → `delay_from`).
     #[allow(clippy::result_large_err)]
     fn finish_root(
         &mut self,
@@ -449,7 +461,7 @@ impl DelayBatch {
         let n = self.model.len();
         let mut live = n;
 
-        // Initial midpoint evaluation (the scalar solve's `fdf(x)`
+        // Initial evaluation at the start abscissa (the scalar solve's `fdf(x)`
         // before its loop), batched across lanes.
         self.eval_pending();
         for i in 0..n {
@@ -623,17 +635,31 @@ mod tests {
 
     /// The scalar reference the batch must reproduce bit for bit.
     fn scalar(config: &DelayConfig) -> Result<DelayOutcome, NumericError> {
+        scalar_from(config, None)
+    }
+
+    fn scalar_from(config: &DelayConfig, start: Option<f64>) -> Result<DelayOutcome, NumericError> {
         let (delay, iterations) =
-            TwoPole::try_new(config.b1, config.b2)?.delay_with_iterations(config.threshold)?;
+            TwoPole::try_new(config.b1, config.b2)?.delay_from(config.threshold, start)?;
         Ok(DelayOutcome { delay, iterations })
     }
 
     #[track_caller]
     fn assert_matches_scalar(configs: &[DelayConfig]) {
-        let batched = solve_delays(configs);
+        let starts = vec![None; configs.len()];
+        assert_matches_scalar_from(configs, &starts);
+    }
+
+    #[track_caller]
+    fn assert_matches_scalar_from(configs: &[DelayConfig], starts: &[Option<f64>]) {
+        let mut batch = DelayBatch::new();
+        for (&config, &start) in configs.iter().zip(starts) {
+            batch.push_from(config, start);
+        }
+        let batched = batch.solve();
         assert_eq!(batched.len(), configs.len());
-        for (i, (config, got)) in configs.iter().zip(&batched).enumerate() {
-            let want = scalar(config);
+        for (i, ((config, start), got)) in configs.iter().zip(starts).zip(&batched).enumerate() {
+            let want = scalar_from(config, *start);
             match (&want, got) {
                 (Ok(w), Ok(g)) => {
                     assert_eq!(
@@ -673,6 +699,28 @@ mod tests {
         // thresholds — 63 lanes, deliberately not a multiple of any
         // SIMD-ish width.
         assert_matches_scalar(&grid());
+    }
+
+    #[test]
+    fn warm_started_lanes_are_bit_identical_to_scalar() {
+        // Starts near the crossing, far outside the bracket, at its
+        // endpoint, NaN, and none — interleaved across damping regimes.
+        let configs = grid();
+        let starts: Vec<Option<f64>> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let tau = scalar(c).map_or(1.0, |o| o.delay.get());
+                match i % 5 {
+                    0 => Some(tau * 1.01),
+                    1 => Some(tau * 0.9),
+                    2 => Some(-tau),
+                    3 => Some(f64::NAN),
+                    _ => None,
+                }
+            })
+            .collect();
+        assert_matches_scalar_from(&configs, &starts);
     }
 
     #[test]

@@ -100,7 +100,6 @@ pub fn exact_delay(dil: &DriverInterconnectLoad, f: f64) -> Result<Seconds> {
                     x_tol: 1e-12,
                     f_tol: 1e-10,
                     max_iterations: 200,
-                    ..RootOptions::default()
                 },
             )?;
             return Ok(Seconds::new(root.x));

@@ -259,6 +259,24 @@ impl TwoPole {
     ///
     /// See [`TwoPole::delay`].
     pub fn delay_with_iterations(&self, f: f64) -> Result<(Seconds, usize), NumericError> {
+        self.delay_from(f, None)
+    }
+
+    /// [`TwoPole::delay_with_iterations`] with a warm start: when
+    /// `start` lies strictly inside the solver's bracket `(0, t_hi)` the
+    /// bracketed Newton begins there instead of at the midpoint. A good
+    /// guess (e.g. a first-order prediction from a nearby solve) cuts
+    /// the iteration count; a bad one only costs the bisection
+    /// safeguard's steps, and the crossing found is the same.
+    ///
+    /// # Errors
+    ///
+    /// See [`TwoPole::delay`].
+    pub fn delay_from(
+        &self,
+        f: f64,
+        start: Option<f64>,
+    ) -> Result<(Seconds, usize), NumericError> {
         if !(0.0 < f && f < 1.0) {
             return Err(NumericError::InvalidInput(format!(
                 "delay threshold must lie in (0, 1), got {f}"
@@ -320,7 +338,6 @@ impl TwoPole {
             x_tol: 1e-12,
             f_tol: 1e-12,
             max_iterations: 200,
-            ..RootOptions::default()
         };
         // Seeded endpoints: v(0) = 0 exactly, so the lower residual is
         // 0.0 - f (the identical bits the unfused solver computed), and
@@ -336,6 +353,7 @@ impl TwoPole {
             0.0,
             t_hi,
             Some((0.0 - f, f_hi)),
+            start,
             options,
         )
         .inspect_err(|_| counter!("twopole.delay.failures").incr())?;
@@ -626,7 +644,6 @@ mod tests {
             x_tol: 1e-12,
             f_tol: 1e-12,
             max_iterations: 200,
-            ..RootOptions::default()
         };
         rlckit_numeric::roots::newton_bracketed(
             |t| tp.response(t) - f,
@@ -657,6 +674,23 @@ mod tests {
                         "b1={b1} ratio={ratio} f={f}: {got:e} vs {want:e}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_start_finds_the_same_crossing_in_fewer_iterations() {
+        for (b1, b2) in [(1.0, 0.03), (1.0, 0.25), (1.0, 1.0), (2e-10, 4e-20)] {
+            let tp = TwoPole::new(b1, b2);
+            for f in [0.1, 0.5, 0.9] {
+                let (cold, cold_iters) = tp.delay_with_iterations(f).unwrap();
+                let (warm, warm_iters) = tp.delay_from(f, Some(cold.get() * 1.001)).unwrap();
+                assert!((warm.get() / cold.get() - 1.0).abs() < 1e-11, "b2={b2} f={f}");
+                assert!(warm_iters <= cold_iters, "b2={b2} f={f}: {warm_iters} > {cold_iters}");
+                // A start outside the bracket is the cold solve, bit for bit.
+                let (far, far_iters) = tp.delay_from(f, Some(-cold.get())).unwrap();
+                assert_eq!(far.get().to_bits(), cold.get().to_bits());
+                assert_eq!(far_iters, cold_iters);
             }
         }
     }
