@@ -331,7 +331,7 @@ pub(crate) struct Residuals {
     pub(crate) k: f64,
     pub(crate) g: [f64; 2],
     /// `∂gᵢ/∂(h, k)`, row `i`.
-    jac: [[f64; 2]; 2],
+    pub(crate) jac: [[f64; 2]; 2],
     /// `τ` and `∂τ/∂(h, k)` (Eq. 3 by the implicit function theorem).
     tau: Dual<f64>,
 }
@@ -361,7 +361,7 @@ impl Residuals {
 /// Non-positive moments are [`NumericError::InvalidInput`] (a perturbed
 /// restart or a degenerate sweep point must fail the point, never panic
 /// the campaign process); delay-solve failures propagate.
-fn residuals(
+pub(crate) fn residuals(
     line: &LineRlc,
     driver: &DriverParams,
     h: f64,

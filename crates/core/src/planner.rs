@@ -7,27 +7,38 @@
 //! repeater area and switching capacitance — as well as the delay. This
 //! module discretizes the optimum and exposes the cost/delay trade-off.
 //!
-//! # The size re-optimization's delay
+//! # The size re-optimization
 //!
-//! The golden-section size re-optimization evaluates `segment_delay` at
-//! the midpoint it returns and reports that evaluation as
-//! [`Minimum::value`](rlckit_numeric::minimize::Minimum::value). A
-//! plan's segment delay is taken from there rather than solved again;
-//! only a non-finite value — the objective's `∞` for a failed solve — is
-//! re-evaluated, so the genuine error surfaces.
+//! An integer count `N` fixes the segment length `h = L/N`, which
+//! leaves the paper's Eq. 8 (`∂τ/∂k = 0`) to solve on its own. The
+//! planner runs a safeguarded Newton iteration in `ln k` on the
+//! optimizer's normalized residual `g₂`, whose exact derivative
+//! `∂g₂/∂k` comes with each evaluation (`optimizer::residuals`). Every
+//! delay solve after the first starts at the first-order prediction
+//! from the previous evaluation. The iteration keeps the bracket
+//! `[ln 1, ln 20 000]`, tightens it on the sign of `g₂`, bisects when a
+//! Newton step leaves the bracket, points away from the minimum, or is
+//! not under half the step before last, and stops at `|g₂| ≤ 1e-10` —
+//! typically after about six evaluations. It always starts from the
+//! closed-form RC optimum's `k`, so a plan is a function of the line,
+//! the driver, `h` and the threshold alone: `optimal_size_for_length`,
+//! `plan_route` and the trade-off return the same bits for the same
+//! segment, whatever the continuous solve did.
+//!
+//! A plan's segment delay is a fresh cold `segment_delay(h, k)` at the
+//! converged size, so its bits do not depend on the warm starts that
+//! led there.
 
-use rlckit_fault::{fresh_scope, should_inject, swap_scope, ScopeState};
 use rlckit_numeric::{NumericError, Result};
 use rlckit_par::{par_map, Parallelism};
-use rlckit_tech::DriverParams;
-use rlckit_trace::{counter, histogram, span, SpanGuard};
-use rlckit_tline::batch::{DelayBatch, DelayConfig};
+use rlckit_tech::{DriverParams, LineParams};
+use rlckit_trace::{counter, histogram, span};
 use rlckit_tline::LineRlc;
 use rlckit_units::{Farads, Meters, Seconds};
 
-use crate::batch::{bulk, HistAcc};
+use crate::elmore::rc_optimum;
 use crate::optimizer::{
-    optimize_rlc_with_retry, segment_delay, segment_structure, OptimizerOptions, RetryPolicy,
+    optimize_rlc_with_retry, residuals, segment_delay, OptimizerOptions, Residuals, RetryPolicy,
 };
 use crate::outcome::{run_point, PointOutcome, Solved};
 
@@ -35,19 +46,16 @@ use crate::outcome::{run_point, PointOutcome, Solved};
 /// sweep point with the same index draw independent fault decisions.
 const PLANNER_SCOPE_SALT: u64 = 0x504C_0000_0000_0000;
 
-/// Lanes per batched trade-off column (same rationale as the sweep
-/// column width: enough independent delay solves per wave to fill the
-/// CPU's out-of-order window). A column is also the work item the
-/// campaign engine schedules, so `N` counts parallelize as
-/// `ceil(N / COLUMN_WIDTH)` tasks.
-pub const COLUMN_WIDTH: usize = 8;
-
-// The golden-section schedule of `optimal_size_for_length`, replicated
-// by the lockstep column engine so its bracket walk makes the identical
-// shrink decisions (`rlckit_numeric::minimize::golden_section`).
-const INV_PHI: f64 = 0.618_033_988_749_894_9;
-const GOLDEN_X_TOL: f64 = 1e-10;
-const GOLDEN_MAX_EVALUATIONS: usize = 400;
+/// The size re-optimization's bracket in `ln k`: `[ln 1, ln 20 000]`.
+const LN_K_BRACKET: (f64, f64) = (0.0, 9.903_487_552_536_127);
+/// Convergence on `|g₂|`: the optimizer's `f_tol`.
+const SIZE_F_TOL: f64 = 1e-10;
+/// Bracket width in `ln k` below which the iteration stops without
+/// meeting [`SIZE_F_TOL`] (a minimum pinned against the bracket edge).
+const SIZE_X_TOL: f64 = 1e-12;
+/// Residual evaluations before the re-optimization gives up (bisection
+/// alone needs about 44 to shrink the bracket to [`SIZE_X_TOL`]).
+const SIZE_MAX_EVALUATIONS: usize = 64;
 
 /// An implementable repeater plan for a route of fixed length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,51 +84,120 @@ impl RoutePlan {
 }
 
 /// Re-optimizes the repeater size for a *fixed* segment length by
-/// golden-section search on the rigorous delay (the `h` is dictated by
-/// the integer segmentation; only `k` is free).
+/// Newton's method on the paper's Eq. 8 (the `h` is dictated by the
+/// integer segmentation; only `k` is free).
 ///
 /// # Errors
 ///
-/// Propagates delay-solver failures.
+/// Propagates delay-solver failures, and returns
+/// [`NumericError::NoConvergence`] if the iteration runs out of budget.
 pub fn optimal_size_for_length(
     line: &LineRlc,
     driver: &DriverParams,
     segment_length: Meters,
     threshold: f64,
 ) -> Result<f64> {
-    sized_segment(line, driver, segment_length, threshold).map(|(k, _)| k)
+    sized_segment(line, driver, segment_length, threshold).map(|s| s.k)
 }
 
-/// [`optimal_size_for_length`] together with the delay of one segment at
-/// the returned size. The delay is the walk's own final evaluation
-/// (`Minimum::value`); `segment_delay` runs again only when that value
-/// is not finite, so a failed solve surfaces its error.
-fn sized_segment(
+/// One segment's re-optimized repeater size.
+#[derive(Debug)]
+pub(crate) struct SizedSegment {
+    /// The repeater size solving Eq. 8 at the segment's length.
+    pub(crate) k: f64,
+    /// A fresh `segment_delay(h, k)`.
+    pub(crate) tau: Seconds,
+    /// Residual evaluations (one delay solve each) the Newton iteration
+    /// spent, not counting the fresh delay.
+    pub(crate) evaluations: usize,
+}
+
+/// Solves Eq. 8 for `k` at the fixed segment length, starting from the
+/// RC optimum's size (clamped into the bracket), and returns the size
+/// with the segment's delay there. See the module docs for the
+/// iteration.
+pub(crate) fn sized_segment(
     line: &LineRlc,
     driver: &DriverParams,
     segment_length: Meters,
     threshold: f64,
-) -> Result<(f64, Seconds)> {
+) -> Result<SizedSegment> {
     let _span = span!("planner.size_reopt");
     counter!("planner.size_reopts").incr();
-    let objective = |ln_k: f64| {
-        segment_delay(line, driver, segment_length, ln_k.exp(), threshold)
-            .map_or(f64::INFINITY, |d| d.get())
+    let h = segment_length.get();
+    let (mut lo, mut hi) = LN_K_BRACKET;
+    let rc = rc_optimum(
+        &LineParams::new(line.resistance(), line.capacitance()),
+        driver,
+    );
+    let mut x = rc.repeater_size.ln().clamp(lo, hi);
+    let mut last: Option<Residuals> = None;
+    let mut evaluations = 0;
+    let (mut last_step, mut step_before_last) = (hi - lo, hi - lo);
+    loop {
+        if evaluations == SIZE_MAX_EVALUATIONS {
+            return Err(NumericError::NoConvergence {
+                iterations: evaluations,
+                residual: last.map_or(f64::NAN, |r| r.g[1].abs()),
+            });
+        }
+        let k = x.exp();
+        let r = residuals(
+            line,
+            driver,
+            h,
+            k,
+            threshold,
+            last.map(|r| r.predict_delay(h, k)),
+        )?;
+        evaluations += 1;
+        // g₂ = −∂ln τ/∂ln k: positive while a larger repeater is still
+        // faster, so the minimum lies above `x`.
+        let g = r.g[1];
+        if g.abs() <= SIZE_F_TOL {
+            break;
+        }
+        if !g.is_finite() {
+            return Err(NumericError::NonFiniteResidual {
+                at: k,
+                iteration: evaluations,
+            });
+        }
+        if g > 0.0 {
+            lo = x;
+        } else {
+            hi = x;
+        }
+        if hi - lo <= SIZE_X_TOL * x.abs().max(1.0) {
+            break;
+        }
+        // ∂g₂/∂ln k = k·∂g₂/∂k. A step that leaves the bracket, runs
+        // against g₂'s sign (where g₂ is not falling), or is not under
+        // half the step before last (Newton ping-ponging across a
+        // curved g₂) bisects instead.
+        let step = -g / (r.jac[1][1] * k);
+        let newton = x + step;
+        let taken = if step * g > 0.0
+            && lo < newton
+            && newton < hi
+            && 2.0 * step.abs() <= step_before_last.abs()
+        {
+            step
+        } else {
+            0.5 * (lo + hi) - x
+        };
+        step_before_last = std::mem::replace(&mut last_step, taken);
+        x += taken;
+        last = Some(r);
+    }
+    let k = x.exp();
+    let sized = SizedSegment {
+        k,
+        tau: segment_delay(line, driver, segment_length, k, threshold)?,
+        evaluations,
     };
-    let minimum = rlckit_numeric::minimize::golden_section(
-        objective,
-        (1.0f64).ln(),
-        (20_000.0f64).ln(),
-        1e-10,
-        400,
-    )?;
-    let k = minimum.x[0].exp();
-    let tau = if minimum.value.is_finite() {
-        Seconds::new(minimum.value)
-    } else {
-        segment_delay(line, driver, segment_length, k, threshold)?
-    };
-    Ok((k, tau))
+    histogram!("planner.size_reopt.evaluations").observe(sized.evaluations as u64);
+    Ok(sized)
 }
 
 /// Plans repeater insertion for a route of length `route_length`:
@@ -193,14 +270,12 @@ fn plan_route_attempt(
         ideal_segments.ceil() as usize,
     );
     let mut best: Option<RoutePlan> = None;
-    // An integral ideal count is one candidate, not two identical walks.
+    // An integral ideal count is one candidate, not two identical solves.
     for n in std::iter::once(floor).chain((ceil != floor).then_some(ceil)) {
         if n == 0 {
             continue;
         }
-        let h = Meters::new(length / n as f64);
-        let (k, tau) = sized_segment(line, driver, h, threshold)?;
-        let plan = assemble_plan(driver, n, h, k, tau, continuous_bound);
+        let plan = plan_for_count(line, driver, route_length, threshold, continuous_bound, n)?;
         if best
             .as_ref()
             .is_none_or(|b| plan.total_delay.get() < b.total_delay.get())
@@ -224,9 +299,9 @@ fn plan_route_attempt(
 /// `segments` repeaters for each count in `range`, exposing how much
 /// delay each saved repeater costs.
 ///
-/// Each count re-runs a golden-section size optimization, so the sweep
-/// executes on the `rlckit-par` campaign engine by default (pure
-/// per-count computation — output is bit-identical to serial).
+/// Each count re-runs the size optimization, so the sweep executes on
+/// the `rlckit-par` campaign engine by default (pure per-count
+/// computation — output is bit-identical to serial).
 ///
 /// # Errors
 ///
@@ -301,40 +376,36 @@ pub fn segment_count_tradeoff_outcomes(
     .into_result()?;
     let continuous_bound = Seconds::new(continuous.delay_per_length() * route_length.get());
     let counts: Vec<(usize, usize)> = range.into_iter().filter(|&n| n > 0).enumerate().collect();
-    // Guided self-scheduling over batched columns: per-count cost varies
-    // ~3× across the range (small counts mean long segments and slow
-    // delay solves), so static chunking leaves workers idle at the tail.
-    // Within a column the golden-section walks advance in lockstep, one
-    // shared delay batch per probe wave. Results are reassembled in
-    // input order, so the outcome vector is bit-identical to serial,
-    // unbatched execution.
-    let columns: Vec<&[(usize, usize)]> = counts.chunks(COLUMN_WIDTH).collect();
-    let nested = par_map(&columns, parallelism, |_, column| {
-        Ok(tradeoff_column_outcomes(
-            line,
-            driver,
-            route_length,
-            threshold,
-            continuous_bound,
-            column,
-            policy,
-        ))
-    })?;
-    Ok(nested.into_iter().flatten().collect())
+    // Guided self-scheduling over single counts: per-count cost varies
+    // across the range (small counts mean long segments), so static
+    // chunking would leave workers idle at the tail. Results come back
+    // in input order, so the outcomes are bit-identical to serial.
+    par_map(&counts, parallelism, |_, &(index, n)| {
+        let _span = span!("planner.point");
+        counter!("planner.points").incr();
+        let outcome = run_point(PLANNER_SCOPE_SALT | index as u64, policy, || {
+            plan_for_count(line, driver, route_length, threshold, continuous_bound, n)
+                .map(Solved::converged)
+        });
+        if outcome.is_failed() {
+            counter!("planner.no_convergence").incr();
+        }
+        Ok(outcome)
+    })
 }
 
-/// Assembles the [`RoutePlan`] of a solved count (shared by every
-/// planner path, so the derived quantities are the same expressions —
-/// and hence the same bits — everywhere).
-fn assemble_plan(
+/// The plan of one forced segment count.
+fn plan_for_count(
+    line: &LineRlc,
     driver: &DriverParams,
-    n: usize,
-    h: Meters,
-    k: f64,
-    tau: Seconds,
+    route_length: Meters,
+    threshold: f64,
     continuous_bound: Seconds,
-) -> RoutePlan {
-    RoutePlan {
+    n: usize,
+) -> Result<RoutePlan> {
+    let h = Meters::new(route_length.get() / n as f64);
+    let SizedSegment { k, tau, .. } = sized_segment(line, driver, h, threshold)?;
+    Ok(RoutePlan {
         segments: n,
         segment_length: h,
         repeater_size: k,
@@ -343,339 +414,7 @@ fn assemble_plan(
         repeater_capacitance: Farads::new(
             n as f64 * k * (driver.input_capacitance.get() + driver.parasitic_capacitance.get()),
         ),
-    }
-}
-
-/// The scalar solve of one forced segment count: exactly the attempt
-/// body the trade-off engine ran per point before batching, kept as the
-/// redo path for retired lanes and as the reference semantics.
-fn plan_for_count(
-    line: &LineRlc,
-    driver: &DriverParams,
-    route_length: Meters,
-    threshold: f64,
-    continuous_bound: Seconds,
-    n: usize,
-) -> Result<Solved<RoutePlan>> {
-    let h = Meters::new(route_length.get() / n as f64);
-    let (k, tau) = sized_segment(line, driver, h, threshold)?;
-    Ok(Solved::converged(assemble_plan(
-        driver,
-        n,
-        h,
-        k,
-        tau,
-        continuous_bound,
-    )))
-}
-
-/// Which golden-section evaluation a planner lane is waiting on.
-enum PlanPhase {
-    /// The initial `f(c)` probe.
-    AwaitC,
-    /// The initial `f(d)` probe.
-    AwaitD,
-    /// One loop-iteration probe; `true` refreshes `c`, `false` `d`.
-    AwaitLoop(bool),
-    /// The midpoint evaluation `f(x)` that ends the walk.
-    AwaitFinal,
-}
-
-/// This wave's probe result for a lane.
-#[derive(Clone, Copy)]
-enum ProbeOut {
-    /// Not yet resolved (before the lane's first wave).
-    Pending,
-    /// A clean delay, seconds.
-    Delay(f64),
-    /// The delay solve failed — the scalar objective's `∞` arm, which
-    /// is off the clean path.
-    Failed,
-}
-
-/// Per-lane golden-section state: the local variables of the scalar
-/// `sized_segment`, parked between waves.
-struct PlanLane {
-    /// Position in the column (and in its outcome vector).
-    slot: usize,
-    /// The forced segment count.
-    n: usize,
-    scope: ScopeState,
-    _reopt_span: SpanGuard,
-    /// Segment length `route/n`, metres.
-    h: f64,
-    a: f64,
-    b: f64,
-    c: f64,
-    d: f64,
-    fc: f64,
-    fd: f64,
-    evaluations: usize,
-    /// `ln k` of the probe requested this wave.
-    pending_ln: f64,
-    out: ProbeOut,
-    phase: PlanPhase,
-}
-
-/// What a planner lane does after consuming its wave's probe.
-enum PlanNext {
-    Continue,
-    Done(PointOutcome<RoutePlan>),
-    /// Lane left the clean path: redo the count via the scalar path.
-    Retire,
-}
-
-/// Local telemetry tallies for a planner column, flushed in bulk.
-#[derive(Default)]
-struct PlanAcc {
-    golden_calls: u64,
-    golden_evaluations: HistAcc,
-}
-
-impl PlanAcc {
-    fn flush(&self) {
-        bulk(counter!("minimize.golden_section.calls"), self.golden_calls);
-        self.golden_evaluations
-            .flush(histogram!("minimize.golden_section.evaluations"));
-    }
-}
-
-/// Solves one column of forced segment counts with the golden-section
-/// walks advancing in lockstep: every wave gathers one `segment_delay`
-/// probe per live lane into a shared [`DelayBatch`], so the
-/// transcendental-heavy delay iterations run as dense lane sweeps.
-///
-/// Bit-identical to running [`plan_for_count`] under
-/// [`run_point`] on each count in sequence: per-lane arithmetic
-/// replicates the scalar walk exactly, probe prologues run under the
-/// lane's fault scope in lane order, and any lane that leaves the clean
-/// path (an injected fault fires, a probe fails) is retired to the
-/// genuine scalar path under the same scope key.
-fn tradeoff_column_outcomes(
-    line: &LineRlc,
-    driver: &DriverParams,
-    route_length: Meters,
-    threshold: f64,
-    continuous_bound: Seconds,
-    column: &[(usize, usize)],
-    policy: &RetryPolicy,
-) -> Vec<PointOutcome<RoutePlan>> {
-    // One span and one point tally per lane, as the scalar loop takes.
-    let _spans: Vec<_> = column.iter().map(|_| span!("planner.point")).collect();
-    counter!("planner.points").add(column.len() as u64);
-    let redo = |index: usize, n: usize| {
-        run_point(PLANNER_SCOPE_SALT | index as u64, policy, || {
-            plan_for_count(line, driver, route_length, threshold, continuous_bound, n)
-        })
-    };
-
-    // Same `RLCKIT_BATCH=off` escape hatch as the optimizer engine.
-    if crate::batch::scalar_override() {
-        return column.iter().map(|&(index, n)| redo(index, n)).collect();
-    }
-
-    let mut acc = PlanAcc::default();
-    let mut done: Vec<Option<PointOutcome<RoutePlan>>> = Vec::with_capacity(column.len());
-    done.resize_with(column.len(), || None);
-    let mut live: Vec<PlanLane> = Vec::with_capacity(column.len());
-    for (slot, &(index, n)) in column.iter().enumerate() {
-        match init_plan_lane(slot, index, n, route_length) {
-            Some(lane) => live.push(lane),
-            // The entry faultpoint fired: the scalar walk would abort
-            // into the retry ladder before its first probe.
-            None => done[slot] = Some(redo(index, n)),
-        }
-    }
-
-    // One reusable batch for the whole column (a golden walk takes ~50
-    // waves; fresh per-wave allocations would dominate).
-    let mut batch = DelayBatch::with_capacity(live.len());
-    while !live.is_empty() {
-        // Wave part 1: set up each lane's probe under the lane's scope,
-        // deferring its delay solve to the shared batch.
-        for lane in &mut live {
-            let prev = swap_scope(lane.scope);
-            let dil = segment_structure(line, driver, Meters::new(lane.h), lane.pending_ln.exp());
-            batch.push(DelayConfig {
-                b1: dil.b1(),
-                b2: dil.b2(),
-                threshold,
-            });
-            lane.scope = swap_scope(prev);
-        }
-
-        // Wave part 2: all deferred delay solves advance in lockstep,
-        // one per live lane, in lane order.
-        let delays = batch.solve_in_place();
-        for (lane, delay) in live.iter_mut().zip(delays) {
-            lane.out = match delay {
-                Ok(out) => ProbeOut::Delay(out.delay.get()),
-                Err(_) => ProbeOut::Failed,
-            };
-        }
-
-        // Wave part 3: every lane consumes its probe and advances its
-        // walk, completes, or retires. A poisoned scope means an
-        // injected fault fired during this lane's probe — the scalar
-        // walk would abort at its final `injected_abort`.
-        let mut pos = 0;
-        while pos < live.len() {
-            let lane = &mut live[pos];
-            let prev = swap_scope(lane.scope);
-            let next = if rlckit_fault::poisoned() {
-                PlanNext::Retire
-            } else {
-                plan_advance(lane, driver, continuous_bound, &mut acc)
-            };
-            lane.scope = swap_scope(prev);
-            match next {
-                PlanNext::Continue => pos += 1,
-                PlanNext::Done(outcome) => {
-                    let lane = live.swap_remove(pos);
-                    done[lane.slot] = Some(outcome);
-                }
-                PlanNext::Retire => {
-                    let lane = live.swap_remove(pos);
-                    let (index, n) = column[lane.slot];
-                    done[lane.slot] = Some(redo(index, n));
-                }
-            }
-        }
-    }
-    acc.flush();
-    let outcomes: Vec<PointOutcome<RoutePlan>> = done
-        .into_iter()
-        .map(|o| o.expect("every planner lane completes or retires"))
-        .collect();
-    for outcome in &outcomes {
-        if outcome.is_failed() {
-            counter!("planner.no_convergence").incr();
-        }
-    }
-    outcomes
-}
-
-/// Sets up one planner lane: the scalar path's spans and counters, the
-/// golden-section entry faultpoint under the lane's fresh scope, and
-/// the initial bracket. Returns `None` if the entry faultpoint fired.
-fn init_plan_lane(slot: usize, index: usize, n: usize, route_length: Meters) -> Option<PlanLane> {
-    let reopt_span = span!("planner.size_reopt");
-    counter!("planner.size_reopts").incr();
-    let mut scope = fresh_scope(PLANNER_SCOPE_SALT | index as u64);
-    let prev = swap_scope(scope);
-    let fired = should_inject("minimize.golden_section");
-    scope = swap_scope(prev);
-    if fired {
-        counter!("minimize.golden_section.injected_faults").incr();
-        return None;
-    }
-    let a = (1.0f64).ln();
-    let b = (20_000.0f64).ln();
-    let c = b - INV_PHI * (b - a);
-    let d = a + INV_PHI * (b - a);
-    Some(PlanLane {
-        slot,
-        n,
-        scope,
-        _reopt_span: reopt_span,
-        h: route_length.get() / n as f64,
-        a,
-        b,
-        c,
-        d,
-        fc: 0.0,
-        fd: 0.0,
-        evaluations: 0,
-        pending_ln: c,
-        out: ProbeOut::Pending,
-        phase: PlanPhase::AwaitC,
     })
-}
-
-/// Consumes a lane's probe and advances its golden-section walk; runs
-/// with the lane's fault scope installed.
-fn plan_advance(
-    lane: &mut PlanLane,
-    driver: &DriverParams,
-    continuous_bound: Seconds,
-    acc: &mut PlanAcc,
-) -> PlanNext {
-    // A failed probe is the scalar objective's ∞ arm: the walk it would
-    // steer is off the clean path, so hand the count to the redo.
-    let ProbeOut::Delay(value) = lane.out else {
-        return PlanNext::Retire;
-    };
-    match lane.phase {
-        PlanPhase::AwaitC => {
-            lane.fc = value;
-            lane.pending_ln = lane.d;
-            lane.phase = PlanPhase::AwaitD;
-            PlanNext::Continue
-        }
-        PlanPhase::AwaitD => {
-            lane.fd = value;
-            lane.evaluations = 2;
-            golden_step(lane)
-        }
-        PlanPhase::AwaitLoop(updating_c) => {
-            if updating_c {
-                lane.fc = value;
-            } else {
-                lane.fd = value;
-            }
-            lane.evaluations += 1;
-            golden_step(lane)
-        }
-        PlanPhase::AwaitFinal => {
-            // golden_section's exit bookkeeping; the midpoint evaluation
-            // is the plan's delay, as `sized_segment` takes it from
-            // `Minimum::value`. A non-finite one sends the scalar path
-            // back to `segment_delay`, which is off the clean path.
-            if !value.is_finite() {
-                return PlanNext::Retire;
-            }
-            acc.golden_calls += 1;
-            acc.golden_evaluations.observe((lane.evaluations + 1) as u64);
-            let k = lane.pending_ln.exp();
-            PlanNext::Done(PointOutcome::Converged(assemble_plan(
-                driver,
-                lane.n,
-                Meters::new(lane.h),
-                k,
-                Seconds::new(value),
-                continuous_bound,
-            )))
-        }
-    }
-}
-
-/// The top of the scalar golden-section loop: either shrink the bracket
-/// and request the one new probe, or fall through to the final midpoint
-/// evaluation.
-fn golden_step(lane: &mut PlanLane) -> PlanNext {
-    if (lane.b - lane.a).abs() > GOLDEN_X_TOL * (lane.a.abs() + lane.b.abs()).max(1.0)
-        && lane.evaluations < GOLDEN_MAX_EVALUATIONS
-    {
-        if lane.fc < lane.fd {
-            lane.b = lane.d;
-            lane.d = lane.c;
-            lane.fd = lane.fc;
-            lane.c = lane.b - INV_PHI * (lane.b - lane.a);
-            lane.pending_ln = lane.c;
-            lane.phase = PlanPhase::AwaitLoop(true);
-        } else {
-            lane.a = lane.c;
-            lane.c = lane.d;
-            lane.fc = lane.fd;
-            lane.d = lane.a + INV_PHI * (lane.b - lane.a);
-            lane.pending_ln = lane.d;
-            lane.phase = PlanPhase::AwaitLoop(false);
-        }
-    } else {
-        lane.pending_ln = 0.5 * (lane.a + lane.b);
-        lane.phase = PlanPhase::AwaitFinal;
-    }
-    PlanNext::Continue
 }
 
 #[cfg(test)]
@@ -735,30 +474,26 @@ mod tests {
     #[test]
     fn size_reoptimization_adapts_to_forced_length() {
         let (line, driver) = setup();
-        // Shorter segments want smaller relative drive than the optimal-h
-        // segments of the same line? Verify the re-optimized k actually
-        // minimizes the delay at its h.
+        // Verify the re-optimized k actually minimizes the delay at its h.
         let h = Meters::from_milli(9.0);
         let k = optimal_size_for_length(&line, &driver, h, 0.5).unwrap();
         let at = |kk: f64| segment_delay(&line, &driver, h, kk, 0.5).unwrap().get();
         assert!(at(k) <= at(k * 1.05) && at(k) <= at(k * 0.95));
     }
 
-    /// The size re-optimization against a direct reference: the same
-    /// golden-section walk probing `segment_delay` itself. For arbitrary
-    /// lines and forced segment lengths the public path must land on the
-    /// same repeater size to the last bit, and the plan's delay — taken
-    /// from the walk's final evaluation — must equal a fresh
-    /// `segment_delay(h, k)` to the last bit.
+    /// The plan's delay is a fresh `segment_delay(h, k)` at the
+    /// re-optimized size, to the last bit, whatever warm starts the
+    /// Newton iteration took — for the bare re-optimization and for a
+    /// planned route alike.
     #[test]
-    fn probe_cache_is_bit_transparent_for_the_size_reopt() {
+    fn plan_delay_is_a_fresh_segment_delay() {
         use rlckit_check::{gen, Check};
         Check::new().cases(12).run(
             &gen::tuple2(
-                gen::range(0.4, 3.5),  // l in nH/mm
-                gen::range(4.0, 16.0), // segment length in mm
+                gen::range(0.4, 3.5),   // l in nH/mm
+                gen::range(20.0, 60.0), // route length in mm
             ),
-            |(l, h_mm)| {
+            |(l, route_mm)| {
                 let node = TechNode::nm100();
                 let line = LineRlc::new(
                     node.line().resistance,
@@ -766,152 +501,88 @@ mod tests {
                     node.line().capacitance,
                 );
                 let driver = node.driver();
-                let h = Meters::from_milli(*h_mm);
-                let reference = rlckit_numeric::minimize::golden_section(
-                    |ln_k| {
-                        segment_delay(&line, &driver, h, ln_k.exp(), 0.5)
-                            .map_or(f64::INFINITY, |d| d.get())
-                    },
-                    (1.0f64).ln(),
-                    (20_000.0f64).ln(),
-                    1e-10,
-                    400,
-                )
-                .unwrap()
-                .x[0]
-                    .exp();
-                let k = optimal_size_for_length(&line, &driver, h, 0.5).unwrap();
+                let h = Meters::from_milli(route_mm / 4.0);
+                let sized = sized_segment(&line, &driver, h, 0.5).unwrap();
+                let fresh = segment_delay(&line, &driver, h, sized.k, 0.5).unwrap();
                 assert_eq!(
-                    k.to_bits(),
-                    reference.to_bits(),
-                    "size re-opt drifted at l = {l} nH/mm, h = {h_mm} mm"
-                );
-                let (k, tau) = sized_segment(&line, &driver, h, 0.5).unwrap();
-                let fresh = segment_delay(&line, &driver, h, k, 0.5).unwrap();
-                assert_eq!(
-                    tau.get().to_bits(),
+                    sized.tau.get().to_bits(),
                     fresh.get().to_bits(),
-                    "plan delay drifted at l = {l} nH/mm, h = {h_mm} mm"
+                    "re-opt delay drifted at l = {l} nH/mm, h = {} mm",
+                    route_mm / 4.0
+                );
+                let plan = plan_route(&line, &driver, Meters::from_milli(*route_mm), 0.5).unwrap();
+                let fresh =
+                    segment_delay(&line, &driver, plan.segment_length, plan.repeater_size, 0.5)
+                        .unwrap();
+                assert_eq!(
+                    plan.total_delay.get().to_bits(),
+                    (fresh.get() * plan.segments as f64).to_bits(),
+                    "plan delay drifted at l = {l} nH/mm, route = {route_mm} mm"
                 );
             },
         );
     }
 
-    /// The lockstep column engine against the genuine scalar per-count
-    /// path (`plan_for_count` under `run_point`, the pre-batching
-    /// semantics): every field of every plan must match to the bit.
+    /// Newton on Eq. 8 converges in a handful of warm delay solves: at
+    /// most 12 residual evaluations per re-optimization over the three
+    /// campaign nodes, the Fig. 4–8 inductance range, 10–30 mm routes,
+    /// counts 1–40 and three thresholds.
     #[test]
-    fn batched_tradeoff_is_bit_identical_to_the_scalar_path() {
-        let (line, driver) = setup();
-        let route = Meters::from_milli(60.0);
-        let threshold = 0.5;
-        let policy = RetryPolicy::default();
-        let options = OptimizerOptions {
-            threshold,
-            ..OptimizerOptions::default()
-        };
-        let continuous = optimize_rlc(&line, &driver, options).unwrap();
-        let continuous_bound = Seconds::new(continuous.delay_per_length() * route.get());
-
-        let batched = segment_count_tradeoff_outcomes(
-            &line,
-            &driver,
-            route,
-            threshold,
-            1..=12,
-            &policy,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        for (i, (outcome, n)) in batched.iter().zip(1..=12usize).enumerate() {
-            let want = run_point(PLANNER_SCOPE_SALT | i as u64, &policy, || {
-                plan_for_count(&line, &driver, route, threshold, continuous_bound, n)
-            });
-            let (PointOutcome::Converged(w), PointOutcome::Converged(g)) = (&want, outcome) else {
-                panic!("n = {n}: outcome kind drifted");
-            };
-            assert_eq!(w.segments, g.segments, "n = {n}");
-            assert_eq!(
-                w.segment_length.get().to_bits(),
-                g.segment_length.get().to_bits(),
-                "n = {n}: h"
-            );
-            assert_eq!(
-                w.repeater_size.to_bits(),
-                g.repeater_size.to_bits(),
-                "n = {n}: k"
-            );
-            assert_eq!(
-                w.total_delay.get().to_bits(),
-                g.total_delay.get().to_bits(),
-                "n = {n}: delay"
-            );
-            assert_eq!(
-                w.repeater_capacitance.get().to_bits(),
-                g.repeater_capacitance.get().to_bits(),
-                "n = {n}: cap"
-            );
+    fn size_reopt_takes_at_most_twelve_evaluations() {
+        let (mut worst, mut total, mut runs) = (0, 0, 0);
+        for node in [
+            TechNode::nm250(),
+            TechNode::nm100(),
+            TechNode::nm100_with_250nm_dielectric(),
+        ] {
+            let driver = node.driver();
+            for l in [0.3, 1.8, 3.3, 4.8] {
+                let line = LineRlc::new(
+                    node.line().resistance,
+                    HenriesPerMeter::from_nano_per_milli(l),
+                    node.line().capacitance,
+                );
+                for f in [0.1, 0.5, 0.9] {
+                    for route_mm in [10.0, 20.0, 30.0] {
+                        for n in 1..=40 {
+                            let h = Meters::from_milli(route_mm / n as f64);
+                            let sized = sized_segment(&line, &driver, h, f).unwrap();
+                            assert!(
+                                sized.evaluations <= 12,
+                                "{} evaluations at {node:?}, l = {l}, f = {f}, \
+                                 route = {route_mm} mm, n = {n}",
+                                sized.evaluations
+                            );
+                            worst = worst.max(sized.evaluations);
+                            total += sized.evaluations;
+                            runs += 1;
+                        }
+                    }
+                }
+            }
         }
+        assert!(worst >= 2, "the grid must exercise the iteration");
+        eprintln!(
+            "evaluations per re-optimization: mean {:.2}, worst {worst}",
+            total as f64 / f64::from(runs)
+        );
     }
 
-    /// Clean-run telemetry totals of the batched trade-off must equal
-    /// the scalar path's: size re-optimizations, golden-section calls,
-    /// and the delay-solver counters underneath.
+    /// A segment's plan does not depend on which entry point sized it:
+    /// `optimal_size_for_length`, `plan_route` and the trade-off return
+    /// the same size bits for the same segment length.
     #[test]
-    fn batched_tradeoff_telemetry_matches_the_scalar_totals() {
+    fn every_entry_point_sizes_a_segment_alike() {
         let (line, driver) = setup();
-        let route = Meters::from_milli(60.0);
-        let threshold = 0.5;
-        let policy = RetryPolicy::default();
-        let options = OptimizerOptions {
-            threshold,
-            ..OptimizerOptions::default()
-        };
-        let continuous = optimize_rlc(&line, &driver, options).unwrap();
-        let continuous_bound = Seconds::new(continuous.delay_per_length() * route.get());
-
-        // The scalar reference replays everything the trade-off engine
-        // runs: the shared continuous solve, then each count.
-        let before_scalar = rlckit_trace::snapshot();
-        let _ = run_point(route.get().to_bits(), &policy, || {
-            optimize_rlc_with_retry(&line, &driver, options, &policy).map(|opt| Solved {
-                restarts: opt.restarts,
-                degraded: opt.used_fallback,
-                value: opt,
-            })
-        });
-        for (i, n) in (1..=10usize).enumerate() {
-            let _ = run_point(PLANNER_SCOPE_SALT | i as u64, &policy, || {
-                plan_for_count(&line, &driver, route, threshold, continuous_bound, n)
-            });
-        }
-        let scalar_delta = rlckit_trace::snapshot().since(&before_scalar);
-
-        let before_batch = rlckit_trace::snapshot();
-        let _ = segment_count_tradeoff_outcomes(
-            &line,
-            &driver,
-            route,
-            threshold,
-            1..=10,
-            &policy,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        let batch_delta = rlckit_trace::snapshot().since(&before_batch);
-
-        for name in [
-            "planner.size_reopts",
-            "minimize.golden_section.calls",
-            "twopole.delay.solves",
-            "roots.newton_bracketed.solves",
-        ] {
-            assert_eq!(
-                scalar_delta.counter(name),
-                batch_delta.counter(name),
-                "{name} drifted between scalar and batched trade-off"
-            );
-        }
+        let route = Meters::from_milli(50.0);
+        let plan = plan_route(&line, &driver, route, 0.5).unwrap();
+        let k = optimal_size_for_length(&line, &driver, plan.segment_length, 0.5).unwrap();
+        assert_eq!(plan.repeater_size.to_bits(), k.to_bits());
+        let counts = plan.segments..=plan.segments;
+        let traded =
+            segment_count_tradeoff_with(&line, &driver, route, 0.5, counts, Parallelism::Serial)
+                .unwrap();
+        assert_eq!(traded, vec![plan]);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Scheduling telemetry for the ROADMAP's work-stealing rung: the
-//! planner trade-off now runs on guided self-scheduling, observed
-//! through the `rlckit-par` scheduling histograms.
+//! planner trade-off runs on guided self-scheduling, observed through
+//! the `rlckit-par` scheduling histograms.
 //!
-//! `segment_count_tradeoff` re-runs a golden-section size optimization
-//! per repeater count, and the per-count cost varies by roughly 3× —
-//! exactly the workload shape where a static split goes wrong. Guided
-//! claims start large and halve toward the tail, so fast workers absorb
-//! the imbalance by claiming more batches. The scheduled work item is a
-//! batched *column* of [`COLUMN_WIDTH`](rlckit::planner::COLUMN_WIDTH)
-//! counts, so the task totals below are column counts. The test pins
-//! the worker count, runs the trade-off through the campaign engine,
-//! and asserts that `par.tasks_per_worker` recorded a usable max/min
-//! task split for every worker.
+//! `segment_count_tradeoff` re-runs a Newton size re-optimization per
+//! repeater count, and the per-count cost varies with the count (small
+//! counts mean long segments and slower delay solves) — the workload
+//! shape where a static split goes wrong. Guided claims start large and
+//! halve toward the tail, so fast workers absorb the imbalance by
+//! claiming more batches. The scheduled work item is a single count,
+//! so the task totals below are count totals. The test pins the worker
+//! count, runs the trade-off through the campaign engine, and asserts
+//! that `par.tasks_per_worker` recorded a usable max/min task split for
+//! every worker.
 //!
 //! The `par.*` family is the one documented determinism exception: the
 //! totals below are exact, but *which* worker claimed how many tasks is
@@ -28,8 +28,8 @@ use rlckit_units::{HenriesPerMeter, Meters};
 /// so the test is host-independent).
 const WORKERS: usize = 4;
 
-/// Repeater counts to plan — enough *columns* that every worker sees
-/// multiple claims under guided sizing (first claim ≈ len / 2·threads).
+/// Repeater counts to plan — enough that every worker sees multiple
+/// claims under guided sizing (first claim ≈ len / 2·threads).
 const COUNTS: std::ops::RangeInclusive<usize> = 1..=96;
 
 #[test]
@@ -54,8 +54,8 @@ fn planner_tradeoff_records_per_worker_task_counts() {
     let delta = rlckit_trace::snapshot().since(&before);
 
     assert_eq!(plans.len(), COUNTS.count());
-    // The scheduled tasks are batched columns, not individual counts.
-    let total = COUNTS.count().div_ceil(rlckit::planner::COLUMN_WIDTH) as u64;
+    // One scheduled task per count.
+    let total = COUNTS.count() as u64;
     assert_eq!(delta.counter("par.guided_maps"), 1);
     assert_eq!(delta.counter("par.tasks"), total);
 

@@ -619,13 +619,7 @@ pub struct SystemRoot {
 /// search must see such a trial as the failure it is and backtrack.
 #[must_use]
 pub fn inf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, &a| {
-        if m.is_nan() || a.is_nan() {
-            f64::NAN
-        } else {
-            m.max(a.abs())
-        }
-    })
+    crate::stats::peak_abs(v)
 }
 
 /// Damped Newton for a small nonlinear system `F(x) = 0`.
@@ -639,10 +633,11 @@ pub fn inf_norm(v: &[f64]) -> f64 {
 /// A trial whose residual is non-finite (NaN included, see
 /// [`inf_norm`]) is rejected and the step halved.
 ///
-/// Convergence requires the residual norm to meet `options.f_tol` (or a
-/// small step under `options.x_tol` while improving). If the iteration
-/// budget runs out with the residual still above `f_tol`, the solve
-/// fails.
+/// Convergence requires the residual norm to meet `options.f_tol`, or
+/// a full (undamped) Newton step under `options.x_tol` while improving.
+/// A damped step is never taken as convergence on its size alone. If
+/// the iteration budget runs out with the residual still above `f_tol`,
+/// the solve fails.
 ///
 /// # Errors
 ///
@@ -725,8 +720,12 @@ fn newton_system_impl(
             if tnorm.is_finite() && tnorm < rnorm {
                 x.copy_from_slice(&trial);
                 residual.copy_from_slice(&trial_res);
-                let step_small =
-                    lambda * inf_norm(&step) <= options.x_tol * inf_norm(&x).max(1.0);
+                // A small step means convergence only when it is a full
+                // Newton step or the residual meets `f_tol`: a step the
+                // line search had to cut short is small because the
+                // model is bad there, not because the root is near.
+                let step_small = (lambda == 1.0 || tnorm <= options.f_tol)
+                    && lambda * inf_norm(&step) <= options.x_tol * inf_norm(&x).max(1.0);
                 rnorm = tnorm;
                 accepted = true;
                 if step_small {
@@ -935,6 +934,38 @@ mod tests {
         assert!((sol.x[0] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
         assert!((sol.x[1] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
         assert!(sol.residual <= RootOptions::default().f_tol);
+    }
+
+    #[test]
+    fn system_newton_rejects_a_damped_small_step_with_large_residual() {
+        // Regression: `1 − t + 1e8·t²` has no root (its minimum is
+        // 1 − 2.5e-9 at t = 5e-9). From t = 0 the full Newton step is 1,
+        // and the line search must halve it 27 times before the norm
+        // drops, leaving a 7.5e-9 step under x_tol = 1e-8. The solver
+        // used to take that damped step's size as convergence and
+        // return Ok with a residual of ≈ 1; it must keep iterating and
+        // fail honestly.
+        let f = |x: &[f64], out: &mut [f64]| {
+            out[0] = 1.0 - x[0] + 1e8 * x[0] * x[0];
+            out[1] = x[1];
+        };
+        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
+            m[(0, 0)] = -1.0 + 2e8 * x[0];
+            m[(0, 1)] = 0.0;
+            m[(1, 0)] = 0.0;
+            m[(1, 1)] = 1.0;
+        };
+        let options = RootOptions {
+            x_tol: 1e-8,
+            f_tol: 1e-10,
+            max_iterations: 50,
+        };
+        match newton_system(f, jac, &[0.0, 0.0], options) {
+            Err(NumericError::NoConvergence { residual, .. }) => {
+                assert!(residual > 0.99, "residual {residual:e}")
+            }
+            other => panic!("a rootless system must not converge, got {other:?}"),
+        }
     }
 
     #[test]

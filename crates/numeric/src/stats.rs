@@ -5,7 +5,23 @@
 //! the simulator may have taken non-uniform time steps, so the averages
 //! here are time-weighted trapezoid integrals.
 
-/// Returns the maximum absolute sample value, or 0 for an empty series.
+/// `a.max(b)`, but NaN if either operand is NaN.
+///
+/// `f64::max` returns the other operand when one is NaN, so a plain
+/// `fold(0.0, f64::max)` skips a NaN sample and reports the peak of the
+/// rest as if the record were clean. Folding with `max_nan` makes a NaN
+/// anywhere in the record the result.
+#[must_use]
+pub fn max_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
+}
+
+/// Returns the maximum absolute sample value, or 0 for an empty series;
+/// NaN if any sample is NaN.
 ///
 /// # Examples
 ///
@@ -14,10 +30,11 @@
 ///
 /// assert_eq!(peak_abs(&[1.0, -3.0, 2.0]), 3.0);
 /// assert_eq!(peak_abs(&[]), 0.0);
+/// assert!(peak_abs(&[1.0, f64::NAN]).is_nan());
 /// ```
 #[must_use]
 pub fn peak_abs(samples: &[f64]) -> f64 {
-    samples.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+    samples.iter().fold(0.0f64, |m, &v| max_nan(m, v.abs()))
 }
 
 /// Time-weighted mean of `values(t)` over `[t₀, t_end]` by trapezoid rule.
@@ -92,6 +109,16 @@ mod tests {
     #[test]
     fn peak_of_constant_series() {
         assert_eq!(peak_abs(&[-2.0, -2.0]), 2.0);
+    }
+
+    #[test]
+    fn peak_propagates_nan() {
+        for v in [[f64::NAN, 1.0], [1.0, f64::NAN], [-5.0, f64::NAN]] {
+            assert!(peak_abs(&v).is_nan(), "{v:?}");
+        }
+        assert_eq!(peak_abs(&[f64::NEG_INFINITY, 1.0]), f64::INFINITY);
+        assert!(max_nan(f64::NAN, 1.0).is_nan() && max_nan(1.0, f64::NAN).is_nan());
+        assert_eq!(max_nan(-1.0, 2.0), 2.0);
     }
 
     #[test]

@@ -46,12 +46,27 @@
 //! [`std::thread::available_parallelism`]. `RLCKIT_THREADS=1` forces the
 //! serial path — useful to bisect any suspected parallelism issue.
 //!
-//! `RLCKIT_THREADS` is read **once per process** (the same pattern
+//! The `Auto` count is resolved **once per process** (the same pattern
 //! `rlckit-trace` uses for `RLCKIT_TRACE`): a campaign resolves the same
 //! worker count at every stage, and the hot path never pays a per-call
-//! env lookup. Tests and embedders that need a different count
-//! mid-process use [`set_threads`], which takes precedence over the
-//! cached environment value.
+//! env lookup or cgroup read. Tests and embedders that need a different
+//! count mid-process use [`set_threads`], which takes precedence over
+//! the cached value.
+//!
+//! # When `Auto` spawns
+//!
+//! Spawning and joining scoped workers is not free: about 220 µs of
+//! wall time and 110 µs of CPU for two workers on a 2-CPU Linux VM. A
+//! map whose whole work is shorter than that is faster on the calling
+//! thread, and only the items say how long they take. So under
+//! [`Parallelism::Auto`] the calling thread maps items itself, one at a
+//! time, and spawns the workers for the rest only once it has spent
+//! 200 µs (`AUTO_SPAWN_AFTER`, the spawn's own cost) on them (the
+//! rent-or-buy rule: never more than twice the time of the better
+//! choice made in hindsight). Short maps, such as a trade-off over a
+//! few repeater counts, never spawn. A pinned [`Parallelism::Threads`]
+//! spawns at once. Either way the output is the serial one, bit for
+//! bit; only the scheduling telemetry depends on the timing.
 //!
 //! # Scheduling
 //!
@@ -87,6 +102,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use rlckit_numeric::{NumericError, Result};
 use rlckit_trace::{counter, histogram};
@@ -120,19 +136,21 @@ impl Parallelism {
 /// The `Auto` worker count: a [`set_threads`] override when active,
 /// else `RLCKIT_THREADS` when it parses as a positive integer, otherwise
 /// [`std::thread::available_parallelism`] (1 if even that is
-/// unavailable). The environment variable is read and parsed exactly
-/// once per process; later mutations of the process environment do not
-/// change the resolved count.
+/// unavailable). Both are read once per process; later mutations of
+/// the process environment or of the CPU quota do not change the
+/// resolved count. (`available_parallelism` reads the cgroup quota
+/// files on Linux, which costs tens of microseconds per call.)
 #[must_use]
 pub fn available_threads() -> usize {
     let forced = FORCED_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = *ENV_THREADS.get_or_init(env_threads) {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    *AUTO_THREADS.get_or_init(|| {
+        env_threads().unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+    })
 }
 
 /// Programmatically overrides the [`Parallelism::Auto`] worker count,
@@ -145,9 +163,10 @@ pub fn set_threads(n: Option<usize>) {
     FORCED_THREADS.store(n.map_or(0, |v| v.max(1)), Ordering::Relaxed);
 }
 
-/// Once-per-process cache of the parsed `RLCKIT_THREADS` value
-/// (`None` = unset or unparseable, so auto-detection applies).
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+/// Once-per-process cache of the `Auto` worker count without a
+/// [`set_threads`] override: the parsed `RLCKIT_THREADS` value, or the
+/// detected parallelism when it is unset or unparseable.
+static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Programmatic [`set_threads`] override; 0 means "no override".
 static FORCED_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -166,12 +185,20 @@ fn parse_threads(raw: &str) -> Option<usize> {
     }
 }
 
+/// Time the calling thread spends mapping items itself before
+/// [`Parallelism::Auto`] spawns workers for the rest: the measured cost
+/// of spawning and joining them (see the crate docs).
+const AUTO_SPAWN_AFTER: Duration = Duration::from_micros(200);
+
 /// Maps `f` over `items` with `parallelism` workers, collecting results
 /// in input order.
 ///
-/// `f` receives `(input_index, &item)` and may fail. Workers CAS-claim
+/// `f` receives `(input_index, &item)` and may fail. Under
+/// [`Parallelism::Auto`] the calling thread first maps items itself for
+/// up to `AUTO_SPAWN_AFTER`. Workers then CAS-claim
 /// `remaining / (2·workers)` consecutive items at a time (guided
 /// self-scheduling), so claims start large and halve toward the tail.
+/// `par.tasks` counts the items the workers took.
 ///
 /// The output is bit-identical to the serial evaluation for every
 /// worker count: each element is a pure function of `(input_index,
@@ -199,7 +226,22 @@ where
         return map_range(items, 0..len, &f);
     }
 
-    let next = AtomicUsize::new(0);
+    // Items the calling thread has mapped before spawning, in order.
+    let mut results = Vec::with_capacity(len);
+    let mut first = 0;
+    if parallelism == Parallelism::Auto {
+        let started = Instant::now();
+        while first < len && started.elapsed() < AUTO_SPAWN_AFTER {
+            results.extend(map_range(items, first..first + 1, &f)?);
+            first += 1;
+        }
+        if first == len {
+            counter!("par.serial_maps").incr();
+            return Ok(results);
+        }
+    }
+
+    let next = AtomicUsize::new(first);
     let claims: Mutex<Vec<(usize, Result<Vec<U>>)>> = Mutex::new(Vec::new());
 
     let worker = || {
@@ -241,19 +283,18 @@ where
     };
 
     counter!("par.guided_maps").incr();
-    counter!("par.tasks").add(len as u64);
+    counter!("par.tasks").add((len - first) as u64);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(len) {
+        for _ in 0..threads.min(len - first) {
             scope.spawn(worker);
         }
     });
 
-    // The claims partition [0, len); sorted by start they reproduce the
-    // input order, and the first failed claim in that order contains the
-    // earliest failing input (each claim short-circuits in order).
+    // The claims partition [first, len); sorted by start they reproduce
+    // the input order, and the first failed claim in that order contains
+    // the earliest failing input (each claim short-circuits in order).
     let mut claims = claims.into_inner().expect("claim slots never poisoned");
     claims.sort_unstable_by_key(|&(start, _)| start);
-    let mut results = Vec::with_capacity(len);
     for (_, outcome) in claims {
         results.extend(outcome?);
     }
@@ -312,13 +353,16 @@ mod tests {
     use super::*;
 
     /// Every execution path: the serial reference, the parallel engine
-    /// at several worker counts, and `Threads(1)` (serial by policy).
-    const MODES: [Parallelism; 5] = [
+    /// at several worker counts, `Threads(1)` (serial by policy) and
+    /// `Auto` (the calling thread first, workers once it has run long
+    /// enough).
+    const MODES: [Parallelism; 6] = [
         Parallelism::Serial,
         Parallelism::Threads(1),
         Parallelism::Threads(2),
         Parallelism::Threads(3),
         Parallelism::Threads(8),
+        Parallelism::Auto,
     ];
 
     #[test]
@@ -420,6 +464,45 @@ mod tests {
             .unwrap(),
             vec![84.0]
         );
+    }
+
+    /// `Auto` hands the rest of a map to workers once the calling
+    /// thread has spent `AUTO_SPAWN_AFTER` on it: with every item
+    /// longer than that, the calling thread maps at most the first one,
+    /// and the result is still the serial one.
+    #[test]
+    fn auto_spawns_once_the_calling_thread_has_run_long_enough() {
+        if available_threads() < 2 {
+            return;
+        }
+        let caller = std::thread::current().id();
+        let xs: Vec<usize> = (0..6).collect();
+        let out = par_map(&xs, Parallelism::Auto, |i, &x| {
+            std::thread::sleep(AUTO_SPAWN_AFTER + Duration::from_micros(100));
+            let on_caller = std::thread::current().id() == caller;
+            assert!(i == 0 || !on_caller, "item {i} ran on the calling thread");
+            Ok(x * 2)
+        })
+        .unwrap();
+        assert_eq!(out, (0..6).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    /// Pre-fix regression (a spawn per short `Auto` map): a map that is
+    /// done well within `AUTO_SPAWN_AFTER` stays on the calling thread.
+    /// Timing-based, so it asks this of one run in twenty; a run that is
+    /// preempted past the spawn time may spawn.
+    #[test]
+    fn a_short_auto_map_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let xs: Vec<u64> = (0..8).collect();
+        let stayed = (0..20).any(|_| {
+            let threads = par_map(&xs, Parallelism::Auto, |_, _| {
+                Ok(std::thread::current().id())
+            })
+            .unwrap();
+            threads.iter().all(|&t| t == caller)
+        });
+        assert!(stayed, "every short Auto map spawned workers");
     }
 
     #[test]

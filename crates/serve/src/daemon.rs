@@ -110,8 +110,12 @@ impl Connection for std::net::TcpStream {
     }
 
     fn split(self) -> std::io::Result<(Self, Self)> {
+        // Each response leaves in one write; with Nagle on, a response
+        // sent while the previous one is still unacknowledged waits for
+        // the peer's delayed ACK.
+        self.set_nodelay(true)?;
         // Clones share the socket, so the reader half inherits the
-        // timeout armed above.
+        // timeout armed above (and the no-delay option).
         let reader = self.try_clone()?;
         Ok((reader, self))
     }

@@ -101,20 +101,23 @@ pub fn oscillation_period(
     Some(spans.iter().sum::<f64>() / spans.len() as f64)
 }
 
-/// Maximum excursion above `reference` within the record.
+/// Maximum excursion above `reference` within the record (0 if none);
+/// NaN if any sample is NaN, so a diverged record never passes for a
+/// clean one.
 #[must_use]
 pub fn overshoot_above(values: &[f64], reference: f64) -> f64 {
     values
         .iter()
-        .fold(0.0f64, |m, &v| m.max(v - reference))
+        .fold(0.0f64, |m, &v| stats::max_nan(m, v - reference))
 }
 
-/// Maximum excursion below `reference` within the record.
+/// Maximum excursion below `reference` within the record (0 if none);
+/// NaN if any sample is NaN.
 #[must_use]
 pub fn undershoot_below(values: &[f64], reference: f64) -> f64 {
     values
         .iter()
-        .fold(0.0f64, |m, &v| m.max(reference - v))
+        .fold(0.0f64, |m, &v| stats::max_nan(m, reference - v))
 }
 
 /// Peak and time-weighted rms of a current record over the trailing
@@ -198,6 +201,15 @@ mod tests {
         let v = [0.0, 0.5, 1.3, 0.9, -0.2, 1.0];
         assert!((overshoot_above(&v, 1.0) - 0.3).abs() < 1e-12);
         assert!((undershoot_below(&v, 0.0) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn excursions_propagate_nan() {
+        let v = [0.5, f64::NAN, 1.3, -0.2];
+        assert!(overshoot_above(&v, 1.0).is_nan());
+        assert!(undershoot_below(&v, 0.0).is_nan());
+        assert!(overshoot_above(&[f64::NAN], 1.0).is_nan());
+        assert!(undershoot_below(&[f64::NAN], 0.0).is_nan());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every performance rung on the ROADMAP (hot-path profiling of the
 //! two-pole delay solve, work-stealing for the planner's uneven
-//! golden-section calls, a sharded campaign driver) needs to know where
+//! per-count calls, a sharded campaign driver) needs to know where
 //! iterations and wall-clock actually go. This crate is that
 //! instrumentation layer: process-wide **counters** and **iteration
 //! histograms** backed by relaxed atomics, lightweight RAII **span

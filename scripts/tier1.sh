@@ -245,10 +245,35 @@ for i in 1 2 3; do
     exit 1
   fi
 done
+# Closed-loop leg: one connection, 50 on-grid `optimum` requests, each
+# sent only after the previous response line is read. A response that
+# leaves in two writes stalls ~44 ms on Nagle + delayed ACK (≈ 2.2 s
+# for the leg); one write per response and TCP_NODELAY keep it in
+# milliseconds.
+closed_loop_start="$(date +%s%N)"
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+for i in $(seq 1 50); do
+  printf '{"id":%d,"op":"optimum","node":"100nm","l_nh_mm":2.475}\n' "$i" >&3
+  if ! IFS= read -r -t 10 reply <&3 || [[ "$reply" != *"\"id\":$i,\"ok\":true"* ]]; then
+    echo "tier-1 gate: FAIL — closed-loop request $i got no good response: ${reply:-none}" >&2
+    exit 1
+  fi
+done
+exec 3>&-
+closed_loop_ms=$(( ($(date +%s%N) - closed_loop_start) / 1000000 ))
+if [ "$closed_loop_ms" -gt 1000 ]; then
+  echo "tier-1 gate: FAIL — closed-loop leg took ${closed_loop_ms} ms for 50 requests (> 1 s: Nagle stall?)" >&2
+  exit 1
+fi
+# Let the daemon log the leg's session close before stopping it.
+for _ in $(seq 1 50); do
+  [ "$(grep -c 'closed after' "$serve_dir/tcp.log")" -ge 7 ] && break
+  sleep 0.1
+done
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
-if [ "$(grep -c 'closed after' "$serve_dir/tcp.log")" -ne 6 ]; then
-  echo "tier-1 gate: FAIL — daemon did not report all 6 client sessions closing" >&2
+if [ "$(grep -c 'closed after' "$serve_dir/tcp.log")" -ne 7 ]; then
+  echo "tier-1 gate: FAIL — daemon did not report all 7 client sessions closing" >&2
   cat "$serve_dir/tcp.log" >&2
   exit 1
 fi
