@@ -4,7 +4,7 @@
 //! an interactive what-if tool) asks the same question — "optimum for
 //! this wire under this driver" — over and over with inputs that differ
 //! only in measurement noise. Each answer costs a full Newton solve
-//! with dozens of two-pole delay evaluations, so this module provides
+//! of about nine two-pole delay evaluations, so this module provides
 //! [`OptimumMemo`]: a bounded, thread-safe, optionally *sharded* memo
 //! table keyed on the *quantized* bit patterns of `(r, l, c)` plus the
 //! exact driver and threshold bits.
@@ -18,10 +18,10 @@
 //! **campaign paths never route through this table**: a quantized hit
 //! returns the optimum of a *nearby* input, which breaks the
 //! bit-identity contract the sweeps, the planner, and the checkpoint
-//! format all guarantee. Campaign code uses the per-call exact-bit
-//! caches in [`crate::optimizer`] and [`crate::planner`] instead, which
-//! can never change a single output bit. Hits, misses and evictions
-//! are observable as `memo.hits`, `memo.misses` and `memo.evictions`.
+//! format all guarantee. Campaign code calls [`optimize_rlc`] for every
+//! point instead, so no cache can change a single output bit. Hits,
+//! misses and evictions are observable as `memo.hits`, `memo.misses`
+//! and `memo.evictions`.
 //!
 //! # Sharding
 //!
@@ -36,8 +36,15 @@
 //!
 //! # Eviction
 //!
-//! A shard at capacity evicts its front entry. Which entry sits at the
-//! front is the [`Eviction`] policy, chosen at construction:
+//! Each shard is a hash index from key to entry plus a recency list of
+//! its entries: the front is the next eviction victim, the back the
+//! newest insert or the latest promotion. A probe, a promotion, an
+//! insert and an eviction each cost one to three hash operations and a
+//! few index writes, independent of the shard's size; nothing scans or
+//! shifts the shard. A shard at capacity evicts its front entry and
+//! reuses its slot for the insert. Which entry sits at the front is the
+//! [`Eviction`] policy, chosen at construction; both policies share the
+//! one structure and differ only in whether a counted hit promotes:
 //!
 //! * [`Eviction::Fifo`] (the default of [`OptimumMemo::new`] and
 //!   [`OptimumMemo::sharded`]) keeps strict insertion order — the
@@ -55,7 +62,17 @@
 //! Either way `memo.evictions` counts every displaced entry, and
 //! [`OptimumMemo::preload`] / [`OptimumMemo::probe`] stay
 //! order-neutral (a warm-start replay or a diagnostic probe must not
-//! perturb the recency ranking).
+//! perturb the recency ranking). [`OptimumMemo::export`] walks each
+//! shard front to back, so a snapshot reloaded into the same layout
+//! evicts in the same order as the memo it was taken from.
+//!
+//! # First answer wins
+//!
+//! Two callers that miss on one key concurrently both solve, and the
+//! first insert is kept. The loser of that race gets the retained
+//! answer back from [`OptimumMemo::optimum_served`] (still labelled
+//! [`Served::Solved`]: it paid for a solve), not its own fresh bits, so
+//! every caller of a key, hit or miss, sees the same answer.
 //!
 //! # Telemetry and the lock
 //!
@@ -66,6 +83,7 @@
 //! even steady-state increments are atomic RMWs — none of that belongs
 //! in the section every concurrent lookup queues behind.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use rlckit_numeric::Result;
@@ -142,7 +160,9 @@ pub enum Served {
     /// The answer was found in the memo (bit-identical to the first
     /// answer stored under its key).
     Hit,
-    /// The answer was computed by [`optimize_rlc`] (and inserted).
+    /// The answer was computed by [`optimize_rlc`] and inserted — or,
+    /// when a concurrent solve of the same key was stored first, the
+    /// stored answer was returned in its place.
     Solved,
 }
 
@@ -175,9 +195,119 @@ pub enum Eviction {
 /// for serving layers. See the module docs for the quantization
 /// semantics, the sharding model, and the campaign-path exclusion.
 pub struct OptimumMemo {
-    shards: Vec<Mutex<Vec<(MemoKey, RlcOptimum)>>>,
+    shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
     eviction: Eviction,
+}
+
+/// Marks the end of a shard's recency list.
+const NIL: usize = usize::MAX;
+
+/// One entry, threaded on its shard's recency list.
+struct Slot {
+    key: MemoKey,
+    value: RlcOptimum,
+    prev: usize,
+    next: usize,
+}
+
+/// One shard: a hash index from key to slot, and the slots threaded on
+/// a doubly linked recency list. The front is the eviction victim, the
+/// back the newest insert or the latest promotion. Entries leave only
+/// by eviction, and an eviction always makes room for the insert that
+/// caused it, so the victim's slot is reused in place and the slab
+/// never has holes.
+struct Shard {
+    index: HashMap<MemoKey, usize>,
+    slots: Vec<Slot>,
+    front: usize,
+    back: usize,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Self {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            front: NIL,
+            back: NIL,
+        }
+    }
+
+    fn get(&self, key: &MemoKey) -> Option<RlcOptimum> {
+        self.index.get(key).map(|&i| self.slots[i].value)
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.front = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.back = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, i: usize) {
+        self.slots[i].prev = self.back;
+        self.slots[i].next = NIL;
+        match self.back {
+            NIL => self.front = i,
+            b => self.slots[b].next = i,
+        }
+        self.back = i;
+    }
+
+    /// The value under `key`, moved to the back of the recency list.
+    fn get_promote(&mut self, key: &MemoKey) -> Option<RlcOptimum> {
+        let i = *self.index.get(key)?;
+        if i != self.back {
+            self.unlink(i);
+            self.push_back(i);
+        }
+        Some(self.slots[i].value)
+    }
+
+    /// Stores `value` at the back unless `key` is present (then the
+    /// retained value comes back as the error, and nothing moves). A
+    /// full shard first evicts its front entry; `Ok(true)` reports it.
+    fn insert(
+        &mut self,
+        key: MemoKey,
+        value: RlcOptimum,
+        capacity: usize,
+    ) -> std::result::Result<bool, RlcOptimum> {
+        if let Some(&i) = self.index.get(&key) {
+            return Err(self.slots[i].value);
+        }
+        let evicted = self.slots.len() >= capacity;
+        let slot = Slot {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if evicted {
+            let i = self.front;
+            self.unlink(i);
+            self.index.remove(&self.slots[i].key);
+            self.slots[i] = slot;
+            i
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        };
+        self.index.insert(key, i);
+        self.push_back(i);
+        Ok(evicted)
+    }
+
+    /// Entries in recency order, front (next victim) first.
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        std::iter::successors(self.slots.get(self.front), |s| self.slots.get(s.next))
+    }
 }
 
 impl Default for OptimumMemo {
@@ -208,7 +338,7 @@ impl OptimumMemo {
     #[must_use]
     pub fn sharded_with_eviction(shards: usize, shard_capacity: usize, eviction: Eviction) -> Self {
         Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity: shard_capacity.max(1),
             eviction,
         }
@@ -245,13 +375,15 @@ impl OptimumMemo {
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shard_count()`. A poisoned lock is recovered
-    /// (entries are plain data).
+    /// Panics if `shard >= shard_count()`. A poisoned lock is recovered:
+    /// entries are plain data, and no shard update can panic between
+    /// its writes short of a broken index, which is a bug.
     #[must_use]
     pub fn shard_len(&self, shard: usize) -> usize {
         self.shards[shard]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .slots
             .len()
     }
 
@@ -284,7 +416,9 @@ impl OptimumMemo {
     }
 
     /// [`OptimumMemo::optimum`] plus whether the answer was a memo hit
-    /// or a fresh solve — serving layers report this per response.
+    /// or a fresh solve — serving layers report this per response. A
+    /// solve that loses the insert race to a concurrent solve of the
+    /// same key returns the retained answer (see the module docs).
     ///
     /// # Errors
     ///
@@ -300,8 +434,10 @@ impl OptimumMemo {
             return Ok((hit, Served::Hit));
         }
         let solved = optimize_rlc(line, driver, options)?;
-        self.insert(key, solved);
-        Ok((solved, Served::Solved))
+        // A racing solver may have stored this key meanwhile: serve its
+        // answer, so every caller of a key sees the first answer.
+        let answer = self.insert(key, solved).err().unwrap_or(solved);
+        Ok((answer, Served::Solved))
     }
 
     /// Total optimally-buffered delay of a route of `length`. The
@@ -348,10 +484,10 @@ impl OptimumMemo {
     /// to inspect the table without disturbing the counters.
     #[must_use]
     pub fn probe(&self, key: &MemoKey) -> Option<RlcOptimum> {
-        let entries = self.shards[self.shard_of(key)]
+        self.shards[self.shard_of(key)]
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        entries.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(key)
     }
 
     /// Inserts an already-solved optimum without touching the hit/miss
@@ -360,17 +496,19 @@ impl OptimumMemo {
     /// `false` if the key was already present (first answer wins, as
     /// everywhere). Evictions are counted as usual.
     pub fn preload(&self, key: MemoKey, value: RlcOptimum) -> bool {
-        self.insert(key, value)
+        self.insert(key, value).is_ok()
     }
 
-    /// Copies out every retained entry, shard by shard (insertion order
-    /// within a shard) — the warm-start snapshot writer.
+    /// Copies out every retained entry, shard by shard, each shard in
+    /// recency order (next eviction victim first) — the warm-start
+    /// snapshot writer. Preloading the copy into an empty memo of the
+    /// same layout rebuilds the same recency order.
     #[must_use]
     pub fn export(&self) -> Vec<(MemoKey, RlcOptimum)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let entries = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            out.extend(entries.iter().copied());
+            let shard = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            out.extend(shard.iter().map(|s| (s.key, s.value)));
         }
         out
     }
@@ -380,14 +518,10 @@ impl OptimumMemo {
     /// counting lookup path promotes; [`OptimumMemo::probe`] and
     /// [`OptimumMemo::preload`] are order-neutral by contract.
     fn probe_promote(&self, key: &MemoKey) -> Option<RlcOptimum> {
-        let mut entries = self.shards[self.shard_of(key)]
+        self.shards[self.shard_of(key)]
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let index = entries.iter().position(|(k, _)| k == key)?;
-        let entry = entries.remove(index);
-        let value = entry.1;
-        entries.push(entry);
-        Some(value)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get_promote(key)
     }
 
     fn lookup(&self, key: &MemoKey) -> Option<RlcOptimum> {
@@ -404,33 +538,20 @@ impl OptimumMemo {
         hit
     }
 
-    /// Returns `true` if the entry was inserted (`false`: key already
-    /// present). A full shard evicts its front entry — the oldest
-    /// insert under [`Eviction::Fifo`], the least-recently-used entry
-    /// under [`Eviction::Lru`] (hits move entries to the back).
+    /// Stores `value` under `key`, or returns the value already stored
+    /// there (first answer wins). A full shard evicts its front entry —
+    /// the oldest insert under [`Eviction::Fifo`], the least-recently-used
+    /// entry under [`Eviction::Lru`] (hits move entries to the back).
     /// Eviction counting happens after the lock is released.
-    fn insert(&self, key: MemoKey, value: RlcOptimum) -> bool {
-        let (inserted, evicted) = {
-            let mut entries = self.shards[self.shard_of(&key)]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // A racing solver may have inserted the same key meanwhile;
-            // keep the first answer so repeated hits stay self-consistent.
-            if entries.iter().any(|(k, _)| *k == key) {
-                (false, false)
-            } else {
-                let evicted = entries.len() >= self.shard_capacity;
-                if evicted {
-                    entries.remove(0);
-                }
-                entries.push((key, value));
-                (true, evicted)
-            }
-        };
+    fn insert(&self, key: MemoKey, value: RlcOptimum) -> std::result::Result<(), RlcOptimum> {
+        let evicted = self.shards[self.shard_of(&key)]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(key, value, self.shard_capacity)?;
         if evicted {
             counter!("memo.evictions").incr();
         }
-        inserted
+        Ok(())
     }
 }
 
@@ -440,9 +561,15 @@ mod tests {
     use rlckit_tech::TechNode;
     use rlckit_units::HenriesPerMeter;
 
-    fn setup() -> (LineRlc, DriverParams) {
+    /// Also returns a guard on one lock that every test here holds
+    /// while it touches a memo: the `memo.*` counters are
+    /// process-global, so a sibling test running in parallel would
+    /// otherwise count into another's deltas.
+    fn setup() -> (std::sync::MutexGuard<'static, ()>, LineRlc, DriverParams) {
+        static COUNTERS: Mutex<()> = Mutex::new(());
         let node = TechNode::nm100();
         (
+            COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
             LineRlc::new(
                 node.line().resistance,
                 HenriesPerMeter::from_nano_per_milli(1.8),
@@ -494,7 +621,7 @@ mod tests {
     /// `quantize(0.0)` length component that no caller could vary.
     #[test]
     fn key_has_exactly_the_seven_live_words() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let opts = OptimizerOptions::default();
         let key = key_for(&line, &driver, opts);
         assert_eq!(key.len(), 7);
@@ -514,7 +641,7 @@ mod tests {
 
     #[test]
     fn second_ask_is_served_from_the_memo() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::default();
         let before = rlckit_trace::snapshot();
         let (a, first) = memo
@@ -544,7 +671,7 @@ mod tests {
 
     #[test]
     fn distinct_questions_do_not_collide() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::default();
         let a = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
         let other = LineRlc::new(
@@ -569,7 +696,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_the_oldest_entry() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::new(2);
         let before = rlckit_trace::snapshot();
         for nano_per_milli in [1.0, 1.4, 1.8] {
@@ -601,7 +728,7 @@ mod tests {
     /// oldest insert and therefore the first casualty of cold churn.)
     #[test]
     fn lru_hits_promote_and_redirect_eviction() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let opts = OptimizerOptions::default();
         let at = |nano_per_milli: f64| {
             LineRlc::new(
@@ -646,7 +773,7 @@ mod tests {
     /// recency ranking.
     #[test]
     fn lru_probe_and_preload_do_not_promote() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let opts = OptimizerOptions::default();
         let at = |nano_per_milli: f64| {
             LineRlc::new(
@@ -678,7 +805,7 @@ mod tests {
     /// all share **one** memo entry — one miss, then hits.
     #[test]
     fn optimum_and_route_delay_share_one_entry() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::default();
         let before = rlckit_trace::snapshot();
         let opt = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
@@ -701,7 +828,7 @@ mod tests {
 
     #[test]
     fn lcrit_is_served_from_the_optimum_entry() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::default();
         let before = rlckit_trace::snapshot();
         let opt = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
@@ -721,7 +848,7 @@ mod tests {
     /// entries mutex), so no telemetry-free locked read could exist.
     #[test]
     fn probe_is_telemetry_free_and_lookup_counts_outside_the_lock() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::default();
         let opts = OptimizerOptions::default();
         memo.optimum(&line, &driver, opts).unwrap();
@@ -742,9 +869,36 @@ mod tests {
         assert_eq!(delta.counter("memo.misses"), 0);
     }
 
+    /// First answer wins across a race: the solve that stores second
+    /// gets the first answer back, and the stored entry does not move.
+    #[test]
+    fn a_lost_insert_race_returns_the_stored_answer() {
+        let (_counters, line, driver) = setup();
+        let opts = OptimizerOptions::default();
+        let memo = OptimumMemo::sharded_with_eviction(1, 2, Eviction::Lru);
+        let key = key_for(&line, &driver, opts);
+        let first = optimize_rlc(&line, &driver, opts).unwrap();
+        let late = RlcOptimum {
+            segment_delay: Seconds::new(first.segment_delay.get() * 2.0),
+            ..first
+        };
+        assert_eq!(memo.insert(key, first), Ok(()));
+        let retained = memo.insert(key, late).expect_err("the key is already stored");
+        assert_eq!(
+            retained.segment_delay.get().to_bits(),
+            first.segment_delay.get().to_bits(),
+            "the losing insert must hand back the first answer"
+        );
+        assert_eq!(
+            memo.probe(&key).unwrap().segment_delay.get().to_bits(),
+            first.segment_delay.get().to_bits()
+        );
+        assert_eq!(memo.len(), 1);
+    }
+
     #[test]
     fn sharded_memo_routes_keys_stably_and_bounds_each_shard() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let memo = OptimumMemo::sharded(4, 2);
         assert_eq!(memo.shard_count(), 4);
         let mut inserted = Vec::new();
@@ -773,7 +927,7 @@ mod tests {
 
     #[test]
     fn preload_and_export_round_trip_without_counters() {
-        let (line, driver) = setup();
+        let (_counters, line, driver) = setup();
         let source = OptimumMemo::sharded(3, 8);
         for i in 0..5 {
             let l = LineRlc::new(

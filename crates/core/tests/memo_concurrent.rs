@@ -22,13 +22,21 @@
 //! so their answers must be the retained (exact-line) bits — noise in,
 //! canonical bits out.
 //!
+//! A final race phase makes first-insert races likely on purpose: the
+//! threads meet at a barrier, then all ask one fresh key, each with its
+//! own noisy line, so two racing solves carry different bits. Every
+//! answer of a key, hit or solve, must then be the retained entry's
+//! bits — the loser of an insert race gets the winner's answer back.
+//! Whether a given round races is up to the scheduler; the assertion
+//! holds either way.
+//!
 //! Everything lives in ONE `#[test]`: the `memo.*` counters are
 //! process-global, so a sibling test exercising the memo in parallel
 //! would break the exact counter arithmetic this test asserts.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rlckit::memo::{key_for, MemoKey, OptimumMemo, Served, QUANT_BITS};
+use rlckit::memo::{key_for, quantize, MemoKey, OptimumMemo, Served, QUANT_BITS};
 use rlckit::optimizer::{optimize_rlc, OptimizerOptions};
 use rlckit_numeric::rng::Rng;
 use rlckit_tech::TechNode;
@@ -38,11 +46,24 @@ use rlckit_units::HenriesPerMeter;
 const THREADS: u64 = 4;
 const ASKS_PER_THREAD: usize = 40;
 const UNIVERSE: usize = 10;
+const RACE_ROUNDS: usize = 12;
 
 fn universe_line(node: &TechNode, index: usize) -> LineRlc {
     LineRlc::new(
         node.line().resistance,
         HenriesPerMeter::from_nano_per_milli(0.4 + 0.45 * index as f64),
+        node.line().capacitance,
+    )
+}
+
+/// Round `round`'s race line as thread `thread` asks it: a bucket-exact
+/// inductance plus thread-dependent noise well inside the bucket, so
+/// every thread's line has the same key but its own solve bits.
+fn race_line(node: &TechNode, round: usize, thread: u64) -> LineRlc {
+    let exact = quantize(HenriesPerMeter::from_nano_per_milli(6.0 + 0.25 * round as f64).get());
+    LineRlc::new(
+        node.line().resistance,
+        HenriesPerMeter::new(f64::from_bits(exact + (thread << (QUANT_BITS - 4)))),
         node.line().capacitance,
     )
 }
@@ -199,6 +220,53 @@ fn concurrent_mixed_asks_preserve_the_memo_contract() {
         assert_eq!(
             retained.segment_length.get().to_bits(),
             cold.segment_length.get().to_bits()
+        );
+    }
+    // Race phase: a fresh memo, a barrier before each round, and one
+    // fresh key per round asked by every thread with its own noise.
+    let race_memo = OptimumMemo::sharded(shards, RACE_ROUNDS);
+    for round in 0..RACE_ROUNDS {
+        let mut bits: Vec<u64> = (0..THREADS)
+            .map(|t| {
+                let line = race_line(&node, round, t);
+                let cold = optimize_rlc(&line, &driver, options).expect("converges");
+                cold.segment_delay.get().to_bits()
+            })
+            .collect();
+        bits.dedup();
+        assert!(bits.len() > 1, "round {round}: the noise must change the solve bits");
+    }
+    let barrier = std::sync::Barrier::new(THREADS as usize);
+    let answers: Vec<(MemoKey, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (race_memo, barrier, node, driver) = (&race_memo, &barrier, &node, &driver);
+                scope.spawn(move || {
+                    (0..RACE_ROUNDS)
+                        .map(|round| {
+                            let line = race_line(node, round, t);
+                            barrier.wait();
+                            let (opt, _) = race_memo
+                                .optimum_served(&line, driver, options)
+                                .expect("physical inputs always converge");
+                            (key_for(&line, driver, options), opt.segment_delay.get().to_bits())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    });
+    assert_eq!(race_memo.len(), RACE_ROUNDS, "one entry per race key");
+    for (key, bits) in &answers {
+        let retained = race_memo.probe(key).expect("race key retained");
+        assert_eq!(
+            retained.segment_delay.get().to_bits(),
+            *bits,
+            "a caller got bits that differ from the retained first answer"
         );
     }
 }

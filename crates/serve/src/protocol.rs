@@ -42,60 +42,69 @@
 //! always produce equal bytes — the two-run byte-identity the tier-1
 //! serve smoke asserts hangs off this.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use rlckit::optimizer::OptimizerOptions;
 use rlckit::optimizer::RlcOptimum;
 use rlckit::memo::Served;
-use rlckit_tech::{DriverParams, TechNode};
+use rlckit_tech::{DriverParams, LineParams, TechNode};
 use rlckit_tline::LineRlc;
 use rlckit_units::{FaradsPerMeter, HenriesPerMeter, Meters, OhmsPerMeter, Seconds};
 
 /// A parsed scalar JSON value — all the protocol's flat objects need.
+/// Strings borrow from the request line unless they carry an escape.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+enum Value<'a> {
     Num(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Bool(bool),
     Null,
 }
 
+/// One parsed `(key, value)` pair, borrowing from the request line.
+type Field<'a> = (Cow<'a, str>, Value<'a>);
+
 /// Splits one flat JSON object line into `(key, value)` pairs. Strict
 /// about structure (quotes, escapes, commas), intolerant of nesting —
 /// the protocol is flat by design, and rejecting nesting keeps a
-/// hostile payload from smuggling fields.
-fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut bytes = line.trim().as_bytes();
-    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
+/// hostile payload from smuggling fields. Byte positions in messages
+/// count from just inside the opening brace.
+fn parse_object(line: &str) -> Result<Vec<Field<'_>>, String> {
+    let line = line.trim();
+    if !line.starts_with('{') || !line.ends_with('}') {
         return Err("request is not a JSON object".into());
     }
-    bytes = &bytes[1..bytes.len() - 1];
-    let mut fields = Vec::new();
+    let text = &line[1..line.len() - 1];
+    let bytes = text.as_bytes();
+    let mut fields: Vec<Field<'_>> = Vec::with_capacity(8);
     let mut pos = 0usize;
-    let skip_ws = |bytes: &[u8], mut p: usize| {
+    let skip_ws = |mut p: usize| {
         while matches!(bytes.get(p), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             p += 1;
         }
         p
     };
     loop {
-        pos = skip_ws(bytes, pos);
+        pos = skip_ws(pos);
         if pos == bytes.len() {
             if fields.is_empty() {
                 break; // {} is a valid (empty) object
             }
             return Err("trailing comma".into());
         }
-        let (key, next) = parse_string(bytes, pos)?;
-        pos = skip_ws(bytes, next);
+        let (key, next) = parse_string(text, pos)?;
+        pos = skip_ws(next);
         if bytes.get(pos) != Some(&b':') {
             return Err(format!("expected ':' after key {key:?}"));
         }
-        pos = skip_ws(bytes, pos + 1);
-        let (value, next) = parse_value(bytes, pos)?;
+        pos = skip_ws(pos + 1);
+        let (value, next) = parse_value(text, pos)?;
         if fields.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate field {key:?}"));
         }
         fields.push((key, value));
-        pos = skip_ws(bytes, next);
+        pos = skip_ws(next);
         match bytes.get(pos) {
             None => break,
             Some(b',') => pos += 1,
@@ -105,53 +114,63 @@ fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     Ok(fields)
 }
 
-/// Parses a quoted string starting at `pos`; returns it and the
-/// position after the closing quote.
-fn parse_string(bytes: &[u8], pos: usize) -> Result<(String, usize), String> {
+/// Parses a quoted string starting at byte `pos` of `text`; returns it
+/// and the position after the closing quote. A string without escapes
+/// is a slice of `text`; one with escapes is copied run by run.
+fn parse_string(text: &str, pos: usize) -> Result<(Cow<'_, str>, usize), String> {
+    let bytes = text.as_bytes();
     if bytes.get(pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
-    let mut out = String::new();
-    let mut p = pos + 1;
+    let mut unescaped: Option<String> = None;
+    // Every byte tested below is ASCII, so `run..p` always falls on
+    // UTF-8 boundaries.
+    let mut run = pos + 1;
+    let mut p = run;
     loop {
         match bytes.get(p) {
             None => return Err("unterminated string".into()),
-            Some(b'"') => return Ok((out, p + 1)),
+            Some(b'"') => {
+                let tail = &text[run..p];
+                let out = match unescaped {
+                    None => Cow::Borrowed(tail),
+                    Some(mut out) => {
+                        out.push_str(tail);
+                        Cow::Owned(out)
+                    }
+                };
+                return Ok((out, p + 1));
+            }
             Some(b'\\') => {
-                p += 1;
-                match bytes.get(p) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
+                let out = unescaped.get_or_insert_with(String::new);
+                out.push_str(&text[run..p]);
+                out.push(match bytes.get(p + 1) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
                     _ => return Err("unsupported escape".into()),
-                }
-                p += 1;
+                });
+                p += 2;
+                run = p;
             }
             Some(&c) if c < 0x20 => return Err("control byte in string".into()),
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input came from &str, so
-                // boundaries are valid).
-                let s = std::str::from_utf8(&bytes[p..]).map_err(|_| "bad utf-8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                p += c.len_utf8();
-            }
+            Some(_) => p += 1,
         }
     }
 }
 
-fn parse_value(bytes: &[u8], pos: usize) -> Result<(Value, usize), String> {
+fn parse_value(text: &str, pos: usize) -> Result<(Value<'_>, usize), String> {
+    let bytes = text.as_bytes();
     match bytes.get(pos) {
-        Some(b'"') => parse_string(bytes, pos).map(|(s, p)| (Value::Str(s), p)),
+        Some(b'"') => parse_string(text, pos).map(|(s, p)| (Value::Str(s), p)),
         Some(b't') if bytes[pos..].starts_with(b"true") => Ok((Value::Bool(true), pos + 4)),
         Some(b'f') if bytes[pos..].starts_with(b"false") => Ok((Value::Bool(false), pos + 5)),
         Some(b'n') if bytes[pos..].starts_with(b"null") => Ok((Value::Null, pos + 4)),
         Some(b'{' | b'[') => Err("nested containers are not part of the protocol".into()),
         Some(_) => {
-            let start = pos;
             let mut p = pos;
             while bytes
                 .get(p)
@@ -159,10 +178,11 @@ fn parse_value(bytes: &[u8], pos: usize) -> Result<(Value, usize), String> {
             {
                 p += 1;
             }
-            let text = std::str::from_utf8(&bytes[start..p]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
+            let number = &text[pos..p];
+            number
+                .parse::<f64>()
                 .map(|n| (Value::Num(n), p))
-                .map_err(|_| format!("bad number {text:?}"))
+                .map_err(|_| format!("bad number {number:?}"))
         }
         None => Err("missing value".into()),
     }
@@ -246,7 +266,7 @@ pub enum Request {
     },
 }
 
-fn get_num(fields: &[(String, Value)], key: &str) -> Result<Option<f64>, String> {
+fn get_num(fields: &[Field<'_>], key: &str) -> Result<Option<f64>, String> {
     match fields.iter().find(|(k, _)| k == key) {
         None => Ok(None),
         Some((_, Value::Num(n))) => Ok(Some(*n)),
@@ -254,12 +274,29 @@ fn get_num(fields: &[(String, Value)], key: &str) -> Result<Option<f64>, String>
     }
 }
 
-fn get_str<'a>(fields: &'a [(String, Value)], key: &str) -> Result<Option<&'a str>, String> {
+fn get_str<'a>(fields: &'a [Field<'_>], key: &str) -> Result<Option<&'a str>, String> {
     match fields.iter().find(|(k, _)| k == key) {
         None => Ok(None),
-        Some((_, Value::Str(s))) => Ok(Some(s.as_str())),
+        Some((_, Value::Str(s))) => Ok(Some(s)),
         Some((_, other)) => Err(format!("field {key:?} must be a string, got {other:?}")),
     }
+}
+
+/// The line and driver defaults of a named node. Built once per
+/// process: a [`TechNode`] allocates its name strings, which a request
+/// parse has no use for.
+fn node_defaults(name: &str) -> Option<(LineParams, DriverParams)> {
+    static NODES: OnceLock<[(LineParams, DriverParams); 3]> = OnceLock::new();
+    let index = ["250nm", "100nm", "100nm_eps33"].iter().position(|n| *n == name)?;
+    let nodes = NODES.get_or_init(|| {
+        [
+            TechNode::nm250(),
+            TechNode::nm100(),
+            TechNode::nm100_with_250nm_dielectric(),
+        ]
+        .map(|node| (node.line(), node.driver()))
+    });
+    Some(nodes[index])
 }
 
 fn require_positive(name: &str, x: f64) -> Result<f64, String> {
@@ -303,14 +340,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     };
 
     // Node defaults first, raw fields override.
-    let node = match get_str(&fields, "node")? {
+    let defaults = match get_str(&fields, "node")? {
         None => None,
-        Some("250nm") => Some(TechNode::nm250()),
-        Some("100nm") => Some(TechNode::nm100()),
-        Some("100nm_eps33") => Some(TechNode::nm100_with_250nm_dielectric()),
-        Some(other) => return Err(format!("unknown node {other:?}")),
+        Some(name) => Some(node_defaults(name).ok_or_else(|| format!("unknown node {name:?}"))?),
     };
-    let defaults = node.as_ref().map(|n| (n.line(), n.driver()));
 
     let r = match get_num(&fields, "r_ohm_per_m")? {
         Some(x) => require_positive("r_ohm_per_m", x)?,
@@ -665,6 +698,20 @@ mod tests {
                 err.to_lowercase().contains(&needle.to_lowercase()),
                 "{line}: expected {needle:?} in {err:?}"
             );
+        }
+    }
+
+    /// Escapes decode, unescaped text (multi-byte UTF-8 included)
+    /// passes through whole, and a bad escape is still an error.
+    #[test]
+    fn string_escapes_decode_and_utf8_passes_through() {
+        for (line, err) in [
+            (r#"{"id":1,"op":"a\/b\"c\\d\te"}"#, r#"unknown op "a/b\"c\\d\te""#),
+            (r#"{"id":1,"op":"größe"}"#, r#"unknown op "größe""#),
+            (r#"{"id":1,"op":"a\qb"}"#, "unsupported escape"),
+            (r#"{"id":1,"op":"stats","o\/p":1,"o\/p":2}"#, r#"duplicate field "o/p""#),
+        ] {
+            assert_eq!(parse_request(line).unwrap_err(), err, "{line}");
         }
     }
 

@@ -263,6 +263,62 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A snapshot keeps each shard's recency order: reloaded into the
+    /// same layout, an LRU memo exports the same sequence and evicts
+    /// the same key on its next cold insert.
+    #[test]
+    fn a_reloaded_lru_snapshot_keeps_the_recency_order() {
+        use rlckit::memo::{key_for, Eviction};
+        let node = TechNode::nm100();
+        let (driver, opts) = (node.driver(), OptimizerOptions::default());
+        let line = |i: u32| {
+            LineRlc::new(
+                node.line().resistance,
+                HenriesPerMeter::from_nano_per_milli(0.5 + 0.3 * f64::from(i)),
+                node.line().capacitance,
+            )
+        };
+        let asked = |memo: &OptimumMemo| {
+            // Under LRU the re-asks of 0 and 1 promote them; the 12
+            // other keys over 2 × 3 slots evict.
+            for i in 2..14 {
+                for j in [0, 1, i] {
+                    memo.optimum(&line(j), &driver, opts).unwrap();
+                }
+            }
+        };
+        let words = |memo: &OptimumMemo| -> Vec<(MemoKey, [u64; 8])> {
+            memo.export().iter().map(|(k, v)| (*k, encode_value(v))).collect()
+        };
+        let source = OptimumMemo::sharded_with_eviction(2, 3, Eviction::Lru);
+        asked(&source);
+        assert_eq!(source.len(), 6, "both shards must be full");
+        let fifo = OptimumMemo::sharded(2, 3);
+        asked(&fifo);
+        assert_ne!(words(&fifo), words(&source), "promotions must have reordered the shards");
+
+        let path = temp_path("recency.snap");
+        save_atomic(&path, &source).unwrap();
+        let target = OptimumMemo::sharded_with_eviction(2, 3, Eviction::Lru);
+        assert_eq!(load(&path, &target).unwrap(), LoadOutcome::Loaded(6));
+        assert_eq!(words(&target), words(&source));
+
+        let cold = line(40);
+        let cold_shard = source.shard_of(&key_for(&cold, &driver, opts));
+        let victim = |memo: &OptimumMemo| {
+            let before: Vec<MemoKey> = memo.export().iter().map(|(k, _)| *k).collect();
+            memo.optimum(&cold, &driver, opts).unwrap();
+            let gone: Vec<MemoKey> =
+                before.into_iter().filter(|k| memo.probe(k).is_none()).collect();
+            assert_eq!(gone.len(), 1, "a cold insert into a full shard evicts one key");
+            assert_eq!(memo.shard_of(&gone[0]), cold_shard);
+            gone[0]
+        };
+        assert_eq!(victim(&target), victim(&source));
+        assert_eq!(words(&target), words(&source));
+        std::fs::remove_file(&path).ok();
+    }
+
     /// `memo.tmp` must not double as its own temp file: a reader that
     /// opened the old snapshot keeps seeing it whole while a new one
     /// is saved.

@@ -142,6 +142,22 @@ if ! awk -v x="${serve_hits:-0}" 'BEGIN { exit !(x > 0) }'; then
   echo "tier-1 gate: FAIL — serve smoke took no memo hits (stats hits=${serve_hits:-missing})" >&2
   exit 1
 fi
+# Eviction-order leg: the same mix against a 2-shard memo of 4 entries
+# a shard, once per policy. Which requests hit depends only on the keys
+# and the eviction order, not on solver bits, so each stream's ordered
+# `id source` column must equal its golden file, captured from the
+# linear-scan `Vec` shard that the hashed shard replaced.
+for policy in lru fifo; do
+  cargo run --release --offline -q -p rlckit-serve -- \
+    --stdin --workers 2 --shard-capacity 4 --eviction "$policy" \
+    < "$serve_dir/mix.jsonl" 2>/dev/null \
+    | sed -n 's/^{"id":\([0-9]*\),.*"source":"\([a-z]*\)".*$/\1 \2/p' \
+    > "$serve_dir/evict_$policy.sources"
+  if ! cmp -s "tests/golden/serve_evict_$policy.sources" "$serve_dir/evict_$policy.sources"; then
+    echo "tier-1 gate: FAIL — --eviction $policy hit/miss sequence drifted from tests/golden/serve_evict_$policy.sources" >&2
+    exit 1
+  fi
+done
 # The extended stats response must carry the new observability fields:
 # a barrier stats is deterministic, so in_flight is exactly 0, and the
 # latency percentiles/uptime must at least be present (values are
