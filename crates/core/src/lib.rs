@@ -16,9 +16,6 @@
 //! * [`baselines`] — the prior art the paper argues against: the
 //!   Ismail–Friedman curve-fitted optimum [21, 22] and (re-exported from
 //!   the `rlckit-tline` crate) the Kahng–Muddu approximate delays \[23\].
-//! * [`batch`] — the batched structure-of-arrays optimizer core:
-//!   lockstep lanes over shared delay-solve batches, bit-identical to
-//!   the scalar path.
 //! * [`sweeps`] — the inductance sweeps behind Figs. 4–8.
 //! * [`planner`] — integer-repeater route planning on top of the
 //!   continuous optimum, with the delay/cost trade-off.
@@ -69,7 +66,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod batch;
 pub mod checkpoint;
 mod dual;
 pub mod elmore;
@@ -83,14 +79,12 @@ pub mod reliability;
 pub mod report;
 pub mod sweeps;
 
-pub use batch::{optimize_batch, RlcPoint};
 pub use elmore::{rc_optimum, RcOptimum};
 pub use optimizer::{optimize_rlc, OptimizerOptions, RetryPolicy, RlcOptimum};
 pub use outcome::{PointOutcome, Solved};
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::batch::{optimize_batch, RlcPoint};
     pub use crate::elmore::{rc_optimum, RcOptimum};
     pub use crate::optimizer::{
         optimize_rlc, optimize_rlc_direct, optimize_rlc_with_retry, segment_delay,

@@ -26,19 +26,12 @@ use rlckit_tline::twopole::Damping;
 use rlckit_tline::LineRlc;
 use rlckit_units::HenriesPerMeter;
 
-use crate::batch::{batch_point_outcomes, RlcPoint};
 use crate::checkpoint::{fingerprint64, CheckpointFile, CHECKPOINT_VERSION};
 use crate::elmore::{rc_optimum, RcOptimum};
 use crate::optimizer::{
     optimize_rlc_with_retry, segment_delay, OptimizerOptions, RetryPolicy, RlcOptimum,
 };
 use crate::outcome::{run_point, PointOutcome, Solved};
-
-/// Lanes per batched sweep column. Eight lanes fill the CPU's
-/// out-of-order window with independent `exp` chains (the win
-/// saturates shortly past the pipeline depth) while keeping enough
-/// columns in a small campaign for the guided scheduler to balance.
-const SWEEP_COLUMN_WIDTH: usize = 8;
 
 /// One point of an inductance sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,21 +137,15 @@ pub fn inductance_sweep_outcomes(
     parallelism: Parallelism,
 ) -> Result<Vec<PointOutcome<SweepPoint>>> {
     let rc = rc_optimum(line, driver);
-    let indexed: Vec<(usize, HenriesPerMeter)> = inductances.into_iter().enumerate().collect();
-    let columns: Vec<&[(usize, HenriesPerMeter)]> = indexed.chunks(SWEEP_COLUMN_WIDTH).collect();
-    let nested = par_map(&columns, parallelism, |_, column| {
-        Ok(sweep_column_outcomes(
-            line, driver, &rc, column, options, policy,
-        ))
-    })?;
-    Ok(nested.into_iter().flatten().collect())
+    let points: Vec<HenriesPerMeter> = inductances.into_iter().collect();
+    par_map(&points, parallelism, |i, &l| {
+        Ok(sweep_point_outcome(line, driver, &rc, i, l, options, policy))
+    })
 }
 
 /// The post-optimizer tail of one sweep point: the RC-design delay
-/// probe plus the [`SweepPoint`] assembly. Shared verbatim by the
-/// scalar per-point path and the batched column engine (both run it
-/// under the point's fault scope), which is what keeps the two paths
-/// bit-identical.
+/// probe plus the [`SweepPoint`] assembly, run under the point's fault
+/// scope.
 fn sweep_point_solved(
     rlc_line: &LineRlc,
     driver: &DriverParams,
@@ -188,49 +175,6 @@ fn sweep_point_solved(
         restarts: opt.restarts,
         degraded: opt.used_fallback,
     })
-}
-
-/// Solves one column of sweep points through the batched optimizer
-/// engine. Bit-identical to calling the scalar per-point path on each
-/// `(index, inductance)` pair in sequence: the engine replicates the
-/// clean solve exactly and retires any deviating lane to the genuine
-/// scalar path under the same scope key.
-fn sweep_column_outcomes(
-    line: &LineParams,
-    driver: &DriverParams,
-    rc: &RcOptimum,
-    column: &[(usize, HenriesPerMeter)],
-    options: OptimizerOptions,
-    policy: &RetryPolicy,
-) -> Vec<PointOutcome<SweepPoint>> {
-    // One span and one point tally per lane, as the scalar loop takes.
-    let _spans: Vec<_> = column.iter().map(|_| span!("sweep.point")).collect();
-    counter!("sweeps.points").add(column.len() as u64);
-    let lanes: Vec<RlcPoint> = column
-        .iter()
-        .map(|&(i, l)| RlcPoint {
-            line: LineRlc::new(line.resistance, l, line.capacitance),
-            scope: i as u64,
-        })
-        .collect();
-    let outcomes = batch_point_outcomes(
-        &lanes,
-        driver,
-        options,
-        |lane, opt| sweep_point_solved(&lanes[lane].line, driver, rc, options, opt),
-        |p| {
-            run_point(p.scope, policy, || {
-                let opt = optimize_rlc_with_retry(&p.line, driver, options, policy)?;
-                sweep_point_solved(&p.line, driver, rc, options, opt)
-            })
-        },
-    );
-    for outcome in &outcomes {
-        if outcome.is_failed() {
-            counter!("sweeps.no_convergence").incr();
-        }
-    }
-    outcomes
 }
 
 /// Solves one sweep point on the scalar path, under the point's own
@@ -379,17 +323,10 @@ pub fn inductance_sweep_checkpointed(
         }
     }
 
-    let columns: Vec<&[(usize, HenriesPerMeter)]> = missing.chunks(SWEEP_COLUMN_WIDTH).collect();
-    let nested = par_map(&columns, parallelism, |_, column| {
-        Ok(sweep_column_outcomes(
-            line, driver, &rc, column, options, policy,
-        ))
+    let computed = par_map(&missing, parallelism, |_, &(i, l)| {
+        Ok(sweep_point_outcome(line, driver, &rc, i, l, options, policy))
     })?;
-    let computed = columns
-        .iter()
-        .zip(nested)
-        .flat_map(|(column, outcomes)| column.iter().map(|&(i, _)| i).zip(outcomes));
-    for (i, outcome) in computed {
+    for (&(i, _), outcome) in missing.iter().zip(computed) {
         let point = outcome.into_result()?;
         checkpoint.append(i, &encode_sweep_point(&point))?;
         counter!("sweeps.checkpoint.streamed").incr();

@@ -1,7 +1,7 @@
-//! Campaign-scale bit identity: the batched sweep engine and the guided
+//! Campaign-scale bit identity: the sweep engine and the guided
 //! self-scheduler must not change a single bit of campaign output
-//! against the scalar per-point path — serial, at multiple thread
-//! counts, and under armed fault injection.
+//! against a hand-written scalar per-point reference — serial, at
+//! multiple thread counts, and under armed fault injection.
 //!
 //! Fault arming and trace counters are process-global, so every test
 //! takes `FAULT_LOCK` for its whole body and sets the armed state
@@ -77,11 +77,9 @@ fn point_bits(p: &SweepPoint) -> [u64; 4] {
 }
 
 /// The scalar sweep, replicated point by point from the public API —
-/// exactly the computation the batched column engine claims to
-/// reproduce bit for bit (and the same code the engine's own `redo`
-/// fallback runs for a retired lane). Each point solves under the same
-/// index scope the engine uses, so the replica also matches under
-/// armed fault injection.
+/// exactly the computation the sweep engine must reproduce bit for
+/// bit. Each point solves under the same index scope the engine uses,
+/// so the replica also matches under armed fault injection.
 fn scalar_sweep() -> Vec<SweepPoint> {
     let node = TechNode::nm100();
     let line = node.line();
@@ -127,7 +125,7 @@ fn scalar_sweep() -> Vec<SweepPoint> {
 }
 
 /// Every `SweepPoint` field as raw bits (plus the damping regime), for
-/// exact scalar-vs-batch comparison beyond what the CSV rounds off.
+/// exact reference-vs-engine comparison beyond what the CSV rounds off.
 fn full_bits(p: &SweepPoint) -> ([u64; 8], rlckit_tline::Damping) {
     (
         [
@@ -145,7 +143,7 @@ fn full_bits(p: &SweepPoint) -> ([u64; 8], rlckit_tline::Damping) {
 }
 
 #[test]
-fn batched_sweep_is_bit_identical_to_the_scalar_path() {
+fn sweep_is_bit_identical_to_the_scalar_reference() {
     let _guard = locked();
     rlckit_fault::disarm();
     let scalar = scalar_sweep();
@@ -155,9 +153,9 @@ fn batched_sweep_is_bit_identical_to_the_scalar_path() {
         ("2 threads", Parallelism::Threads(2)),
         ("5 threads", Parallelism::Threads(5)),
     ] {
-        let batched = sweep(parallelism);
-        assert_eq!(scalar.len(), batched.len());
-        for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
+        let swept = sweep(parallelism);
+        assert_eq!(scalar.len(), swept.len());
+        for (i, (s, b)) in scalar.iter().zip(&swept).enumerate() {
             assert_eq!(
                 full_bits(s),
                 full_bits(b),
@@ -166,23 +164,23 @@ fn batched_sweep_is_bit_identical_to_the_scalar_path() {
         }
         assert_eq!(
             reference_csv,
-            campaign_csv(&batched),
+            campaign_csv(&swept),
             "campaign CSV drifted from the scalar path ({label})"
         );
     }
 }
 
 #[test]
-fn batched_sweep_matches_the_scalar_path_under_armed_faults() {
+fn sweep_matches_the_scalar_reference_under_armed_faults() {
     let _guard = locked();
     rlckit_fault::disarm();
 
     rlckit_fault::arm(FAULT_SEED, 0.10);
     let before = rlckit_trace::snapshot();
     let scalar_csv = campaign_csv(&scalar_sweep());
-    let batched_serial = campaign_csv(&sweep(Parallelism::Serial));
-    let batched_two = campaign_csv(&sweep(Parallelism::Threads(2)));
-    let batched_five = campaign_csv(&sweep(Parallelism::Threads(5)));
+    let swept_serial = campaign_csv(&sweep(Parallelism::Serial));
+    let swept_two = campaign_csv(&sweep(Parallelism::Threads(2)));
+    let swept_five = campaign_csv(&sweep(Parallelism::Threads(5)));
     let delta = rlckit_trace::snapshot().since(&before);
     rlckit_fault::disarm();
 
@@ -191,13 +189,13 @@ fn batched_sweep_matches_the_scalar_path_under_armed_faults() {
         "seed {FAULT_SEED} at 10 % must inject into this grid"
     );
     for (label, armed) in [
-        ("serial", &batched_serial),
-        ("2 threads", &batched_two),
-        ("5 threads", &batched_five),
+        ("serial", &swept_serial),
+        ("2 threads", &swept_two),
+        ("5 threads", &swept_five),
     ] {
         assert_eq!(
             &scalar_csv, armed,
-            "armed batched CSV drifted from the armed scalar path ({label})"
+            "armed sweep CSV drifted from the armed scalar path ({label})"
         );
     }
 }

@@ -12,6 +12,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit::optimizer::{optimize_rlc_with_retry, OptimizerOptions, RetryPolicy};
 use rlckit::outcome::PointOutcome;
+use rlckit::planner::segment_count_tradeoff_outcomes;
 use rlckit::sweeps::{
     inductance_sweep_outcomes, standard_node_sweep, standard_node_sweep_resumable, SweepPoint,
 };
@@ -19,7 +20,7 @@ use rlckit_par::Parallelism;
 use rlckit_tech::TechNode;
 use rlckit_tline::twopole::Damping;
 use rlckit_tline::LineRlc;
-use rlckit_units::HenriesPerMeter;
+use rlckit_units::{HenriesPerMeter, Meters};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -447,4 +448,54 @@ fn property_any_fault_seed_preserves_the_clean_bits() {
         },
     );
     rlckit_fault::disarm();
+}
+
+/// The planner trade-off under live fault injection: fault decisions
+/// are per-scope, so an armed trade-off must be bit-identical across
+/// thread counts, and every retried point must land on the same plan
+/// values a disarmed run produces.
+#[test]
+fn armed_tradeoff_is_thread_invariant_and_value_stable() {
+    let _guard = locked();
+    let node = TechNode::nm100();
+    let line = LineRlc::new(
+        node.line().resistance,
+        HenriesPerMeter::from_nano_per_milli(1.8),
+        node.line().capacitance,
+    );
+    let driver = node.driver();
+    let route = Meters::from_milli(60.0);
+    let policy = RetryPolicy::default();
+    let run = |parallelism| {
+        segment_count_tradeoff_outcomes(&line, &driver, route, 0.5, 1..=12, &policy, parallelism)
+            .unwrap()
+    };
+
+    rlckit_fault::disarm();
+    let clean = run(Parallelism::Serial);
+
+    rlckit_fault::arm(2001, 0.3);
+    let serial = run(Parallelism::Serial);
+    let threaded = run(Parallelism::Threads(3));
+    rlckit_fault::disarm();
+
+    assert_eq!(serial.len(), threaded.len());
+    for (i, ((s, t), c)) in serial.iter().zip(&threaded).zip(&clean).enumerate() {
+        assert_eq!(s, t, "count {}: armed outcome drifted with threads", i + 1);
+        let (Some(armed), Some(clean)) = (s.value(), c.value()) else {
+            panic!("count {}: a plan failed", i + 1);
+        };
+        assert_eq!(
+            armed.repeater_size.to_bits(),
+            clean.repeater_size.to_bits(),
+            "count {}: retried plan drifted from the clean k",
+            i + 1
+        );
+        assert_eq!(
+            armed.total_delay.get().to_bits(),
+            clean.total_delay.get().to_bits(),
+            "count {}: retried plan drifted from the clean delay",
+            i + 1
+        );
+    }
 }

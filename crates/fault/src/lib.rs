@@ -220,47 +220,6 @@ pub fn with_scope<R>(key: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// An opaque saved injection scope, produced by [`fresh_scope`] or
-/// [`swap_scope`]. Lane-parallel engines that interleave several
-/// campaign points on one thread hold one `ScopeState` per lane and
-/// [`swap_scope`] it in around each lane's faultpoint-bearing work, so
-/// every lane sees exactly the per-scope hit sequence a sequential
-/// point-at-a-time run would have produced.
-#[derive(Clone, Copy)]
-pub struct ScopeState(Scope);
-
-impl ScopeState {
-    /// True if a fault has already fired in this scope state. Batched
-    /// engines check this after each wave of faultpoint-bearing work to
-    /// decide whether a lane must be retired to the scalar path.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.0.poisoned
-    }
-}
-
-/// A brand-new injection scope for `key`, identical to the state
-/// [`with_scope`] would install on entry: attempt 0, zero hits, not
-/// poisoned. The scope is *not* installed — pass it to [`swap_scope`].
-#[must_use]
-pub fn fresh_scope(key: u64) -> ScopeState {
-    ScopeState(Scope {
-        key,
-        attempt: 0,
-        hits: 0,
-        poisoned: false,
-    })
-}
-
-/// Installs `state` as the current thread's injection scope and returns
-/// the scope it replaced. Callers are responsible for restoring the
-/// previous state (swap it back) — unlike [`with_scope`] there is no
-/// panic-safe guard, so keep the swapped-in region free of unwinds or
-/// wrap it yourself.
-pub fn swap_scope(state: ScopeState) -> ScopeState {
-    ScopeState(SCOPE.with(|cell| cell.replace(state.0)))
-}
-
 /// Advances the current scope to its next attempt: resets the hit
 /// counter, clears the poison flag, and — because injection fires only
 /// at attempt 0 — guarantees the re-run is injection-free. Retry
@@ -551,41 +510,6 @@ mod tests {
             follow_env();
             // No RLCKIT_FAULTS in the test environment: disarmed.
             assert!(!armed());
-        });
-    }
-
-    #[test]
-    fn swapped_lane_scopes_replay_the_sequential_hit_sequence() {
-        locked(|| {
-            arm(31, 1.0);
-            // Reference: each scope run sequentially, recording which
-            // hit index fires.
-            let reference: Vec<Vec<u32>> = (0u64..4)
-                .map(|key| {
-                    with_scope(key, || {
-                        (0..TARGET_WINDOW)
-                            .filter(|_| should_inject("test.site"))
-                            .collect()
-                    })
-                })
-                .collect();
-            // Interleaved: four lane scopes advanced round-robin, one
-            // hit per lane per round, swapping each lane's state in and
-            // out around its hit.
-            let mut lanes: Vec<ScopeState> = (0u64..4).map(fresh_scope).collect();
-            let mut fired: Vec<Vec<u32>> = vec![Vec::new(); 4];
-            for hit in 0..TARGET_WINDOW {
-                for (lane, state) in lanes.iter_mut().enumerate() {
-                    let outer = swap_scope(*state);
-                    if should_inject("test.site") {
-                        fired[lane].push(hit);
-                    }
-                    *state = swap_scope(outer);
-                }
-            }
-            assert_eq!(fired, reference);
-            // The ambient scope is untouched by the lane swaps.
-            assert!(!poisoned());
         });
     }
 

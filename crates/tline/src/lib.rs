@@ -59,7 +59,6 @@
 
 pub mod abcd;
 pub mod awe;
-pub mod batch;
 pub mod coupled;
 pub mod dil;
 pub mod exact;
@@ -67,7 +66,6 @@ pub mod km;
 pub mod line;
 pub mod twopole;
 
-pub use batch::{solve_delays, DelayBatch, DelayConfig, DelayOutcome};
 pub use dil::DriverInterconnectLoad;
 pub use line::LineRlc;
 pub use twopole::{Damping, TwoPole};

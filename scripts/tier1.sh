@@ -31,13 +31,11 @@ fault_armed="$(mktemp -d)"
 sched_serial="$(mktemp -d)"
 sched_two="$(mktemp -d)"
 sched_five="$(mktemp -d)"
-batch_scalar="$(mktemp -d)"
-batch_on="$(mktemp -d)"
 serve_dir="$(mktemp -d)"
 campaign_dir="$(mktemp -d)"
 trap 'rm -f "$smoke_log" "$fault_log"; \
      rm -rf "$fault_clean" "$fault_armed" "$sched_serial" "$sched_two" "$sched_five" \
-            "$batch_scalar" "$batch_on" "$serve_dir" "$campaign_dir"' EXIT
+            "$serve_dir" "$campaign_dir"' EXIT
 RLCKIT_BENCH_SMOKE=1 RLCKIT_TRACE=summary cargo bench --offline --workspace 2>&1 \
   | tee "$smoke_log"
 if grep -q '\.no_convergence' "$smoke_log"; then
@@ -90,20 +88,6 @@ for bin in fig04_lcrit fig07_delay_ratio variation_monte_carlo; do
     fi
   done
 done
-
-# Batch identity: the lockstep structure-of-arrays engine must emit a
-# byte-identical campaign CSV to the scalar reference path on the
-# standard grids (fig07 runs standard_node_sweep at 25 points — the
-# `standard_100nm_25` workload — across all three nodes).
-# `RLCKIT_BATCH=off` routes every point through the scalar solver.
-RLCKIT_RESULTS_DIR="$batch_scalar" RLCKIT_BATCH=off \
-  cargo run --release --offline -q -p rlckit-bench --bin fig07_delay_ratio >/dev/null
-RLCKIT_RESULTS_DIR="$batch_on" \
-  cargo run --release --offline -q -p rlckit-bench --bin fig07_delay_ratio >/dev/null
-if ! cmp -s "$batch_scalar/fig07_delay_ratio.csv" "$batch_on/fig07_delay_ratio.csv"; then
-  echo "tier-1 gate: FAIL — fig07 CSV drifted between scalar and batched engines" >&2
-  exit 1
-fi
 
 # Serving smoke: boot the daemon twice over one seeded loadgen mix
 # (cold boot saves a warm-start snapshot; the second boot reloads it).
@@ -419,26 +403,6 @@ event_off="$(bench_metric trace_overhead event_record_disabled median)"
 if ! awk -v x="${event_off:-99}" 'BEGIN { exit !(x <= 25.0) }'; then
   echo "tier-1 gate: FAIL — disabled-path event record costs ${event_off:-missing} ns (> 25)" >&2
   exit 1
-fi
-# Batch-engine guards (BENCH_batch): the serial lockstep win must hold
-# on any machine; the ≥2× campaign target (batched columns under guided
-# threads vs the scalar serial PR 5 path) additionally needs real
-# parallelism, so it is asserted only when the committed JSON was
-# recorded with ≥2 CPUs (the speedup entries carry a `cores` field).
-floor="$(bench_metric batch optimize_batch_speedup median)"
-if ! awk -v x="${floor:-0}" 'BEGIN { exit !(x >= 1.05) }'; then
-  echo "tier-1 gate: FAIL — serial batch speedup regressed (${floor:-missing} < 1.05)" >&2
-  exit 1
-fi
-batch_cores="$(bench_metric batch sweep_campaign_speedup cores)"
-if awk -v c="${batch_cores:-1}" 'BEGIN { exit !(c >= 2) }'; then
-  campaign="$(bench_metric batch sweep_campaign_speedup median)"
-  if ! awk -v x="${campaign:-0}" 'BEGIN { exit !(x >= 2.0) }'; then
-    echo "tier-1 gate: FAIL — batched campaign speedup ${campaign:-missing} < 2.0 on ${batch_cores} CPUs" >&2
-    exit 1
-  fi
-else
-  echo "tier-1 gate: SKIP — BENCH_batch ≥2× campaign assertion (baseline recorded on ${batch_cores:-1} CPU; serial floor ${floor}x enforced instead)"
 fi
 # Parallel-speedup guard (BENCH_sweeps): meaningful only when the
 # recording machine had ≥2 CPUs — a single-CPU recording bakes in ~1×
