@@ -399,6 +399,7 @@ mod tests {
 
     #[test]
     fn recorded_events_come_back_with_all_fields() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         crate::event!(7, "test.events.fields", EventKind::Probe, 1);
         crate::event!(7, "test.events.fields", EventKind::Solve, 0);
@@ -414,6 +415,7 @@ mod tests {
 
     #[test]
     fn drain_order_is_trace_then_pipeline_not_timestamp() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         // Record out of pipeline order, across two traces, interleaved.
         crate::event!(22, "test.events.order", EventKind::Write, 0);
@@ -435,6 +437,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(false);
         crate::event!(1, "test.events.disabled", EventKind::Parse, 0);
         crate::set_enabled(true);
@@ -443,6 +446,7 @@ mod tests {
 
     #[test]
     fn ring_wrap_keeps_the_newest_events_and_counts_drops() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         // A dedicated thread owns a fresh ring, so the wrap arithmetic
         // is exact rather than entangled with sibling tests' events.
@@ -468,6 +472,7 @@ mod tests {
 
     #[test]
     fn events_from_multiple_threads_merge_into_one_stream() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         std::thread::scope(|s| {
             for t in 0..3u64 {
