@@ -4,8 +4,9 @@
 //!
 //! Three rungs are measured against a bare arithmetic baseline:
 //!
-//! * a counter increment / histogram observation (one relaxed
-//!   `fetch_add`; *not* gated on the enabled flag);
+//! * a counter increment (one relaxed `fetch_add` on the calling
+//!   thread's cell) and a histogram observation (two: bucket and sum);
+//!   neither is gated on the enabled flag;
 //! * a span guard with tracing **disabled** (one relaxed load, no clock
 //!   read, no allocation);
 //! * a span guard with tracing **enabled** (two `Instant::now()` calls
