@@ -205,7 +205,7 @@ impl TwoPole {
     /// exactly the expressions of the standalone methods, so the pair is
     /// bit-identical to calling them separately — the delay solve's
     /// determinism contract depends on this.
-    pub(crate) fn response_with_derivative(&self, t: f64) -> (f64, f64) {
+    fn response_with_derivative(&self, t: f64) -> (f64, f64) {
         if t <= 0.0 {
             return (0.0, 0.0);
         }
