@@ -7,9 +7,8 @@
 //! process (and every relaunched generation of a crashed shard)
 //! computes the same split without coordination.
 
-use rlckit::checkpoint::fingerprint64;
+use rlckit::checkpoint::{fingerprint64, CHECKPOINT_VERSION};
 use rlckit::optimizer::OptimizerOptions;
-use rlckit::sweeps::campaign_fingerprint;
 use rlckit_tech::TechNode;
 use rlckit_units::HenriesPerMeter;
 
@@ -84,13 +83,30 @@ impl CampaignSpec {
             .collect()
     }
 
-    /// The campaign fingerprint: hashes the node parameters, optimizer
-    /// options and the exact grid bits, so two campaigns agree on it
-    /// iff they would compute identical numbers.
+    /// The campaign fingerprint: hashes the log format version, the
+    /// node's line and driver parameters, the optimizer options and the
+    /// exact grid bits, so two campaigns agree on it iff they would
+    /// compute identical numbers. The words and their order are part
+    /// of the shard file format: changing them makes every existing
+    /// campaign directory recompute from scratch.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let tech = self.node.tech();
-        campaign_fingerprint(&tech.line(), &tech.driver(), &self.grid(), Self::options())
+        let (line, driver, options) = (tech.line(), tech.driver(), Self::options());
+        let grid = self.grid();
+        let header = [
+            u64::from(CHECKPOINT_VERSION),
+            line.resistance.get().to_bits(),
+            line.capacitance.get().to_bits(),
+            driver.output_resistance.get().to_bits(),
+            driver.input_capacitance.get().to_bits(),
+            driver.parasitic_capacitance.get().to_bits(),
+            options.threshold.to_bits(),
+            options.tolerance.to_bits(),
+            options.max_iterations as u64,
+            grid.len() as u64,
+        ];
+        fingerprint64(header.into_iter().chain(grid.iter().map(|l| l.get().to_bits())))
     }
 }
 
@@ -190,6 +206,17 @@ mod tests {
         assert_ne!(shard_fingerprint(a, 0, 3), shard_fingerprint(a, 1, 3));
         assert_ne!(shard_fingerprint(a, 0, 3), shard_fingerprint(a, 0, 4));
         assert_ne!(shard_fingerprint(a, 0, 3), shard_fingerprint(b, 0, 3));
+    }
+
+    /// Pinned values written by earlier releases: a change here makes
+    /// every existing campaign directory fail its fingerprint check and
+    /// recompute from scratch, so it must be a deliberate format bump.
+    #[test]
+    fn fingerprints_match_the_values_existing_shard_files_carry() {
+        let fp = spec().fingerprint();
+        assert_eq!(fp, 0x1555_8d5f_cc57_0508);
+        assert_eq!(shard_fingerprint(fp, 1, 3), 0xae67_cfd4_1361_d649);
+        assert_eq!(shard_fingerprint(fp, 0, 1), 0xfd65_e59c_2676_ee8a);
     }
 
     #[test]

@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use crate::grid::CampaignNode;
     use crate::merge::{merge_shards, read_shard_strict, render_csv};
+    use rlckit::sweeps::{encode_sweep_point, standard_node_sweep};
     use std::collections::BTreeSet;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -147,6 +148,92 @@ mod tests {
             node: CampaignNode::Nm100,
             points: 9,
         }
+    }
+
+    /// Every point's exact bits, as the in-process sweep engine
+    /// computes them.
+    fn plain_bits(spec: &CampaignSpec) -> Vec<Vec<u64>> {
+        standard_node_sweep(&spec.node.tech(), spec.points)
+            .unwrap()
+            .iter()
+            .map(encode_sweep_point)
+            .collect()
+    }
+
+    /// Every point's exact bits, as the strict merge reads them back
+    /// from a one-shard campaign directory.
+    fn merged_bits(spec: &CampaignSpec, dir: &std::path::Path) -> Vec<Vec<u64>> {
+        merge_shards(spec, dir, 1, &BTreeSet::new())
+            .unwrap()
+            .records
+            .values()
+            .map(|record| encode_sweep_point(record.point.as_ref().expect("a solved point")))
+            .collect()
+    }
+
+    /// Runs the one-shard campaign into a fresh `dir` and returns its
+    /// checkpoint path and contents.
+    fn completed_log(spec: &CampaignSpec, dir: &std::path::Path) -> (std::path::PathBuf, String) {
+        let full = run_shard(spec, 0, 1, dir, 0).unwrap();
+        assert_eq!((full.computed, full.resumed), (spec.points, 0));
+        let path = dir.join(shard_file_name(0, 1));
+        let contents = std::fs::read_to_string(&path).unwrap();
+        (path, contents)
+    }
+
+    /// A shard computes the in-process sweep's bits. A kill leaves the
+    /// header, some whole records and a torn line; the next run keeps
+    /// exactly the whole records, computes the rest, and the bits still
+    /// match. A run after that computes nothing.
+    #[test]
+    fn a_killed_shard_resumes_bit_identically() {
+        let spec = spec();
+        let dir = temp_dir("killed");
+        let (path, contents) = completed_log(&spec, &dir);
+        assert_eq!(merged_bits(&spec, &dir), plain_bits(&spec));
+        let kept = 3;
+        let mut truncated: String = contents
+            .lines()
+            .take(1 + kept)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let torn = contents.lines().nth(1 + kept).expect("a further record");
+        truncated.push_str(&torn[..torn.len() / 2]);
+        std::fs::write(&path, truncated).unwrap();
+
+        let resumed = run_shard(&spec, 0, 1, &dir, 1).unwrap();
+        assert_eq!(resumed.resumed, kept, "resume must keep exactly the whole records");
+        assert_eq!(resumed.computed, spec.points - kept, "resume must compute the rest");
+        assert_eq!(merged_bits(&spec, &dir), plain_bits(&spec));
+
+        let again = run_shard(&spec, 0, 1, &dir, 2).unwrap();
+        assert_eq!((again.computed, again.resumed), (0, spec.points));
+        assert_eq!(merged_bits(&spec, &dir), plain_bits(&spec));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One hex digit changed in a record still parses as a plausible
+    /// value; its checksum must make the next run recompute that point
+    /// rather than adopt the smudged bits.
+    #[test]
+    fn a_smudged_record_is_recomputed_bit_identically() {
+        let spec = spec();
+        let dir = temp_dir("smudged");
+        let (path, contents) = completed_log(&spec, &dir);
+        let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
+        let mut bytes = lines[1].clone().into_bytes();
+        let at = (bytes.len() / 2..bytes.len())
+            .find(|&i| bytes[i].is_ascii_hexdigit())
+            .expect("a hex digit in the record");
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        lines[1] = String::from_utf8(bytes).unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        let resumed = run_shard(&spec, 0, 1, &dir, 1).unwrap();
+        assert_eq!(resumed.resumed, spec.points - 1);
+        assert_eq!(resumed.computed, 1, "the smudged point must be recomputed");
+        assert_eq!(merged_bits(&spec, &dir), plain_bits(&spec));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! seeded SIGKILL-equivalent aborts scattered across shards and
 //! relaunch generations via `RLCKIT_SHARD_FAULTS` — merges to a CSV
 //! **byte-identical** to the single-process run. Replay a failure with
-//! `RLCKIT_CHECK_SEED`.
+//! `RLCKIT_CHECK_SEED`. With point faults armed as well
+//! (`RLCKIT_FAULTS`), a killed one-shard campaign that `solo` resumes
+//! must still match the armed uninterrupted `solo` byte for byte.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -148,4 +150,111 @@ fn hung_shards_are_stalled_out_and_recovered() {
     assert!(result.success, "run failed:\n{}", result.stderr);
     assert!(result.stderr.contains("0 degraded"), "{}", result.stderr);
     assert_eq!(result.csv, reference, "merged CSV differs from solo");
+}
+
+/// Runs one `rlckit-campaign` subcommand over this file's campaign with
+/// `RLCKIT_FAULTS` armed at `faults` (and, when given, a
+/// `RLCKIT_SHARD_FAULTS` kill schedule) and a trace summary on stderr.
+fn armed_command(
+    command: &str,
+    dir: &std::path::Path,
+    faults: &str,
+    shard_faults: Option<&str>,
+    extra: &[&str],
+) -> std::process::Output {
+    let spec = spec();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rlckit-campaign"));
+    cmd.args([command, "--node", spec.node.name()])
+        .args(["--points", &spec.points.to_string()])
+        .args(extra)
+        .arg("--dir")
+        .arg(dir)
+        .env("RLCKIT_FAULTS", faults)
+        .env("RLCKIT_TRACE", "summary")
+        .env_remove("RLCKIT_SHARD_FAULTS");
+    if let Some(schedule) = shard_faults {
+        cmd.env("RLCKIT_SHARD_FAULTS", schedule);
+    }
+    cmd.output().expect("spawn rlckit-campaign")
+}
+
+/// The value of counter `name` in a trace summary (0 when absent: the
+/// summary prints only nonzero counters).
+fn summary_counter(stderr: &[u8], name: &str) -> usize {
+    String::from_utf8_lossy(stderr)
+        .lines()
+        .find(|line| line.split_whitespace().nth(1) == Some(name))
+        .and_then(|line| line.split_whitespace().last()?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// The CSV with each row cut to its value columns (index through
+/// `rc_design_delay_s_per_m`), dropping `outcome,attempts`.
+fn value_columns(csv: &str) -> String {
+    csv.lines()
+        .map(|line| line.split(',').take(10).collect::<Vec<_>>().join(",") + "\n")
+        .collect()
+}
+
+/// Point faults and a process kill together: a one-shard campaign with
+/// `RLCKIT_FAULTS` armed is aborted part-way by a kill schedule, then
+/// `solo` resumes its directory under the same point faults. The CSV
+/// must be byte-identical to an armed uninterrupted `solo` (retry
+/// outcomes included, since a point's fault scope is its grid index),
+/// and its values must equal the clean run's.
+#[test]
+fn armed_kill_and_resume_of_solo_matches_the_uninterrupted_run() {
+    const FAULTS: &str = "2001:0.3";
+    let spec = spec();
+    let csv_of = |dir: &std::path::Path, output: &std::process::Output| {
+        assert!(
+            output.status.success(),
+            "solo failed:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let csv = std::fs::read_to_string(dir.with_extension("csv")).expect("solo CSV");
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_file(dir.with_extension("csv"));
+        csv
+    };
+
+    let whole_dir = fresh_dir("armed-whole");
+    let out = whole_dir.with_extension("csv");
+    let whole = armed_command("solo", &whole_dir, FAULTS, None, &["--out", out.to_str().unwrap()]);
+    let uninterrupted = csv_of(&whole_dir, &whole);
+    assert!(
+        uninterrupted.contains(",retried,"),
+        "{FAULTS} retried no point; the armed comparison would be vacuous"
+    );
+    assert_eq!(value_columns(&uninterrupted), value_columns(reference_csv()));
+
+    // A kill schedule whose first generation dies just before point
+    // `kept`, with some points already appended to the log.
+    let kept = 4usize;
+    let schedule = (0..10_000u64)
+        .map(|seed| format!("{seed}:0.25"))
+        .find(|raw| {
+            let fault = rlckit_fault::shard::parse_shard_spec(raw).expect("a valid spec");
+            (0..spec.points).position(|i| rlckit_fault::shard::should_fault(&fault, 0, i as u64))
+                == Some(kept)
+        })
+        .expect("a seed that first fires at point `kept`");
+    let dir = fresh_dir("armed-killed");
+    let killed = armed_command(
+        "shard",
+        &dir,
+        FAULTS,
+        Some(&schedule),
+        &["--index", "0", "--of", "1"],
+    );
+    assert!(!killed.status.success(), "the kill schedule {schedule} did not fire");
+
+    let out = dir.with_extension("csv");
+    let resume = armed_command("solo", &dir, FAULTS, None, &["--out", out.to_str().unwrap()]);
+    assert_eq!(summary_counter(&resume.stderr, "campaign.points.resumed"), kept);
+    assert_eq!(
+        summary_counter(&resume.stderr, "campaign.points.computed"),
+        spec.points - kept
+    );
+    assert_eq!(csv_of(&dir, &resume), uninterrupted);
 }

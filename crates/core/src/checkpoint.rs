@@ -1,5 +1,5 @@
-//! The crash-safe record log behind sweep checkpoints, campaign shard
-//! files and serve snapshots.
+//! The crash-safe record log behind campaign shard files (the
+//! `rlckit-campaign` shard runner's checkpoints) and serve snapshots.
 //!
 //! Every line of a log is a run of space-separated 16-digit lowercase
 //! hex words whose last word is [`fingerprint64`] over all the words
@@ -10,7 +10,7 @@
 //! checksum — so one flipped byte anywhere in a line, key included, is
 //! detected rather than read back as a plausible value.
 //!
-//! One implementation of each operation serves all three formats:
+//! One implementation of each operation serves both formats:
 //!
 //! - [`read_lenient`] keeps the records that checksum and drops the
 //!   rest, which covers a torn tail left by a writer killed mid-line;
@@ -20,9 +20,9 @@
 //! - [`rewrite`] writes a whole log to a `.tmp` sibling and renames it
 //!   over the target, so no reader ever sees a half-written file.
 //!
-//! A resumed checkpoint reproduces an uninterrupted run bit for bit:
-//! records hold exact `f64` bit patterns, and each point's fault scope
-//! and arithmetic depend only on its original grid index.
+//! A resumed campaign shard reproduces an uninterrupted run bit for
+//! bit: records hold exact `f64` bit patterns, and each point's fault
+//! scope and arithmetic depend only on its original grid index.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -29,9 +29,9 @@
 //!   binaries.
 //! * [`outcome`] — per-point campaign outcomes and the point-level
 //!   retry wrapper of the fault-tolerant campaign engine.
-//! * [`checkpoint`] — the checksummed record log behind sweep
-//!   checkpoints, campaign shard files and serve snapshots;
-//!   checkpoint/resume is bit-identical across kill-and-resume.
+//! * [`checkpoint`] — the checksummed record log behind campaign
+//!   shard files and serve snapshots; a resumed shard is
+//!   bit-identical to an uninterrupted one.
 //! * [`memo`] — bounded quantized-key memoization of whole-optimum
 //!   solves for serving layers (explicitly *not* used on campaign
 //!   paths, which require bit-identity).
@@ -92,8 +92,7 @@ pub mod prelude {
     };
     pub use crate::outcome::{run_point, PointOutcome, Solved};
     pub use crate::sweeps::{
-        inductance_sweep, inductance_sweep_checkpointed, inductance_sweep_outcomes,
-        standard_node_sweep_resumable, sweep_point_outcome, SweepPoint,
+        inductance_sweep, inductance_sweep_outcomes, sweep_point_outcome, SweepPoint,
     };
     pub use rlckit_tech::{DriverParams, LineParams, TechNode};
     pub use rlckit_tline::{Damping, DriverInterconnectLoad, LineRlc, TwoPole};

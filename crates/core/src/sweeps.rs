@@ -15,10 +15,15 @@
 //! `rlckit_par::par_map` reassembles in input order);
 //! `RLCKIT_THREADS=1` or [`inductance_sweep_with`] with
 //! [`Parallelism::Serial`] forces the serial path.
+//!
+//! This module keeps no state between calls. The resumable form of the
+//! Fig. 4–8 campaign is the `rlckit-campaign` crate (`solo` in one
+//! process, `run` across supervised shards): its shard runner solves
+//! one point at a time with [`sweep_point_outcome`] and appends each
+//! point to a checkpoint log, encoded by [`encode_sweep_point`], before
+//! it starts the next.
 
-use std::path::Path;
-
-use rlckit_numeric::{NumericError, Result};
+use rlckit_numeric::Result;
 use rlckit_par::{par_map, Parallelism};
 use rlckit_tech::{DriverParams, LineParams, TechNode};
 use rlckit_trace::{counter, span};
@@ -26,7 +31,6 @@ use rlckit_tline::twopole::Damping;
 use rlckit_tline::LineRlc;
 use rlckit_units::HenriesPerMeter;
 
-use crate::checkpoint::{fingerprint64, CheckpointFile, CHECKPOINT_VERSION};
 use crate::elmore::{rc_optimum, RcOptimum};
 use crate::optimizer::{
     optimize_rlc_with_retry, segment_delay, OptimizerOptions, RetryPolicy, RlcOptimum,
@@ -209,31 +213,6 @@ pub fn sweep_point_outcome(
     outcome
 }
 
-/// Fingerprints a sweep campaign's inputs (all as exact bit patterns)
-/// for checkpoint headers.
-#[must_use]
-pub fn campaign_fingerprint(
-    line: &LineParams,
-    driver: &DriverParams,
-    inductances: &[HenriesPerMeter],
-    options: OptimizerOptions,
-) -> u64 {
-    let mut words = vec![
-        u64::from(CHECKPOINT_VERSION),
-        line.resistance.get().to_bits(),
-        line.capacitance.get().to_bits(),
-        driver.output_resistance.get().to_bits(),
-        driver.input_capacitance.get().to_bits(),
-        driver.parasitic_capacitance.get().to_bits(),
-        options.threshold.to_bits(),
-        options.tolerance.to_bits(),
-        options.max_iterations as u64,
-        inductances.len() as u64,
-    ];
-    words.extend(inductances.iter().map(|l| l.get().to_bits()));
-    fingerprint64(words)
-}
-
 /// Encodes a [`SweepPoint`] as exact `u64` bit patterns for checkpoint
 /// and shard files (inverse of [`decode_sweep_point`]).
 #[must_use]
@@ -281,68 +260,6 @@ pub fn decode_sweep_point(words: &[u64]) -> Option<SweepPoint> {
     })
 }
 
-/// [`inductance_sweep_with`] with checkpoint/resume: completed
-/// points are streamed to `path` as they finish, and a restarted
-/// campaign skips them, recomputing only what is missing.
-///
-/// Because each point's fault scope and arithmetic depend only on its
-/// original grid index, a killed-and-resumed campaign produces results
-/// **bit-identical** to an uninterrupted run. A checkpoint whose header
-/// fingerprint does not match this campaign's inputs is discarded, so a
-/// stale file can never contaminate a different sweep. The file is kept
-/// after completion; re-running the same campaign serves every point
-/// from it.
-///
-/// # Errors
-///
-/// Surfaces per-point failures (after the retry ladder is exhausted)
-/// and checkpoint I/O failures as [`NumericError::InvalidInput`].
-pub fn inductance_sweep_checkpointed(
-    line: &LineParams,
-    driver: &DriverParams,
-    inductances: impl IntoIterator<Item = HenriesPerMeter>,
-    options: OptimizerOptions,
-    policy: &RetryPolicy,
-    path: &Path,
-    parallelism: Parallelism,
-) -> Result<Vec<SweepPoint>> {
-    let points: Vec<HenriesPerMeter> = inductances.into_iter().collect();
-    let fingerprint = campaign_fingerprint(line, driver, &points, options);
-    let (checkpoint, completed) = CheckpointFile::open(path, fingerprint)?;
-    let rc = rc_optimum(line, driver);
-
-    let mut results: Vec<Option<SweepPoint>> = vec![None; points.len()];
-    let mut missing: Vec<(usize, HenriesPerMeter)> = Vec::new();
-    for (i, &l) in points.iter().enumerate() {
-        match completed.get(&i).and_then(|words| decode_sweep_point(words)) {
-            Some(point) => {
-                counter!("sweeps.checkpoint.skipped").incr();
-                results[i] = Some(point);
-            }
-            None => missing.push((i, l)),
-        }
-    }
-
-    let computed = par_map(&missing, parallelism, |_, &(i, l)| {
-        Ok(sweep_point_outcome(line, driver, &rc, i, l, options, policy))
-    })?;
-    for (&(i, _), outcome) in missing.iter().zip(computed) {
-        let point = outcome.into_result()?;
-        checkpoint.append(i, &encode_sweep_point(&point))?;
-        counter!("sweeps.checkpoint.streamed").incr();
-        results[i] = Some(point);
-    }
-
-    results
-        .into_iter()
-        .map(|point| {
-            point.ok_or_else(|| {
-                NumericError::InvalidInput("checkpoint bookkeeping lost a point".to_string())
-            })
-        })
-        .collect()
-}
-
 /// Convenience: sweep a technology node over the paper's standard range
 /// `0 ≤ l < 5 nH/mm` with `n` points.
 ///
@@ -356,31 +273,6 @@ pub fn standard_node_sweep(node: &TechNode, n: usize) -> Result<Vec<SweepPoint>>
         &node.driver(),
         grid.into_iter().map(HenriesPerMeter::from_nano_per_milli),
         OptimizerOptions::default(),
-    )
-}
-
-/// [`standard_node_sweep`] with checkpoint/resume at `path` (see
-/// [`inductance_sweep_checkpointed`]): a killed run resumes from the
-/// completed points and reproduces the uninterrupted result
-/// bit-for-bit.
-///
-/// # Errors
-///
-/// See [`inductance_sweep_checkpointed`].
-pub fn standard_node_sweep_resumable(
-    node: &TechNode,
-    n: usize,
-    path: &Path,
-) -> Result<Vec<SweepPoint>> {
-    let grid = rlckit_numeric::grid::linspace(0.0, 4.95, n);
-    inductance_sweep_checkpointed(
-        &node.line(),
-        &node.driver(),
-        grid.into_iter().map(HenriesPerMeter::from_nano_per_milli),
-        OptimizerOptions::default(),
-        &RetryPolicy::default(),
-        path,
-        Parallelism::Auto,
     )
 }
 

@@ -1,21 +1,19 @@
 //! Integration tests for the fault-tolerant campaign engine: armed
 //! fault-injection campaigns must complete with per-point outcomes,
-//! retried points must be bit-identical to a clean run, and
-//! checkpoint/resume must reproduce an uninterrupted campaign exactly.
+//! and retried points must be bit-identical to a clean run.
+//! (Checkpoint/resume is the `rlckit-campaign` shard runner's job and
+//! is tested there.)
 //!
 //! Fault arming and trace counters are process-global, so every test
 //! takes `FAULT_LOCK` for its whole body and sets the armed state
 //! explicitly (the cargo test harness runs tests on multiple threads).
 
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit::optimizer::{optimize_rlc_with_retry, OptimizerOptions, RetryPolicy};
 use rlckit::outcome::PointOutcome;
 use rlckit::planner::segment_count_tradeoff_outcomes;
-use rlckit::sweeps::{
-    inductance_sweep_outcomes, standard_node_sweep, standard_node_sweep_resumable, SweepPoint,
-};
+use rlckit::sweeps::{inductance_sweep_outcomes, SweepPoint};
 use rlckit_par::Parallelism;
 use rlckit_tech::TechNode;
 use rlckit_tline::twopole::Damping;
@@ -66,16 +64,6 @@ fn point_bits(p: &SweepPoint) -> [u64; 9] {
         },
         p.rc_design_delay_per_length.to_bits(),
     ]
-}
-
-fn temp_checkpoint(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "rlckit-fault-tolerance-{name}-{}.ckpt",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
 }
 
 /// Seed for armed runs; chosen so a 10 % rate actually injects into
@@ -201,137 +189,6 @@ fn failed_points_are_isolated_from_their_neighbours() {
         .map(PointOutcome::into_result)
         .collect();
     assert!(legacy.is_err(), "failed points must surface as Err");
-}
-
-#[test]
-fn checkpoint_resume_reproduces_the_uninterrupted_campaign() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let node = TechNode::nm250();
-    let n = 9;
-    let uninterrupted = standard_node_sweep(&node, n).expect("plain sweep");
-
-    // A full checkpointed run must match the plain engine bit-for-bit.
-    let path = temp_checkpoint("resume");
-    let full = standard_node_sweep_resumable(&node, n, &path).expect("checkpointed sweep");
-    assert_eq!(full.len(), uninterrupted.len());
-    for (f, u) in full.iter().zip(&uninterrupted) {
-        assert_eq!(point_bits(f), point_bits(u));
-    }
-
-    // Simulate a kill: keep the header and the first three point lines,
-    // then a torn partial line where the process died mid-write.
-    let kept = 3usize;
-    let contents = std::fs::read_to_string(&path).expect("checkpoint readable");
-    let mut truncated: String = contents
-        .lines()
-        .take(1 + kept)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let torn = contents
-        .lines()
-        .nth(1 + kept)
-        .expect("a further point line");
-    truncated.push_str(&torn[..torn.len() / 2]);
-    std::fs::write(&path, truncated).expect("truncate checkpoint");
-
-    let before = rlckit_trace::snapshot();
-    let resumed = standard_node_sweep_resumable(&node, n, &path).expect("resumed sweep");
-    let delta = rlckit_trace::snapshot().since(&before);
-    assert_eq!(
-        delta.counter("sweeps.checkpoint.skipped"),
-        kept as u64,
-        "resume must skip exactly the surviving points"
-    );
-    assert_eq!(
-        delta.counter("sweeps.checkpoint.streamed"),
-        (n - kept) as u64,
-        "resume must recompute exactly the missing points"
-    );
-    for (i, (r, u)) in resumed.iter().zip(&uninterrupted).enumerate() {
-        assert_eq!(
-            point_bits(r),
-            point_bits(u),
-            "point {i}: kill-and-resume drifted from the uninterrupted run"
-        );
-    }
-
-    // A re-run over the complete file serves everything from the
-    // checkpoint.
-    let before = rlckit_trace::snapshot();
-    let memoized = standard_node_sweep_resumable(&node, n, &path).expect("memoized sweep");
-    let delta = rlckit_trace::snapshot().since(&before);
-    assert_eq!(delta.counter("sweeps.checkpoint.skipped"), n as u64);
-    assert_eq!(delta.counter("sweeps.checkpoint.streamed"), 0);
-    for (m, u) in memoized.iter().zip(&uninterrupted) {
-        assert_eq!(point_bits(m), point_bits(u));
-    }
-
-    // Kill-and-resume under armed fault injection: scope keys are the
-    // original grid indices, so the resumed points still reproduce the
-    // clean bits.
-    std::fs::write(
-        &path,
-        contents
-            .lines()
-            .take(1 + kept)
-            .map(|l| format!("{l}\n"))
-            .collect::<String>(),
-    )
-    .expect("truncate checkpoint again");
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let armed_resume = standard_node_sweep_resumable(&node, n, &path).expect("armed resume");
-    rlckit_fault::disarm();
-    for (i, (r, u)) in armed_resume.iter().zip(&uninterrupted).enumerate() {
-        assert_eq!(
-            point_bits(r),
-            point_bits(u),
-            "point {i}: armed resume drifted from the uninterrupted run"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-/// One hex digit changed in a checkpointed point still parses as a
-/// plausible value. Resume must recompute that point, not adopt the
-/// smudged bits.
-#[test]
-fn a_smudged_checkpoint_point_is_recomputed_bit_identically() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let node = TechNode::nm250();
-    let n = 9;
-    let uninterrupted = standard_node_sweep(&node, n).expect("plain sweep");
-    let path = temp_checkpoint("smudge");
-    standard_node_sweep_resumable(&node, n, &path).expect("checkpointed sweep");
-
-    let contents = std::fs::read_to_string(&path).expect("checkpoint readable");
-    let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
-    let mut bytes = lines[1].clone().into_bytes();
-    let at = (bytes.len() / 2..bytes.len())
-        .find(|&i| bytes[i].is_ascii_hexdigit())
-        .expect("a hex digit in the point line");
-    bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
-    lines[1] = String::from_utf8(bytes).expect("ascii line");
-    std::fs::write(&path, lines.join("\n") + "\n").expect("smudge checkpoint");
-
-    let before = rlckit_trace::snapshot();
-    let resumed = standard_node_sweep_resumable(&node, n, &path).expect("resumed sweep");
-    let delta = rlckit_trace::snapshot().since(&before);
-    assert_eq!(delta.counter("sweeps.checkpoint.skipped"), (n - 1) as u64);
-    assert_eq!(
-        delta.counter("sweeps.checkpoint.streamed"),
-        1,
-        "the smudged point must be recomputed"
-    );
-    for (i, (r, u)) in resumed.iter().zip(&uninterrupted).enumerate() {
-        assert_eq!(
-            point_bits(r),
-            point_bits(u),
-            "point {i}: resume adopted smudged checkpoint bits"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
