@@ -109,22 +109,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries and never degrades: the first
-    /// failure is surfaced as-is. Useful in tests that need to observe
-    /// raw solver errors.
-    #[must_use]
-    pub fn fail_fast() -> Self {
-        Self {
-            max_transient_retries: 0,
-            max_restarts: 0,
-            perturbation: 0.0,
-            seed: 0,
-            nelder_mead_fallback: false,
-        }
-    }
-}
-
 /// The result of an RLC repeater-insertion optimization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlcOptimum {

@@ -49,9 +49,8 @@
 //! The `Auto` count is resolved **once per process** (the same pattern
 //! `rlckit-trace` uses for `RLCKIT_TRACE`): a campaign resolves the same
 //! worker count at every stage, and the hot path never pays a per-call
-//! env lookup or cgroup read. Tests and embedders that need a different
-//! count mid-process use [`set_threads`], which takes precedence over
-//! the cached value.
+//! env lookup or cgroup read. Code that needs a particular count passes
+//! [`Parallelism::Threads`] to the call instead.
 //!
 //! # When `Auto` spawns
 //!
@@ -133,19 +132,14 @@ impl Parallelism {
     }
 }
 
-/// The `Auto` worker count: a [`set_threads`] override when active,
-/// else `RLCKIT_THREADS` when it parses as a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if even that is
-/// unavailable). Both are read once per process; later mutations of
-/// the process environment or of the CPU quota do not change the
-/// resolved count. (`available_parallelism` reads the cgroup quota
+/// The `Auto` worker count: `RLCKIT_THREADS` when it parses as a
+/// positive integer, otherwise [`std::thread::available_parallelism`]
+/// (1 if even that is unavailable). Both are read once per process;
+/// later mutations of the process environment or of the CPU quota do
+/// not change the resolved count. (`available_parallelism` reads the cgroup quota
 /// files on Linux, which costs tens of microseconds per call.)
 #[must_use]
 pub fn available_threads() -> usize {
-    let forced = FORCED_THREADS.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
     *AUTO_THREADS.get_or_init(|| {
         env_threads().unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -153,23 +147,10 @@ pub fn available_threads() -> usize {
     })
 }
 
-/// Programmatically overrides the [`Parallelism::Auto`] worker count,
-/// taking precedence over the cached `RLCKIT_THREADS` value. Pass
-/// `Some(n)` to force `n` workers (clamped to ≥ 1) or `None` to restore
-/// the environment/auto-detected count. Intended for tests and
-/// embedders that must change the count mid-process now that the
-/// environment variable is read only once.
-pub fn set_threads(n: Option<usize>) {
-    FORCED_THREADS.store(n.map_or(0, |v| v.max(1)), Ordering::Relaxed);
-}
-
-/// Once-per-process cache of the `Auto` worker count without a
-/// [`set_threads`] override: the parsed `RLCKIT_THREADS` value, or the
-/// detected parallelism when it is unset or unparseable.
+/// Once-per-process cache of the `Auto` worker count: the parsed
+/// `RLCKIT_THREADS` value, or the detected parallelism when it is unset
+/// or unparseable.
 static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
-
-/// Programmatic [`set_threads`] override; 0 means "no override".
-static FORCED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Reads and parses `RLCKIT_THREADS` (called at most once per process).
 fn env_threads() -> Option<usize> {
