@@ -311,6 +311,26 @@ if ! cmp -s "$campaign_dir/solo.csv" "$campaign_dir/run.csv"; then
   echo "tier-1 gate: FAIL — supervised campaign CSV drifted from the single-process run" >&2
   exit 1
 fi
+# Point-fault leg on the campaign path: the solo campaign with
+# RLCKIT_FAULTS armed must take injected faults, retry at least one
+# point, and keep every value column (index through
+# rc_design_delay_s_per_m) of the clean solo CSV; only the
+# outcome,attempts columns may differ.
+RLCKIT_FAULTS=2001:0.1 RLCKIT_TRACE=summary \
+  cargo run --release --offline -q -p rlckit-campaign -- solo \
+  --dir "$campaign_dir/armed" --out "$campaign_dir/armed.csv" 2> "$campaign_dir/armed.log"
+if ! grep -q 'injected_faults' "$campaign_dir/armed.log"; then
+  echo "tier-1 gate: FAIL — armed solo campaign took no injected faults (harness disarmed?)" >&2
+  exit 1
+fi
+if ! grep -q ',retried,' "$campaign_dir/armed.csv"; then
+  echo "tier-1 gate: FAIL — armed solo campaign retried no point" >&2
+  exit 1
+fi
+if ! cmp -s <(cut -d, -f1-10 "$campaign_dir/solo.csv") <(cut -d, -f1-10 "$campaign_dir/armed.csv"); then
+  echo "tier-1 gate: FAIL — armed solo campaign values drifted from the clean run" >&2
+  exit 1
+fi
 
 # Perf guard on the committed bench baselines: the delay solver must
 # hold the paper's ≤4-iteration claim, and one optimizer solve must not
