@@ -23,12 +23,11 @@
 //! cross-check ([`optimize_rlc_direct`]); property tests assert the two
 //! agree.
 
-use std::cell::Cell;
-
-use rlckit_numeric::dense::Matrix;
+use rlckit_numeric::dense::solve2;
 use rlckit_numeric::minimize::{nelder_mead, NelderMeadOptions};
 use rlckit_numeric::rng::Rng;
-use rlckit_numeric::roots::{newton_system, RootOptions};
+use rlckit_numeric::roots::RootOptions;
+use rlckit_numeric::stats::peak_abs;
 use rlckit_numeric::{Complex, NumericError, Result};
 use rlckit_tech::DriverParams;
 use rlckit_trace::{counter, histogram, span};
@@ -327,12 +326,11 @@ impl Residuals {
         self.tau.v + self.tau.dh * (h - self.h) + self.tau.dk * (k - self.k)
     }
 
-    /// The Jacobian in the optimizer's scaled unknowns `u = (h/h₀, k/k₀)`.
-    fn scaled_jacobian(&self, h0: f64, k0: f64, m: &mut Matrix) {
-        for i in 0..2 {
-            m[(i, 0)] = self.jac[i][0] * h0;
-            m[(i, 1)] = self.jac[i][1] * k0;
-        }
+    /// The residuals and their Jacobian in the optimizer's scaled
+    /// unknowns `u = (h/h₀, k/k₀)`.
+    fn scaled(&self, h0: f64, k0: f64) -> Linearized {
+        let row = |j: [f64; 2]| [j[0] * h0, j[1] * k0];
+        (self.g, [row(self.jac[0]), row(self.jac[1])])
     }
 }
 
@@ -428,6 +426,117 @@ pub(crate) fn residuals(
     })
 }
 
+/// Residuals `g` at one point and their Jacobian `∂g/∂u` (row `i` is
+/// `∂gᵢ`), as [`newton2`] consumes them.
+type Linearized = ([f64; 2], [[f64; 2]; 2]);
+
+/// A converged [`newton2`] solve.
+#[derive(Debug)]
+struct Root2 {
+    x: [f64; 2],
+    /// `max |gᵢ|` at `x`.
+    residual: f64,
+    iterations: usize,
+}
+
+/// Damped Newton for the stationarity system `g(x) = 0` (§2.2), from
+/// `x` where `eval` already gave `first`.
+///
+/// `eval(x)` returns the residuals together with their exact Jacobian
+/// (NaN residuals where it cannot evaluate), so each trial point costs
+/// one evaluation and the accepted trial's Jacobian drives the next
+/// step. The step, solved by [`solve2`], is halved up to 30 times until
+/// the residual norm `max |gᵢ|` drops; a non-finite trial is rejected.
+/// This damping is what lets the optimizer cross the critically-damped
+/// manifold where the residual is non-smooth.
+///
+/// Convergence requires the residual norm to meet `options.f_tol`, or a
+/// full (undamped) Newton step under `options.x_tol` while improving. A
+/// damped step is never taken as convergence on its size alone.
+///
+/// Fault injection: one faultpoint before the first iteration, and a
+/// fail-stop after every evaluation once the scope took an injection —
+/// otherwise the next halving would re-evaluate cleanly and the solve
+/// would "recover" onto a different (bit-drifted) iterate path.
+///
+/// # Errors
+///
+/// [`NumericError::NoConvergence`] when the budget runs out or the line
+/// search stalls, [`NumericError::SingularMatrix`] for a singular
+/// Jacobian, [`NumericError::NonFiniteResidual`] for a non-finite
+/// residual, and [`NumericError::InjectedFault`].
+fn newton2(
+    mut eval: impl FnMut([f64; 2]) -> Linearized,
+    mut x: [f64; 2],
+    first: Linearized,
+    options: RootOptions,
+) -> Result<Root2> {
+    const INJECTED: NumericError = NumericError::InjectedFault {
+        site: "optimizer.newton",
+    };
+    if rlckit_fault::faultpoint!("optimizer.newton") || rlckit_fault::poisoned() {
+        return Err(INJECTED);
+    }
+    let (mut g, mut jac) = first;
+    let mut rnorm = peak_abs(&g);
+    let mut iterations = options.max_iterations;
+    for iteration in 1..=options.max_iterations {
+        if !rnorm.is_finite() {
+            return Err(NumericError::NonFiniteResidual {
+                at: peak_abs(&x),
+                iteration,
+            });
+        }
+        if rnorm <= options.f_tol {
+            return Ok(Root2 {
+                x,
+                residual: rnorm,
+                iterations: iteration - 1,
+            });
+        }
+        let step = solve2(jac, g)?;
+        let mut lambda = 1.0f64;
+        let mut accepted = false;
+        for _ in 0..30 {
+            let trial = [x[0] - lambda * step[0], x[1] - lambda * step[1]];
+            let (trial_g, trial_jac) = eval(trial);
+            if rlckit_fault::poisoned() {
+                return Err(INJECTED);
+            }
+            let tnorm = peak_abs(&trial_g);
+            if tnorm.is_finite() && tnorm < rnorm {
+                (x, g, jac, rnorm) = (trial, trial_g, trial_jac, tnorm);
+                // A small step means convergence only when it is a full
+                // Newton step or the residual meets `f_tol`: a step the
+                // line search had to cut short is small because the
+                // model is bad there, not because the root is near.
+                if (lambda == 1.0 || tnorm <= options.f_tol)
+                    && lambda * peak_abs(&step) <= options.x_tol * peak_abs(&x).max(1.0)
+                {
+                    return Ok(Root2 {
+                        x,
+                        residual: rnorm,
+                        iterations: iteration,
+                    });
+                }
+                accepted = true;
+                break;
+            }
+            lambda *= 0.5;
+        }
+        if !accepted {
+            counter!("optimizer.newton.line_search_stalls").incr();
+            iterations = iteration;
+            break;
+        }
+    }
+    counter!("optimizer.newton.budget_exhausted").incr();
+    Err(NumericError::NoConvergence {
+        iterations,
+        residual: rnorm,
+    })
+}
+
 /// Optimizes `(h, k)` for minimum delay per unit length by the paper's
 /// Newton method on the stationarity residuals, starting from the Elmore
 /// optimum. Falls back to [`optimize_rlc_direct`] if Newton fails.
@@ -505,79 +614,49 @@ pub fn optimize_rlc_with_retry(
     let h0 = rc.segment_length.get();
     let k0 = rc.repeater_size;
 
-    // Unknowns are scaled: u = (h/h₀, k/k₀). `last` holds the attempt's
-    // last successful evaluation: its Jacobian is what `jac` hands the
-    // solver (the solver asks for the Jacobian exactly where it last
-    // evaluated), and its delay gradient warm-starts the next delay
-    // solve. `preflight_pending` is a one-shot flag: the retry loop below
-    // evaluates the start `u₀` itself, and `newton_system`'s first
-    // evaluation — which is at `u₀` — takes that value instead of
-    // re-solving.
-    let last: Cell<Option<Residuals>> = Cell::new(None);
-    let preflight_pending = Cell::new(false);
-    let evaluate = |h: f64, k: f64| {
-        let start = last.get().map(|r| r.predict_delay(h, k));
-        let r = residuals(line, driver, h, k, options.threshold, start)?;
-        last.set(Some(r));
-        Ok::<_, NumericError>(r)
-    };
-    let eval = |u: &[f64], out: &mut [f64]| {
-        let (h, k) = (u[0] * h0, u[1] * k0);
-        let g = if preflight_pending.replace(false) {
-            last.get().map(|r| r.g)
-        } else if h > 0.0 && k > 0.0 {
-            evaluate(h, k).ok().map(|r| r.g)
-        } else {
-            None
-        };
-        out.copy_from_slice(&g.unwrap_or([f64::NAN; 2]));
-    };
-    let jac = |u: &[f64], m: &mut Matrix| {
-        let (h, k) = (u[0] * h0, u[1] * k0);
-        let here = match last.get() {
-            Some(r) if r.h == h && r.k == k => Some(r),
-            _ => evaluate(h, k).ok(),
-        };
-        match here {
-            Some(r) => r.scaled_jacobian(h0, k0, m),
-            None => *m = Matrix::from_rows(&[&[f64::NAN; 2], &[f64::NAN; 2]]),
-        }
-    };
-
     let mut restart_rng = Rng::new(policy.seed);
     let mut u0 = [1.0, 1.0];
     let mut transient_retries = 0u32;
     let mut restarts = 0u32;
     let last_error = loop {
-        // Every attempt starts cold: no warm start carries over from a
-        // failed attempt, so a retried attempt retraces exactly the
-        // delay solves a first attempt from `u₀` would make.
-        last.set(None);
-        // Pre-flight: evaluate the residuals at the starting point
-        // before handing the solver the closure, and pass the value on
-        // as the solver's first evaluation, so the pre-flight replaces
-        // (rather than adds to) the first delay solve. A failing start
+        // Unknowns are scaled: u = (h/h₀, k/k₀). Pre-flight: evaluate
+        // the residuals at the start point before the Newton iteration
+        // and hand the value over as its first point, so a failing start
         // feeds the retry ladder the genuine error class: injected
         // faults re-run, numerical failures restart perturbed, and a
         // degenerate start (InvalidInput) fails the point at once
-        // instead of burning restarts on NaN residuals.
-        let preflight = {
-            let (h, k) = (u0[0] * h0, u0[1] * k0);
-            if h <= 0.0 || k <= 0.0 {
-                Err(NumericError::InvalidInput(format!(
-                    "optimizer start must be positive, got h = {h:e}, k = {k:e}"
-                )))
-            } else {
-                evaluate(h, k)
-            }
+        // instead of burning restarts on NaN residuals. Every attempt
+        // starts cold, so a retried attempt retraces exactly the delay
+        // solves a first attempt from `u₀` would make.
+        let (h, k) = (u0[0] * h0, u0[1] * k0);
+        let preflight = if h <= 0.0 || k <= 0.0 {
+            Err(NumericError::InvalidInput(format!(
+                "optimizer start must be positive, got h = {h:e}, k = {k:e}"
+            )))
+        } else {
+            residuals(line, driver, h, k, options.threshold, None)
         };
         let attempt = preflight
-            .and_then(|_| {
-                preflight_pending.set(true);
-                newton_system(
+            .and_then(|first| {
+                // The last successful evaluation, rejected trials
+                // included: its delay gradient warm-starts the next
+                // delay solve.
+                let mut last = first;
+                let eval = |u: [f64; 2]| {
+                    let (h, k) = (u[0] * h0, u[1] * k0);
+                    if h > 0.0 && k > 0.0 {
+                        let start = Some(last.predict_delay(h, k));
+                        if let Ok(r) = residuals(line, driver, h, k, options.threshold, start) {
+                            last = r;
+                            return r.scaled(h0, k0);
+                        }
+                    }
+                    ([f64::NAN; 2], [[f64::NAN; 2]; 2])
+                };
+                newton2(
                     eval,
-                    jac,
-                    &u0,
+                    u0,
+                    first.scaled(h0, k0),
                     RootOptions {
                         x_tol: options.tolerance,
                         f_tol: 1e-10,
@@ -814,9 +893,7 @@ mod tests {
     /// and the central-difference oracle over the scaled unknowns, each
     /// row relative to its largest entry.
     fn jacobian_gap(line: &LineRlc, driver: &DriverParams, h: f64, k: f64, f: f64) -> f64 {
-        let r = residuals(line, driver, h, k, f, None).unwrap();
-        let mut analytic = Matrix::zeros(2, 2);
-        r.scaled_jacobian(h, k, &mut analytic);
+        let (_, analytic) = residuals(line, driver, h, k, f, None).unwrap().scaled(h, k);
         let oracle = rlckit_numeric::fd::central_jacobian(
             |u: &[f64], out: &mut [f64]| {
                 let g = residuals(line, driver, u[0] * h, u[1] * k, f, None).unwrap().g;
@@ -830,7 +907,7 @@ mod tests {
         for i in 0..2 {
             let scale = oracle[(i, 0)].abs().max(oracle[(i, 1)].abs());
             for j in 0..2 {
-                gap = gap.max((analytic[(i, j)] - oracle[(i, j)]).abs() / scale);
+                gap = gap.max((analytic[i][j] - oracle[(i, j)]).abs() / scale);
             }
         }
         gap
@@ -1081,5 +1158,160 @@ mod tests {
         let opt = optimize_rlc(&line, &node.driver(), OptimizerOptions::default()).unwrap();
         assert!(opt.segment_length.get() > 0.0);
         assert!(opt.repeater_size > 1.0);
+    }
+
+    #[test]
+    fn critical_damping_start_keeps_its_outcome() {
+        // The start point made exactly critical: 250 nm, l = l_crit of
+        // the RC-optimal (h, k), so b₁² − 4b₂ rounds below the 1e-30
+        // nudge in `pole_derivatives` and the residuals are rough there.
+        // The default ladder restarts once and converges. The expected
+        // bits were captured with the generic N-dimensional Newton that
+        // the 2×2 driver replaced.
+        let node = TechNode::nm250();
+        let d = node.driver();
+        let rc = rc_optimum(&node.line(), &d);
+        let (h, k) = (rc.segment_length.get(), rc.repeater_size);
+        let l_crit =
+            segment_structure(&line_for(&node, 1.0), &d, Meters::new(h), k).critical_inductance();
+        let line = LineRlc::new(node.line().resistance, l_crit, node.line().capacitance);
+        let opt = optimize_rlc_with_retry(
+            &line,
+            &d,
+            OptimizerOptions::default(),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            (opt.restarts, opt.used_fallback, opt.iterations),
+            (1, false, 4)
+        );
+        assert_eq!(opt.segment_length.get().to_bits(), 0x3f8c_b870_e9d7_e58d);
+        assert_eq!(opt.repeater_size.to_bits(), 0x407d_b4b6_e292_901f);
+    }
+
+    /// [`newton2`] from `x0`, evaluating the first point itself.
+    fn newton2_from(
+        eval: impl Fn([f64; 2]) -> Linearized,
+        x0: [f64; 2],
+        options: RootOptions,
+    ) -> Result<Root2> {
+        newton2(&eval, x0, eval(x0), options)
+    }
+
+    #[test]
+    fn newton2_on_rosenbrock_gradient() {
+        // Roots of the gradient of Rosenbrock's function: (1, 1).
+        let eval = |x: [f64; 2]| {
+            (
+                [
+                    -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
+                    200.0 * (x[1] - x[0] * x[0]),
+                ],
+                [
+                    [2.0 - 400.0 * (x[1] - 3.0 * x[0] * x[0]), -400.0 * x[0]],
+                    [-400.0 * x[0], 200.0],
+                ],
+            )
+        };
+        let sol = newton2_from(
+            eval,
+            [-0.5, 0.5],
+            RootOptions {
+                max_iterations: 200,
+                ..RootOptions::default()
+            },
+        )
+        .unwrap();
+        assert!((sol.x[0] - 1.0).abs() < 1e-8);
+        assert!((sol.x[1] - 1.0).abs() < 1e-8);
+    }
+
+    #[test]
+    fn newton2_keeps_caller_f_tol_strict_on_budget_exhaustion() {
+        // Regression: on budget exhaustion the solver used to accept
+        // `rnorm <= f_tol.max(1e-9)`, silently overriding a stricter
+        // caller-requested f_tol. Newton on `x³` contracts by 2/3 per
+        // step, so a budget of 30 from `x₀ = 1` lands the residual near
+        // 1.4e-16 — far above an `f_tol` of 1e-40, inside the old window.
+        // (The second component is a trivial `x₁ = 0`.)
+        let eval = |x: [f64; 2]| {
+            (
+                [x[0] * x[0] * x[0], x[1]],
+                [[3.0 * x[0] * x[0], 0.0], [0.0, 1.0]],
+            )
+        };
+        let strict = RootOptions {
+            f_tol: 1e-40,
+            x_tol: 1e-30,
+            max_iterations: 30,
+        };
+        match newton2_from(eval, [1.0, 0.0], strict) {
+            Err(NumericError::NoConvergence { residual, .. }) => {
+                assert!(residual > 1e-40 && residual < 1e-9, "residual {residual:e}")
+            }
+            other => panic!("strict f_tol must not be loosened, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn newton2_backtracks_from_nan_trials() {
+        // Regression: the residual `ln x` is NaN outside the positive
+        // quadrant, and the full Newton step from (3, 0.5) lands at
+        // x₀ ≈ −0.30. The NaN-blind norm read that trial as an exact
+        // root (norm 0), accepted it and returned x₀ < 0 as converged.
+        // The trial must be rejected and the step halved instead.
+        let eval = |x: [f64; 2]| {
+            (
+                [x[0].ln(), x[1].ln()],
+                [[1.0 / x[0], 0.0], [0.0, 1.0 / x[1]]],
+            )
+        };
+        let sol = newton2_from(eval, [3.0, 0.5], RootOptions::default()).unwrap();
+        assert!((sol.x[0] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
+        assert!((sol.x[1] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
+        assert!(sol.residual <= RootOptions::default().f_tol);
+    }
+
+    #[test]
+    fn newton2_rejects_a_damped_small_step_with_large_residual() {
+        // Regression: `1 − t + 1e8·t²` has no root (its minimum is
+        // 1 − 2.5e-9 at t = 5e-9). From t = 0 the full Newton step is 1,
+        // and the line search must halve it 27 times before the norm
+        // drops, leaving a 7.5e-9 step under x_tol = 1e-8. The solver
+        // used to take that damped step's size as convergence and
+        // return Ok with a residual of ≈ 1; it must keep iterating and
+        // fail honestly.
+        let eval = |x: [f64; 2]| {
+            (
+                [1.0 - x[0] + 1e8 * x[0] * x[0], x[1]],
+                [[-1.0 + 2e8 * x[0], 0.0], [0.0, 1.0]],
+            )
+        };
+        let options = RootOptions {
+            x_tol: 1e-8,
+            f_tol: 1e-10,
+            max_iterations: 50,
+        };
+        match newton2_from(eval, [0.0, 0.0], options) {
+            Err(NumericError::NoConvergence { residual, .. }) => {
+                assert!(residual > 0.99, "residual {residual:e}")
+            }
+            other => panic!("a rootless system must not converge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn newton2_solves_a_linear_system_in_one_step() {
+        let eval = |x: [f64; 2]| {
+            (
+                [2.0 * x[0] + x[1] - 3.0, x[0] + 3.0 * x[1] - 5.0],
+                [[2.0, 1.0], [1.0, 3.0]],
+            )
+        };
+        let sol = newton2_from(eval, [0.0, 0.0], RootOptions::default()).unwrap();
+        assert!(sol.iterations <= 2);
+        assert!((sol.x[0] - 0.8).abs() < 1e-12);
+        assert!((sol.x[1] - 1.4).abs() < 1e-12);
     }
 }

@@ -322,15 +322,16 @@ impl LuFactors {
     }
 }
 
-/// Solves the 2×2 system `J·d = g` in closed form.
+/// Solves the 2×2 system `J·d = g` without allocating.
 ///
 /// This is the inner linear solve of the paper's Newton iteration on the
-/// stationarity residuals (step 4 in §2.2).
+/// stationarity residuals (step 4 in §2.2). It performs the operations
+/// of [`Matrix::lu`] and [`LuFactors::solve`] on a 2×2, in the same
+/// order, so the two agree bit for bit (NaN entries included).
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::SingularMatrix`] if the determinant underflows
-/// relative to the matrix magnitude.
+/// Returns [`NumericError::SingularMatrix`] if a pivot is exactly zero.
 ///
 /// # Examples
 ///
@@ -344,19 +345,26 @@ impl LuFactors {
 /// # }
 /// ```
 pub fn solve2(j: [[f64; 2]; 2], g: [f64; 2]) -> Result<[f64; 2]> {
-    let det = j[0][0] * j[1][1] - j[0][1] * j[1][0];
-    let scale = j[0][0]
-        .abs()
-        .max(j[0][1].abs())
-        .max(j[1][0].abs())
-        .max(j[1][1].abs());
-    if det.abs() <= f64::EPSILON * scale * scale {
+    // Partial pivoting: swap only on a strictly larger entry.
+    let (top, bottom, b) = if j[1][0].abs() > j[0][0].abs() {
+        (j[1], j[0], [g[1], g[0]])
+    } else {
+        (j[0], j[1], g)
+    };
+    if top[0] == 0.0 {
         return Err(NumericError::SingularMatrix { pivot: 0 });
     }
-    Ok([
-        (g[0] * j[1][1] - g[1] * j[0][1]) / det,
-        (j[0][0] * g[1] - j[1][0] * g[0]) / det,
-    ])
+    let factor = bottom[0] / top[0];
+    let pivot = if factor != 0.0 {
+        bottom[1] - factor * top[1]
+    } else {
+        bottom[1]
+    };
+    if pivot == 0.0 {
+        return Err(NumericError::SingularMatrix { pivot: 1 });
+    }
+    let d1 = (b[1] - factor * b[0]) / pivot;
+    Ok([(b[0] - top[1] * d1) / top[0], d1])
 }
 
 #[cfg(test)]
@@ -444,6 +452,48 @@ mod tests {
         assert!((d[0] - -4.0).abs() < 1e-12);
         assert!((d[1] - 4.5).abs() < 1e-12);
         assert!(solve2([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn solve2_is_the_lu_solve_bit_for_bit() {
+        // Seeded random, badly scaled, near-singular and NaN-carrying
+        // 2×2s: same bits (or the same error) as `Matrix::solve`.
+        let mut rng = crate::rng::Rng::new(0x2b2);
+        let mut cases = Vec::new();
+        for _ in 0..2000 {
+            let mut m = [[0.0; 2]; 2];
+            for v in m.iter_mut().flatten() {
+                *v = rng.uniform(-1.0, 1.0) * 10f64.powf(rng.uniform(-12.0, 12.0));
+            }
+            let g = [rng.uniform(-1.0, 1.0), rng.uniform(-1e6, 1e6)];
+            // Near-singular: second row a multiple of the first, off by
+            // about one rounding.
+            let t = rng.uniform(-3.0, 3.0);
+            let near = [m[0], [m[0][0] * t, m[0][1] * t * (1.0 + 1e-15)]];
+            let (i, j) = (
+                (rng.next_f64() * 2.0) as usize,
+                (rng.next_f64() * 2.0) as usize,
+            );
+            let mut holed = m;
+            holed[i][j] = f64::NAN;
+            cases.extend([(m, g), (near, g), (holed, g), (m, [g[0], f64::NAN])]);
+        }
+        cases.extend([
+            ([[0.0, 1.0], [1.0, 0.0]], [3.0, 7.0]),
+            ([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0]),
+            ([[1.0, 2.0], [1.0, 2.0]], [1.0, 1.0]),
+            ([[-2.0, 1.0], [2.0, 5.0]], [1.0, 1.0]),
+            ([[0.0, 1.0], [f64::NAN, 2.0]], [1.0, 1.0]),
+            ([[f64::NAN, 1.0], [1.0, 2.0]], [1.0, 1.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [f64::INFINITY, 1.0]),
+        ]);
+        for (m, g) in cases {
+            let lu = Matrix::from_rows(&[&m[0], &m[1]])
+                .solve(&g)
+                .map(|x| [x[0].to_bits(), x[1].to_bits()]);
+            let fixed = solve2(m, g).map(|x| [x[0].to_bits(), x[1].to_bits()]);
+            assert_eq!(fixed, lu, "{m:?} {g:?}");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! * [`complex`] — a `Complex` type with the transcendental functions used
 //!   by transmission-line transfer functions (`exp`, `sqrt`, `cosh`, …).
 //! * [`dense`] — dense matrices and LU factorization with partial
-//!   pivoting, used by small modified-nodal-analysis systems and the
-//!   2×2 Newton steps of the optimizer.
+//!   pivoting, and the fixed-size `solve2` behind the 2×2 Newton steps
+//!   of the optimizer.
 //! * [`sparse`] — a triplet-assembled sparse matrix and a sparse LU solver
 //!   with partial pivoting, used by the circuit-simulator substrate.
 //! * [`roots`] — scalar root finding (Newton–Raphson, bisection, Brent,
-//!   bracket expansion) and damped Newton for nonlinear systems.
+//!   bracket expansion).
 //! * [`minimize`] — golden-section search and Nelder–Mead, used as
 //!   derivative-free cross-checks of the paper's Newton optimizer.
 //! * [`poly`] — dense polynomials with Durand–Kerner complex root finding,

@@ -1,9 +1,9 @@
-//! Scalar and small-system root finding.
+//! Scalar root finding.
 //!
 //! The paper's delay computation solves the transcendental crossing
 //! equation (Eq. 3) with Newton–Raphson; this module provides that solver
 //! plus the bracketing fallbacks that make it robust far from the
-//! asymptotic regime, and a damped Newton for small nonlinear systems.
+//! asymptotic regime.
 
 use crate::{NumericError, Result};
 use rlckit_trace::{counter, histogram, Counter, Histogram};
@@ -601,158 +601,6 @@ fn newton_bracketed_impl(
     })
 }
 
-/// Result of a converged system Newton solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemRoot {
-    /// Solution vector.
-    pub x: Vec<f64>,
-    /// Infinity norm of the residual at `x`.
-    pub residual: f64,
-    /// Number of Newton iterations spent.
-    pub iterations: usize,
-}
-
-/// The infinity norm `max |vᵢ|` of `v`, NaN if any entry is NaN.
-///
-/// `f64::max` ignores a NaN operand, so a plain `fold(0.0, f64::max)`
-/// reads a NaN residual as 0 — an exact root. [`newton_system`]'s line
-/// search must see such a trial as the failure it is and backtrack.
-#[must_use]
-pub fn inf_norm(v: &[f64]) -> f64 {
-    crate::stats::peak_abs(v)
-}
-
-/// Damped Newton for a small nonlinear system `F(x) = 0`.
-///
-/// The caller supplies the residual `f(x, &mut out)` and Jacobian
-/// `jac(x, &mut out_matrix)` (row-major, dense). The step is damped by
-/// halving until the residual norm does not increase (simple Armijo-type
-/// backtracking), which is what lets the optimizer cross the
-/// critically-damped manifold where the residual is non-smooth.
-///
-/// A trial whose residual is non-finite (NaN included, see
-/// [`inf_norm`]) is rejected and the step halved.
-///
-/// Convergence requires the residual norm to meet `options.f_tol`, or
-/// a full (undamped) Newton step under `options.x_tol` while improving.
-/// A damped step is never taken as convergence on its size alone. If
-/// the iteration budget runs out with the residual still above `f_tol`,
-/// the solve fails.
-///
-/// # Errors
-///
-/// Returns [`NumericError::NoConvergence`] on budget exhaustion,
-/// [`NumericError::SingularMatrix`] if the Jacobian is singular, or
-/// [`NumericError::NonFiniteResidual`] if residuals become non-finite.
-pub fn newton_system(
-    f: impl FnMut(&[f64], &mut [f64]),
-    jac: impl FnMut(&[f64], &mut crate::dense::Matrix),
-    x0: &[f64],
-    options: RootOptions,
-) -> Result<SystemRoot> {
-    counter!("roots.newton_system.solves").incr();
-    if rlckit_fault::faultpoint!("roots.newton_system") {
-        return Err(NumericError::InjectedFault {
-            site: "roots.newton_system",
-        });
-    }
-    let result = newton_system_impl(f, jac, x0, options);
-    match &result {
-        Ok(root) => {
-            histogram!("roots.newton_system.iterations").observe(root.iterations as u64);
-        }
-        Err(NumericError::NoConvergence { .. }) => {
-            counter!("roots.newton_system.budget_exhausted").incr();
-        }
-        Err(_) => {}
-    }
-    result
-}
-
-fn newton_system_impl(
-    mut f: impl FnMut(&[f64], &mut [f64]),
-    mut jac: impl FnMut(&[f64], &mut crate::dense::Matrix),
-    x0: &[f64],
-    options: RootOptions,
-) -> Result<SystemRoot> {
-    let n = x0.len();
-    let mut x = x0.to_vec();
-    let mut residual = vec![0.0; n];
-    let mut jacobian = crate::dense::Matrix::zeros(n, n);
-
-    f(&x, &mut residual);
-    crate::injected_abort("roots.newton_system")?;
-    let mut rnorm = inf_norm(&residual);
-    for iteration in 1..=options.max_iterations {
-        if !rnorm.is_finite() {
-            return Err(NumericError::NonFiniteResidual {
-                at: inf_norm(&x),
-                iteration,
-            });
-        }
-        if rnorm <= options.f_tol {
-            return Ok(SystemRoot {
-                x,
-                residual: rnorm,
-                iterations: iteration - 1,
-            });
-        }
-        jac(&x, &mut jacobian);
-        crate::injected_abort("roots.newton_system")?;
-        let step = jacobian.lu()?.solve(&residual)?;
-
-        // Backtracking line search on the residual norm.
-        let mut lambda = 1.0f64;
-        let mut accepted = false;
-        let mut trial = vec![0.0; n];
-        let mut trial_res = vec![0.0; n];
-        for _ in 0..30 {
-            for i in 0..n {
-                trial[i] = x[i] - lambda * step[i];
-            }
-            f(&trial, &mut trial_res);
-            // An injected fault inside a trial evaluation surfaces as a
-            // NaN residual here; without this fail-stop the next
-            // halving would re-evaluate cleanly and the solve would
-            // "recover" onto a different (bit-drifted) iterate path.
-            crate::injected_abort("roots.newton_system")?;
-            let tnorm = inf_norm(&trial_res);
-            if tnorm.is_finite() && tnorm < rnorm {
-                x.copy_from_slice(&trial);
-                residual.copy_from_slice(&trial_res);
-                // A small step means convergence only when it is a full
-                // Newton step or the residual meets `f_tol`: a step the
-                // line search had to cut short is small because the
-                // model is bad there, not because the root is near.
-                let step_small = (lambda == 1.0 || tnorm <= options.f_tol)
-                    && lambda * inf_norm(&step) <= options.x_tol * inf_norm(&x).max(1.0);
-                rnorm = tnorm;
-                accepted = true;
-                if step_small {
-                    return Ok(SystemRoot {
-                        x,
-                        residual: rnorm,
-                        iterations: iteration,
-                    });
-                }
-                break;
-            }
-            lambda *= 0.5;
-        }
-        if !accepted {
-            counter!("roots.newton_system.line_search_stalls").incr();
-            return Err(NumericError::NoConvergence {
-                iterations: iteration,
-                residual: rnorm,
-            });
-        }
-    }
-    Err(NumericError::NoConvergence {
-        iterations: options.max_iterations,
-        residual: rnorm,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,122 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn system_newton_on_rosenbrock_gradient() {
-        // Roots of the gradient of Rosenbrock's function: (1, 1).
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
-            out[1] = 200.0 * (x[1] - x[0] * x[0]);
-        };
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 2.0 - 400.0 * (x[1] - 3.0 * x[0] * x[0]);
-            m[(0, 1)] = -400.0 * x[0];
-            m[(1, 0)] = -400.0 * x[0];
-            m[(1, 1)] = 200.0;
-        };
-        let sol = newton_system(
-            f,
-            jac,
-            &[-0.5, 0.5],
-            RootOptions {
-                max_iterations: 200,
-                ..RootOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((sol.x[0] - 1.0).abs() < 1e-8);
-        assert!((sol.x[1] - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn system_newton_keeps_caller_f_tol_strict_on_budget_exhaustion() {
-        // Regression: on budget exhaustion the solver used to accept
-        // `rnorm <= f_tol.max(1e-9)`, silently overriding a stricter
-        // caller-requested f_tol. Newton on `x³` contracts by 2/3 per
-        // step, so a budget of 30 from `x₀ = 1` lands the residual near
-        // 1.4e-16 — far above an `f_tol` of 1e-40, inside the old window.
-        let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] * x[0] * x[0];
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 3.0 * x[0] * x[0];
-        };
-        let strict = RootOptions {
-            f_tol: 1e-40,
-            x_tol: 1e-30,
-            max_iterations: 30,
-        };
-        match newton_system(f, jac, &[1.0], strict) {
-            Err(NumericError::NoConvergence { residual, .. }) => {
-                assert!(residual > 1e-40 && residual < 1e-9, "residual {residual:e}")
-            }
-            other => panic!("strict f_tol must not be loosened, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn system_newton_backtracks_from_nan_trials() {
-        // Regression: the residual `ln x` is NaN outside the positive
-        // quadrant, and the full Newton step from (3, 0.5) lands at
-        // x₀ ≈ −0.30. The NaN-blind norm read that trial as an exact
-        // root (norm 0), accepted it and returned x₀ < 0 as converged.
-        // The trial must be rejected and the step halved instead.
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = x[0].ln();
-            out[1] = x[1].ln();
-        };
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 1.0 / x[0];
-            m[(0, 1)] = 0.0;
-            m[(1, 0)] = 0.0;
-            m[(1, 1)] = 1.0 / x[1];
-        };
-        let sol = newton_system(f, jac, &[3.0, 0.5], RootOptions::default()).unwrap();
-        assert!((sol.x[0] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
-        assert!((sol.x[1] - 1.0).abs() < 1e-12, "x = {:?}", sol.x);
-        assert!(sol.residual <= RootOptions::default().f_tol);
-    }
-
-    #[test]
-    fn system_newton_rejects_a_damped_small_step_with_large_residual() {
-        // Regression: `1 − t + 1e8·t²` has no root (its minimum is
-        // 1 − 2.5e-9 at t = 5e-9). From t = 0 the full Newton step is 1,
-        // and the line search must halve it 27 times before the norm
-        // drops, leaving a 7.5e-9 step under x_tol = 1e-8. The solver
-        // used to take that damped step's size as convergence and
-        // return Ok with a residual of ≈ 1; it must keep iterating and
-        // fail honestly.
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = 1.0 - x[0] + 1e8 * x[0] * x[0];
-            out[1] = x[1];
-        };
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = -1.0 + 2e8 * x[0];
-            m[(0, 1)] = 0.0;
-            m[(1, 0)] = 0.0;
-            m[(1, 1)] = 1.0;
-        };
-        let options = RootOptions {
-            x_tol: 1e-8,
-            f_tol: 1e-10,
-            max_iterations: 50,
-        };
-        match newton_system(f, jac, &[0.0, 0.0], options) {
-            Err(NumericError::NoConvergence { residual, .. }) => {
-                assert!(residual > 0.99, "residual {residual:e}")
-            }
-            other => panic!("a rootless system must not converge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inf_norm_propagates_nan() {
-        assert_eq!(inf_norm(&[]), 0.0);
-        assert_eq!(inf_norm(&[-3.0, 2.0]), 3.0);
-        for v in [[f64::NAN, 1.0], [1.0, f64::NAN], [f64::NAN, f64::NAN]] {
-            assert!(inf_norm(&v).is_nan(), "{v:?}");
-        }
-        assert_eq!(inf_norm(&[f64::INFINITY, 1.0]), f64::INFINITY);
-    }
-
-    #[test]
     fn warm_started_bracketed_newton_keeps_the_root() {
         // A start inside the bracket replaces the midpoint and converges
         // to the same root in fewer iterations; a start outside the
@@ -1007,23 +739,5 @@ mod tests {
             Err(NumericError::InvalidBracket { .. }) => {}
             other => panic!("runaway expansion must be rejected, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn system_newton_linear_system_in_one_step() {
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = 2.0 * x[0] + x[1] - 3.0;
-            out[1] = x[0] + 3.0 * x[1] - 5.0;
-        };
-        let jac = |_: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 2.0;
-            m[(0, 1)] = 1.0;
-            m[(1, 0)] = 1.0;
-            m[(1, 1)] = 3.0;
-        };
-        let sol = newton_system(f, jac, &[0.0, 0.0], RootOptions::default()).unwrap();
-        assert!(sol.iterations <= 2);
-        assert!((sol.x[0] - 0.8).abs() < 1e-12);
-        assert!((sol.x[1] - 1.4).abs() < 1e-12);
     }
 }

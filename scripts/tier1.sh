@@ -332,6 +332,23 @@ if ! cmp -s <(cut -d, -f1-10 "$campaign_dir/solo.csv") <(cut -d, -f1-10 "$campai
   exit 1
 fi
 
+# Byte-identity goldens: the clean solo CSVs of all three nodes and
+# the armed 100 nm one must equal the committed captures bit for bit.
+# The legs above compare `solo` only with `run` (a last-bit drift on
+# both sides passes) and the armed run only in its value columns (a
+# change in which points retry passes); these catch both.
+for node in 250nm 100nm_eps33; do
+  cargo run --release --offline -q -p rlckit-campaign -- solo --node "$node" \
+    --dir "$campaign_dir/solo_$node" --out "$campaign_dir/solo_$node.csv" 2>/dev/null
+done
+for pair in 250nm:solo_250nm 100nm:solo 100nm_eps33:solo_100nm_eps33 100nm_faults_2001:armed; do
+  golden="tests/golden/campaign_solo_${pair%%:*}.csv"
+  if ! cmp -s "$golden" "$campaign_dir/${pair#*:}.csv"; then
+    echo "tier-1 gate: FAIL — solo campaign CSV drifted from $golden" >&2
+    exit 1
+  fi
+done
+
 # Perf guard on the committed bench baselines: the delay solver must
 # hold the paper's ≤4-iteration claim, and one optimizer solve must not
 # spend more delay solves than it needs. The 250 nm single point takes
