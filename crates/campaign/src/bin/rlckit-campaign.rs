@@ -34,7 +34,7 @@ common options:
 shard: --index <I> --of <N> [--generation <G>]
 merge: --shards <N> --out <CSV> [--degraded <I,J,...>]
 run:   --shards <N> --out <CSV> [--restart-budget <B>] [--stall-timeout-ms <MS>]
-       [--backoff-ms <MS>] [--backoff-cap-ms <MS>] [--poll-ms <MS>]
+       [--backoff-ms <MS>] [--backoff-cap-ms <MS>]
 solo:  --out <CSV>
 ";
 
@@ -154,21 +154,12 @@ fn run() -> Result<(), String> {
                 return Err("--shards must be positive".to_string());
             }
             let mut cfg = SupervisorConfig::new(shards);
-            if let Some(budget) = args.parsed("--restart-budget")? {
-                cfg.restart_budget = budget;
-            }
-            if let Some(ms) = args.parsed("--stall-timeout-ms")? {
-                cfg.stall_timeout = Duration::from_millis(ms);
-            }
-            if let Some(ms) = args.parsed("--backoff-ms")? {
-                cfg.backoff_base = Duration::from_millis(ms);
-            }
-            if let Some(ms) = args.parsed("--backoff-cap-ms")? {
-                cfg.backoff_cap = Duration::from_millis(ms);
-            }
-            if let Some(ms) = args.parsed("--poll-ms")? {
-                cfg.poll_interval = Duration::from_millis(ms);
-            }
+            let millis = |flag: Option<u64>, default| flag.map_or(default, Duration::from_millis);
+            let budget = args.parsed("--restart-budget")?;
+            cfg.restart_budget = budget.unwrap_or(cfg.restart_budget);
+            cfg.stall_timeout = millis(args.parsed("--stall-timeout-ms")?, cfg.stall_timeout);
+            cfg.backoff_base = millis(args.parsed("--backoff-ms")?, cfg.backoff_base);
+            cfg.backoff_cap = millis(args.parsed("--backoff-cap-ms")?, cfg.backoff_cap);
             args.finish()?;
             let exe = std::env::current_exe()
                 .map_err(|e| format!("cannot locate own executable: {e}"))?;

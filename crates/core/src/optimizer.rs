@@ -479,7 +479,6 @@ fn newton2(
     }
     let (mut g, mut jac) = first;
     let mut rnorm = peak_abs(&g);
-    let mut iterations = options.max_iterations;
     for iteration in 1..=options.max_iterations {
         if !rnorm.is_finite() {
             return Err(NumericError::NonFiniteResidual {
@@ -526,13 +525,15 @@ fn newton2(
         }
         if !accepted {
             counter!("optimizer.newton.line_search_stalls").incr();
-            iterations = iteration;
-            break;
+            return Err(NumericError::NoConvergence {
+                iterations: iteration,
+                residual: rnorm,
+            });
         }
     }
     counter!("optimizer.newton.budget_exhausted").incr();
     Err(NumericError::NoConvergence {
-        iterations,
+        iterations: options.max_iterations,
         residual: rnorm,
     })
 }

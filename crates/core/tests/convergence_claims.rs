@@ -124,6 +124,11 @@ fn campaign_completes_without_surfaced_or_internal_failures() {
         "a solver exhausted its iteration budget"
     );
     assert_eq!(
+        delta.counters_ending_with(".line_search_stalls"),
+        0,
+        "a solver's line search stalled"
+    );
+    assert_eq!(
         delta.counter("optimizer.fallbacks"),
         0,
         "the optimizer fell back to Nelder-Mead on a campaign point"

@@ -1,10 +1,12 @@
-//! Dense matrices and LU factorization with partial pivoting.
+//! Dense matrices, LU factorization with partial pivoting, and the
+//! allocation-free 2×2 solve of the repeater optimizer's Newton step.
 //!
-//! Sized for the workloads of this workspace: modified-nodal-analysis
-//! systems of a few hundred unknowns and the 2×2 Newton steps of the
-//! repeater optimizer. Storage is row-major `Vec<f64>`.
+//! [`solve2`] is the only solve on a production path. [`Matrix`] and
+//! [`LuFactors`] are its reference (`solve2` must match their 2×2
+//! solve bit for bit), the dense oracle of the sparse-LU property test,
+//! and the storage of [`crate::fd::central_jacobian`]. Circuit (MNA)
+//! systems use [`crate::sparse`]. Storage is row-major `Vec<f64>`.
 
-use core::fmt;
 use core::ops::{Index, IndexMut};
 
 use crate::{NumericError, Result};
@@ -47,16 +49,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an identity matrix of order `n`.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Panics
@@ -90,17 +82,6 @@ impl Matrix {
         self.cols
     }
 
-    /// Returns an immutable view of the backing storage (row-major).
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Computes `self · x` for a vector `x`.
     ///
     /// # Errors
@@ -121,34 +102,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Computes the matrix product `self · other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if the inner dimensions
-    /// disagree.
-    pub fn mul_mat(&self, other: &Self) -> Result<Self> {
-        if self.cols != other.rows {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.cols,
-                actual: other.rows,
-            });
-        }
-        let mut out = Self::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Factors the matrix as `P·A = L·U` with partial pivoting.
     ///
     /// # Errors
@@ -166,7 +119,6 @@ impl Matrix {
         let n = self.rows;
         let mut lu = self.data.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0f64;
 
         for k in 0..n {
             // Partial pivoting: largest magnitude in column k at/below row k.
@@ -187,7 +139,6 @@ impl Matrix {
                     lu.swap(k * n + j, piv * n + j);
                 }
                 perm.swap(k, piv);
-                sign = -sign;
             }
             let pivot = lu[k * n + k];
             for r in (k + 1)..n {
@@ -201,12 +152,7 @@ impl Matrix {
             }
         }
 
-        Ok(LuFactors {
-            n,
-            lu,
-            perm,
-            sign,
-        })
+        Ok(LuFactors { n, lu, perm })
     }
 
     /// Solves `A·x = b` directly (factor + substitute).
@@ -240,21 +186,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{:12.5e}", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 /// The result of an LU factorization `P·A = L·U`.
 ///
 /// Produced by [`Matrix::lu`]; reuse it to solve against multiple
@@ -265,7 +196,6 @@ pub struct LuFactors {
     /// Combined L (strictly lower, unit diagonal implicit) and U storage.
     lu: Vec<f64>,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuFactors {
@@ -309,16 +239,6 @@ impl LuFactors {
             x[i] = acc / self.lu[i * n + i];
         }
         Ok(x)
-    }
-
-    /// Returns the determinant of the original matrix.
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.n {
-            det *= self.lu[i * self.n + i];
-        }
-        det
     }
 }
 
@@ -373,7 +293,12 @@ mod tests {
 
     #[test]
     fn identity_solves_to_rhs() {
-        let a = Matrix::identity(4);
+        let a = Matrix::from_rows(&[
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
         let x = a.solve(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
     }
@@ -413,13 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_matches_cofactor_expansion() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 10.0]]);
-        let det = a.lu().unwrap().det();
-        assert!((det - -3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn reusing_factors_for_multiple_rhs() {
         let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
         let lu = a.lu().unwrap();
@@ -429,14 +347,6 @@ mod tests {
             assert!((r[0] - b[0]).abs() < 1e-12);
             assert!((r[1] - b[1]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn mul_mat_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.mul_mat(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   dependencies, so this replaces `rand`.
 //! * [`stats`] — peak/rms/mean of (possibly non-uniformly) sampled
 //!   waveforms.
-//! * [`fd`] — finite-difference derivative helpers.
+//! * [`fd`] — the finite-difference Jacobian that checks the optimizer's
+//!   analytic one.
 //!
 //! # Examples
 //!

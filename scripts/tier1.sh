@@ -298,7 +298,7 @@ cargo run --release --offline -q -p rlckit-campaign -- solo \
 RLCKIT_SHARD_FAULTS=7001:0.2 RLCKIT_TRACE=summary \
   cargo run --release --offline -q -p rlckit-campaign -- run --shards 3 \
   --dir "$campaign_dir/run" --out "$campaign_dir/run.csv" \
-  --backoff-ms 5 --poll-ms 5 2> "$campaign_dir/run.log"
+  --backoff-ms 5 2> "$campaign_dir/run.log"
 if ! grep -q 'campaign\.shard\.relaunched' "$campaign_dir/run.log"; then
   echo "tier-1 gate: FAIL — campaign smoke took no shard relaunches (shard faults disarmed?)" >&2
   exit 1
@@ -309,6 +309,27 @@ if grep -q 'campaign\.shard\.degraded' "$campaign_dir/run.log"; then
 fi
 if ! cmp -s "$campaign_dir/solo.csv" "$campaign_dir/run.csv"; then
   echo "tier-1 gate: FAIL — supervised campaign CSV drifted from the single-process run" >&2
+  exit 1
+fi
+# Stall leg: the same campaign with hangs armed instead of aborts. A
+# hung shard stays alive but stops appending, so only the supervisor's
+# checkpoint-growth deadline can catch it (seed 4242 hangs five times,
+# about 1.6 s on 2 CPUs). It must stall at least one shard out, degrade
+# none, and still merge byte-identical to the single-process run.
+RLCKIT_SHARD_FAULTS=4242:0.2:hang RLCKIT_TRACE=summary \
+  cargo run --release --offline -q -p rlckit-campaign -- run --shards 3 \
+  --stall-timeout-ms 250 --restart-budget 8 \
+  --dir "$campaign_dir/hang" --out "$campaign_dir/hang.csv" 2> "$campaign_dir/hang.log"
+if ! grep -q 'campaign\.shard\.stalled' "$campaign_dir/hang.log"; then
+  echo "tier-1 gate: FAIL — campaign stall leg stalled no shard (hang faults disarmed?)" >&2
+  exit 1
+fi
+if grep -q 'campaign\.shard\.degraded' "$campaign_dir/hang.log"; then
+  echo "tier-1 gate: FAIL — campaign stall leg degraded a shard" >&2
+  exit 1
+fi
+if ! cmp -s "$campaign_dir/solo.csv" "$campaign_dir/hang.csv"; then
+  echo "tier-1 gate: FAIL — stalled-and-recovered campaign CSV drifted from the single-process run" >&2
   exit 1
 fi
 # Point-fault leg on the campaign path: the solo campaign with
