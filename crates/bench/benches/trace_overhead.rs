@@ -4,13 +4,13 @@
 //!
 //! Three rungs are measured against a bare arithmetic baseline:
 //!
-//! * a counter increment (one relaxed `fetch_add` on the calling
-//!   thread's cell) and a histogram observation (two: bucket and sum);
-//!   neither is gated on the enabled flag;
+//! * a counter increment (one relaxed load and store of a word in the
+//!   calling thread's recorder) and a histogram observation (two: bucket
+//!   and sum); neither is gated on the enabled flag;
 //! * a span guard with tracing **disabled** (one relaxed load, no clock
 //!   read, no allocation);
 //! * a span guard with tracing **enabled** (two `Instant::now()` calls
-//!   plus four relaxed RMWs on drop);
+//!   plus four word updates in the thread's recorder on drop);
 //! * a flight-recorder `event!` with tracing disabled (one relaxed
 //!   load — the tier-1 `trace_overhead` guard pins this budget) and
 //!   enabled (one clock read plus four relaxed ring stores).

@@ -127,12 +127,6 @@ impl Complex {
         )
     }
 
-    /// Returns the hyperbolic tangent.
-    #[must_use]
-    pub fn tanh(self) -> Self {
-        self.sinh() / self.cosh()
-    }
-
     /// Returns the cosine.
     #[must_use]
     pub fn cos(self) -> Self {
@@ -418,8 +412,6 @@ mod tests {
         let c = z.cosh();
         let s = z.sinh();
         assert!(close(c * c - s * s, Complex::ONE, 1e-12));
-        // tanh = sinh/cosh
-        assert!(close(z.tanh(), s / c, 1e-12));
         // cosh(z) = (e^z + e^-z)/2
         assert!(close(c, (z.exp() + (-z).exp()) / 2.0, 1e-12));
     }

@@ -143,17 +143,6 @@ impl Rng {
         }
     }
 
-    /// Fills a slice with uniform draws from `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not finite or `lo > hi`.
-    pub fn fill_uniform(&mut self, out: &mut [f64], lo: f64, hi: f64) {
-        for v in out {
-            *v = self.uniform(lo, hi);
-        }
-    }
-
     /// Derives an independent child generator, advancing this one.
     ///
     /// Useful to hand each parallel worker its own stream from one
@@ -260,9 +249,6 @@ mod tests {
         let mut buf = [f64::NAN; 33];
         rng.fill(&mut buf);
         assert!(buf.iter().all(|v| (0.0..1.0).contains(v)));
-        let mut buf2 = [f64::NAN; 9];
-        rng.fill_uniform(&mut buf2, 5.0, 6.0);
-        assert!(buf2.iter().all(|v| (5.0..6.0).contains(v)));
     }
 
     #[test]

@@ -314,51 +314,6 @@ pub fn brent(
     })
 }
 
-/// Expands `[lo, hi]` geometrically until it brackets a sign change of `f`.
-///
-/// Returns the bracketing interval.
-///
-/// # Errors
-///
-/// Returns [`NumericError::InvalidBracket`] if no sign change is found
-/// within `max_expansions` doublings, or if an endpoint or function
-/// value becomes non-finite during the expansion (a runaway search —
-/// e.g. a rootless `f` driven past the floating-point range — must not
-/// feed ±∞/NaN into downstream solvers).
-pub fn expand_bracket(
-    mut f: impl FnMut(f64) -> f64,
-    lo: f64,
-    hi: f64,
-    max_expansions: usize,
-) -> Result<(f64, f64)> {
-    let mut a = lo;
-    let mut b = hi;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    for expansion in 0..max_expansions {
-        if !(a.is_finite() && b.is_finite() && fa.is_finite() && fb.is_finite()) {
-            counter!("roots.expand_bracket.failures").incr();
-            return Err(NumericError::InvalidBracket { lo: a, hi: b });
-        }
-        if fa.signum() != fb.signum() {
-            histogram!("roots.expand_bracket.expansions").observe(expansion as u64);
-            return Ok((a, b));
-        }
-        // zbrac-style: move the endpoint whose |f| is *smaller* — that
-        // side sits closer to a crossing, so pushing it outward hunts
-        // the root fastest.
-        if fa.abs() < fb.abs() {
-            a -= 1.6 * (b - a);
-            fa = f(a);
-        } else {
-            b += 1.6 * (b - a);
-            fb = f(b);
-        }
-    }
-    counter!("roots.expand_bracket.failures").incr();
-    Err(NumericError::InvalidBracket { lo: a, hi: b })
-}
-
 /// Newton–Raphson with an automatic bisection fallback on a bracket.
 ///
 /// The Newton iterate is accepted only while it stays inside the current
@@ -647,13 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn bracket_expansion_finds_sign_change() {
-        let (a, b) = expand_bracket(|x| x - 100.0, 0.0, 1.0, 60).unwrap();
-        assert!(a <= 100.0 && 100.0 <= b);
-        assert!(expand_bracket(|x| x * x + 1.0, 0.0, 1.0, 10).is_err());
-    }
-
-    #[test]
     fn newton_bracketed_is_safe_and_fast() {
         // An equation like the paper's Eq. (3): exponential crossing.
         let f = |t: f64| 0.5 - (-t).exp();
@@ -726,18 +674,6 @@ mod tests {
                 newton_bracketed_fdf(fdf, 0.0, 10.0, None, start, RootOptions::default()).unwrap();
             assert_eq!(ignored.x.to_bits(), cold.x.to_bits(), "{start:?}");
             assert_eq!(ignored.iterations, cold.iterations, "{start:?}");
-        }
-    }
-
-    #[test]
-    fn bracket_expansion_guards_against_non_finite_runaway() {
-        // Regression: `sin(x) + 2` has no root; geometric expansion
-        // overflows an endpoint to ±∞ where sin returns NaN, and
-        // `NaN.signum() != fb.signum()` used to report a *successful*
-        // bracket with a non-finite endpoint. It must now fail cleanly.
-        match expand_bracket(|x| x.sin() + 2.0, 0.0, 1.0, 5_000) {
-            Err(NumericError::InvalidBracket { .. }) => {}
-            other => panic!("runaway expansion must be rejected, got {other:?}"),
         }
     }
 }

@@ -139,15 +139,6 @@ impl Series {
         }
     }
 
-    /// Multiplies by `x^p` (shifting coefficients up, truncating the top).
-    #[must_use]
-    pub fn shift_up(&self, p: usize) -> Self {
-        let n = self.coeffs.len();
-        let mut out = vec![0.0; n];
-        out[p..n].copy_from_slice(&self.coeffs[..n - p]);
-        Self { coeffs: out }
-    }
-
     /// Composes an entire function `f(u) = Σ_m w(m)·uᵐ` with this series,
     /// which must have a zero constant term.
     ///
@@ -269,13 +260,6 @@ mod tests {
     #[test]
     fn recip_requires_nonzero_constant() {
         assert!(Series::variable(3).recip().is_err());
-    }
-
-    #[test]
-    fn shift_up_moves_coefficients() {
-        let s = Series::from_coeffs(vec![1.0, 2.0, 3.0, 4.0]);
-        let t = s.shift_up(2);
-        assert_eq!(t.coeffs(), &[0.0, 0.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -318,13 +318,6 @@ impl SparseLu {
         self.n
     }
 
-    /// Returns the number of stored factor entries (fill-in diagnostics).
-    #[must_use]
-    pub fn factor_nnz(&self) -> usize {
-        self.l_rows.iter().map(Vec::len).sum::<usize>()
-            + self.u_rows.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Solves `A·x = b` using the precomputed factors.
     ///
     /// # Errors

@@ -5,22 +5,26 @@
 //! — counters and histograms have no notion of *which* request paid a
 //! cost. This module records the per-request story: fixed-size
 //! structured events `{trace_id, scope, kind, value, t_ns}` written
-//! into **per-thread ring buffers** and drained into one
-//! causally-ordered JSONL stream on flush.
+//! into the ring of the calling thread's recorder (the same per-thread
+//! store that holds its metric words, see the crate docs) and drained
+//! into one causally-ordered JSONL stream on flush.
 //!
 //! # Design
 //!
-//! * **Always available, always bounded.** Every thread that records
-//!   owns one fixed-capacity ring ([`RING_CAPACITY`] slots); when it
-//!   wraps, the oldest events are overwritten — a flight recorder keeps
-//!   the recent past, it never grows without bound and never blocks the
-//!   hot path on a full buffer.
+//! * **Always available, always bounded.** A recorder's ring has
+//!   [`RING_CAPACITY`] slots, allocated when its thread first records
+//!   with tracing on; when it wraps, the oldest events are overwritten
+//!   — a flight recorder keeps the recent past and never blocks the hot
+//!   path on a full buffer. An exiting thread hands its recorder, ring
+//!   included, to the next thread that starts recording: there are as
+//!   many rings as threads that recorded at once, and an exited
+//!   thread's events stay until its successor overwrites them.
 //! * **Lock-free to record.** A slot is four relaxed atomic stores plus
-//!   one release bump of the ring head, all on thread-local storage.
-//!   The only lock is taken once per `(thread, process)` (ring
-//!   registration) and once per scope *call site* (name interning).
-//!   When tracing is disabled ([`crate::enabled`] is false) recording
-//!   is a single relaxed load and an early return — the
+//!   one release bump of the ring head, all in the thread's own
+//!   recorder. The only locks are the registry's, once per thread
+//!   (taking a recorder) and once per scope *call site* (registering
+//!   its name). When tracing is disabled ([`crate::enabled`] is false)
+//!   recording is a single relaxed load and an early return — the
 //!   `trace_overhead` bench guards this path's budget in tier-1.
 //! * **Causally ordered on drain.** [`EventKind`] discriminants follow
 //!   the serving pipeline (parse → route → dequeue → probe → solve →
@@ -56,14 +60,15 @@
 //! assert_eq!(mine[0].value, 3);
 //! ```
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Events retained per recording thread before the oldest are
-/// overwritten. 4096 × 32 bytes = 128 KiB per thread — large enough to
-/// hold several thousand requests' worth of pipeline events, small
-/// enough to forget about.
+/// Events retained per recorder before the oldest are overwritten.
+/// 4096 × 32 bytes = 128 KiB per ring — large enough to hold several
+/// thousand requests' worth of pipeline events, small enough to forget
+/// about.
 pub const RING_CAPACITY: usize = 4096;
 
 /// What pipeline stage an event marks. The discriminants are ordered
@@ -119,58 +124,22 @@ impl EventKind {
     }
 }
 
-/// Interned scope names, indexed by the id packed into ring slots.
-static SCOPES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-fn scope_name(id: u32) -> &'static str {
-    SCOPES
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(id as usize)
-        .copied()
-        .unwrap_or("?")
-}
-
-/// A per-call-site scope handle: interns its name once and caches the
-/// id in a static, so the steady-state record path never touches the
-/// intern table. Declared for you by [`crate::event!`].
-pub struct EventScope {
-    name: &'static str,
-    /// Cached interned id + 1; 0 means "not yet interned".
-    cached: AtomicU32,
-}
+/// A per-call-site scope handle: registers its name on first use and
+/// keeps the index in its static, so the steady-state record path never
+/// touches the name table. Declared for you by [`crate::event!`].
+pub struct EventScope(crate::Key);
 
 impl EventScope {
-    /// Creates an uninterned scope (const: usable in `static`s).
+    /// Creates an unregistered scope (const: usable in `static`s).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            cached: AtomicU32::new(0),
-        }
-    }
-
-    fn id(&self) -> u32 {
-        let cached = self.cached.load(Ordering::Relaxed);
-        if cached != 0 {
-            return cached - 1;
-        }
-        let mut scopes = SCOPES.lock().unwrap_or_else(PoisonError::into_inner);
-        let id = scopes
-            .iter()
-            .position(|n| *n == self.name)
-            .unwrap_or_else(|| {
-                scopes.push(self.name);
-                scopes.len() - 1
-            });
-        let id = u32::try_from(id).expect("fewer than 2^32 scope call sites");
-        self.cached.store(id + 1, Ordering::Relaxed);
-        id
+        Self(crate::Key(name, AtomicU32::new(0)))
     }
 }
 
 /// One ring slot. `meta` packs `scope_id << 32 | kind << 1 | occupied`;
 /// the occupied bit distinguishes never-written slots from real events.
+#[derive(Default)]
 struct Slot {
     trace_id: AtomicU64,
     meta: AtomicU64,
@@ -178,55 +147,42 @@ struct Slot {
     t_ns: AtomicU64,
 }
 
-impl Slot {
-    const fn empty() -> Self {
-        Self {
-            trace_id: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One thread's flight-recorder ring. Only the owning thread stores;
-/// any thread may read (a drain racing a wrapping writer can observe a
-/// torn slot, which [`collect`] tolerates — serving drains after the
-/// pipeline quiesces, where no race exists).
-struct Ring {
+/// One recorder's flight-recorder ring. Only the thread holding the
+/// recorder stores; any thread may read (a drain racing a wrapping
+/// writer can observe a torn slot, which [`collect`] tolerates —
+/// serving drains after the pipeline quiesces, where no race exists).
+pub(crate) struct Ring {
     slots: Box<[Slot]>,
     head: AtomicU64,
 }
 
 impl Ring {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            slots: (0..RING_CAPACITY).map(|_| Slot::empty()).collect(),
+            slots: (0..RING_CAPACITY).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
         }
     }
 
     fn push(&self, trace_id: u64, scope_id: u32, kind: EventKind, value: u64, t_ns: u64) {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.head.load(Relaxed);
         let slot = &self.slots[(head % self.slots.len() as u64) as usize];
-        slot.trace_id.store(trace_id, Ordering::Relaxed);
-        slot.meta.store(
-            (u64::from(scope_id) << 32) | (kind as u64) << 1 | 1,
-            Ordering::Relaxed,
-        );
-        slot.value.store(value, Ordering::Relaxed);
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        self.head.store(head + 1, Ordering::Release);
+        slot.trace_id.store(trace_id, Relaxed);
+        let meta = (u64::from(scope_id) << 32) | (kind as u64) << 1 | 1;
+        slot.meta.store(meta, Relaxed);
+        slot.value.store(value, Relaxed);
+        slot.t_ns.store(t_ns, Relaxed);
+        self.head.store(head + 1, Release);
     }
 
-    fn read_into(&self, out: &mut Vec<EventRecord>, dropped: &mut u64) {
-        let head = self.head.load(Ordering::Acquire);
+    fn read_into(&self, scopes: &[&'static str], out: &mut Vec<EventRecord>, dropped: &mut u64) {
+        let head = self.head.load(Acquire);
         let cap = self.slots.len() as u64;
         let kept = head.min(cap);
         *dropped += head - kept;
         for i in (head - kept)..head {
             let slot = &self.slots[(i % cap) as usize];
-            let meta = slot.meta.load(Ordering::Relaxed);
+            let meta = slot.meta.load(Relaxed);
             if meta & 1 == 0 {
                 continue;
             }
@@ -234,22 +190,14 @@ impl Ring {
                 continue;
             };
             out.push(EventRecord {
-                trace_id: slot.trace_id.load(Ordering::Relaxed),
-                scope: scope_name((meta >> 32) as u32),
+                trace_id: slot.trace_id.load(Relaxed),
+                scope: scopes.get((meta >> 32) as usize).copied().unwrap_or("?"),
                 kind,
-                value: slot.value.load(Ordering::Relaxed),
-                t_ns: slot.t_ns.load(Ordering::Relaxed),
+                value: slot.value.load(Relaxed),
+                t_ns: slot.t_ns.load(Relaxed),
             });
         }
     }
-}
-
-/// Every ring ever registered (threads never unregister; a ring is
-/// ~128 KiB and thread counts here are single digits).
-static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
-
-thread_local! {
-    static RING: std::cell::OnceCell<Arc<Ring>> = const { std::cell::OnceCell::new() };
 }
 
 /// Nanoseconds since the first event of the process — a monotonic
@@ -260,7 +208,7 @@ fn now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Records one event into the calling thread's ring. Gated on
+/// Records one event into the calling thread's recorder. Gated on
 /// [`crate::enabled`]: the disabled path is one relaxed load. Use
 /// through [`crate::event!`], which owns the per-call-site
 /// [`EventScope`].
@@ -269,16 +217,9 @@ pub fn record(scope: &'static EventScope, trace_id: u64, kind: EventKind, value:
         return;
     }
     let t_ns = now_ns();
-    let scope_id = scope.id();
-    RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let ring = Arc::new(Ring::new());
-            RINGS
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(Arc::clone(&ring));
-            ring
-        });
+    let scope_id = scope.0.word(crate::Kind::Scope) as u32;
+    crate::with_recorder(|held| {
+        let ring = held.recorder.ring.get_or_init(Ring::new);
         ring.push(trace_id, scope_id, kind, value, t_ns);
     });
 }
@@ -288,7 +229,7 @@ pub fn record(scope: &'static EventScope, trace_id: u64, kind: EventKind, value:
 pub struct EventRecord {
     /// The request / campaign-point this event belongs to.
     pub trace_id: u64,
-    /// The interned call-site scope name.
+    /// The call-site scope name.
     pub scope: &'static str,
     /// Pipeline stage.
     pub kind: EventKind,
@@ -308,26 +249,23 @@ pub struct DrainedEvents {
     pub dropped: u64,
 }
 
-/// Drains every thread's ring into one causally-ordered stream: sorted
-/// by `(trace_id, kind, scope, value)` so the order — like every field
-/// but `t_ns` — is deterministic. Rings are *not* cleared: a flight
-/// recorder's contents survive until overwritten, so a later drain
-/// re-reads retained events.
+/// Drains every recorder's ring into one causally-ordered stream:
+/// sorted by `(trace_id, kind, scope, value)` so the order — like every
+/// field but `t_ns` — is deterministic. Rings are *not* cleared: a
+/// flight recorder's contents survive until overwritten, so a later
+/// drain re-reads retained events.
 #[must_use]
 pub fn collect() -> DrainedEvents {
-    let rings: Vec<Arc<Ring>> = RINGS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
     let mut drained = DrainedEvents::default();
-    for ring in rings {
-        ring.read_into(&mut drained.events, &mut drained.dropped);
+    {
+        let reg = crate::registry();
+        for ring in reg.recorders.iter().filter_map(|r| r.ring.get()) {
+            ring.read_into(&reg.scopes, &mut drained.events, &mut drained.dropped);
+        }
     }
-    drained
-        .events
-        .sort_by(|a, b| {
-            (a.trace_id, a.kind, a.scope, a.value).cmp(&(b.trace_id, b.kind, b.scope, b.value))
-        });
+    drained.events.sort_by(|a, b| {
+        (a.trace_id, a.kind, a.scope, a.value).cmp(&(b.trace_id, b.kind, b.scope, b.value))
+    });
     drained
 }
 
@@ -374,7 +312,7 @@ pub fn write_jsonl(path: &std::path::Path) -> std::io::Result<usize> {
 
 /// Declares a `static` [`EventScope`] at the call site and records one
 /// flight-recorder event: `event!(trace_id, "scope.name", kind, value)`.
-/// The scope must be a `&'static str` literal; interning happens once
+/// The scope must be a `&'static str` literal; its name registers once
 /// per call site.
 #[macro_export]
 macro_rules! event {
@@ -448,8 +386,8 @@ mod tests {
     fn ring_wrap_keeps_the_newest_events_and_counts_drops() {
         let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
-        // A dedicated thread owns a fresh ring, so the wrap arithmetic
-        // is exact rather than entangled with sibling tests' events.
+        // One thread writes more than a ring holds, so its ring keeps
+        // only its own newest events, whatever it held before.
         std::thread::spawn(|| {
             for i in 0..(RING_CAPACITY as u64 + 10) {
                 crate::event!(i, "test.events.wrap", EventKind::Outcome, i);

@@ -5,30 +5,28 @@
 //! per-count calls, a sharded campaign driver) needs to know where
 //! iterations and wall-clock actually go. This crate is that
 //! instrumentation layer: process-wide **counters** and **iteration
-//! histograms** backed by per-thread cells of relaxed atomics,
-//! lightweight RAII **span timers**, and an opt-in end-of-run **sink**
+//! histograms**, lightweight RAII **span timers**, the
+//! [`events`] flight recorder, and an opt-in end-of-run **sink**
 //! selected by the `RLCKIT_TRACE` environment variable.
 //!
 //! # Cost model
 //!
-//! * Every metric is an array of [`SHARDS`] cells, each on its own
-//!   cache line. A thread takes a slot (round-robin, on its first
-//!   write) and from then on writes only that slot's cell: a counter
-//!   increment is one relaxed RMW, a histogram observation two (its
-//!   bucket and its sum; four for an overflow value), a span record
-//!   four. No lock, no allocation, no branch on a global flag, and no
-//!   cache line bouncing between cores while at most `SHARDS` threads
-//!   write. More threads share cells, which keeps every write exact and
-//!   only brings back some contention. This is what makes the counters
-//!   safe to leave in the hottest solver loops on every worker. The
-//!   only allocation a metric ever performs is its one-time
-//!   registration (a `Vec` push) the first time it is touched in a
-//!   process.
+//! * A metric static holds only its name and a word offset, assigned by
+//!   one registry on the metric's first write. The values live in
+//!   per-thread *recorders*: a thread takes one from a free list on its
+//!   first write and is its only writer, so a counter increment is a
+//!   relaxed load and store, a histogram observation two (bucket and
+//!   sum; four for an overflow value), a span record four. No lock, no
+//!   read-modify-write, no branch on a global flag, no shared cache
+//!   line. A recorder also holds its thread's [`events`] ring. A
+//!   thread's exit returns its recorder, values and events included, to
+//!   the free list for the next thread, so there are as many recorders
+//!   as threads that recorded *at once*. A recorder grows when a metric
+//!   registers past its end: nothing is capped, no write is dropped.
 //! * Reads ([`Counter::value`], [`Histogram::count`], [`snapshot`])
-//!   sum the cells, so totals, [`Snapshot::since`] deltas and sink
-//!   lines read as if there were one cell. The cells are per thread,
-//!   but the metrics are still process-global: a snapshot sees every
-//!   thread's writes.
+//!   sum over every recorder, and statics sharing a name merge, so
+//!   totals, [`Snapshot::since`] deltas and sink lines read as if there
+//!   were one cell, and include the writes of exited threads.
 //! * Span timers *are* gated: when tracing is disabled
 //!   ([`enabled`] returns `false`) [`SpanTimer::start`] returns an
 //!   inert guard without reading the clock, so the disabled path costs
@@ -88,12 +86,13 @@
 
 pub mod events;
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of exact histogram buckets: values `0..BUCKETS-1` count into
@@ -102,83 +101,214 @@ use std::time::Instant;
 /// digits, so the exact range is generous.
 pub const BUCKETS: usize = 33;
 
-/// One registered metric (all three kinds live in the same registry so
-/// a snapshot is a single lock + walk).
-enum Metric {
-    Counter(&'static Counter),
-    Histogram(&'static Histogram),
-    Span(&'static SpanTimer),
+/// A metric kind fixes its words in a recorder. A counter is one word;
+/// a histogram its [`BUCKETS`] buckets, its sum, and the minimum and
+/// maximum of the overflow bucket (the other extremes follow from the
+/// buckets); a span its count, total, minimum and maximum. Minima are
+/// stored bit-inverted, so a zero word means "none yet" and every
+/// extreme merges by maximum; every other word merges by sum.
+/// An event scope takes no words: it registers its name only.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Counter,
+    Histogram,
+    Span,
+    Scope,
 }
 
-/// The process-wide metric registry. Metrics self-register on first
-/// touch; the vector only ever grows (bounded by the number of metric
-/// *call sites*, not calls).
-static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
-
-/// Number of per-thread cells behind every metric. Each thread writes
-/// only the cell its slot names (slots are handed out round-robin, so
-/// with more than `SHARDS` threads some share a cell); reads sum the
-/// cells.
-pub const SHARDS: usize = 8;
-
-/// Next slot to hand out, modulo [`SHARDS`].
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's cell index, `usize::MAX` until its first write.
-    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The calling thread's cell index, assigned on first use.
-fn slot() -> usize {
-    SLOT.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            slot.set(s);
+impl Kind {
+    /// Words one metric of this kind occupies, and the first extreme.
+    const fn layout(self) -> (usize, usize) {
+        match self {
+            Self::Counter => (1, 1),
+            Self::Histogram => (BUCKETS + 3, BUCKETS + 1),
+            Self::Span => (4, 2),
+            Self::Scope => (0, 0),
         }
-        s
-    })
-}
+    }
 
-/// Registers `metric` in [`REGISTRY`] the first time `registered` flips.
-fn register_once(registered: &AtomicBool, metric: impl FnOnce() -> Metric) {
-    if !registered.load(Ordering::Relaxed) && !registered.swap(true, Ordering::SeqCst) {
-        REGISTRY.lock().expect("registry lock").push(metric());
+    /// Folds one recorder's copy of the metric at `word` into `acc`. A
+    /// recorder that has not grown that far reads as zeros.
+    fn merge(self, acc: &mut [u64], words: &[AtomicU64], word: usize) {
+        let (mine, n) = (words.get(word..).unwrap_or_default(), self.layout().1);
+        for (i, (a, w)) in acc.iter_mut().zip(mine).enumerate() {
+            let v = w.load(Relaxed);
+            *a = if i < n { a.wrapping_add(v) } else { v.max(*a) };
+        }
     }
 }
 
-/// One thread slot's share of a [`Counter`], on its own cache line.
-#[repr(align(64))]
-struct CounterCell(AtomicU64);
+/// Everything the recorders share, behind one lock: the registered
+/// metrics (kind, name, first word; statics that share a name each have
+/// an entry), the words handed out so far, every recorder ever made and
+/// those no thread holds, and the event scope names.
+struct Registry {
+    metrics: Vec<(Kind, &'static str, usize)>,
+    words: usize,
+    recorders: Vec<Arc<Recorder>>,
+    free: Vec<Arc<Recorder>>,
+    scopes: Vec<&'static str>,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    metrics: Vec::new(),
+    words: 0,
+    recorders: Vec::new(),
+    free: Vec::new(),
+    scopes: Vec::new(),
+});
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn registry() -> MutexGuard<'static, Registry> {
+    lock(&REGISTRY)
+}
+
+/// One thread's telemetry: its metric words and, once it has recorded
+/// an event, its event ring. Only the holder writes; anyone reads.
+struct Recorder {
+    /// Growth swaps in a larger copy, so readers fetch it from here.
+    words: Mutex<Arc<[AtomicU64]>>,
+    ring: OnceLock<events::Ring>,
+}
+
+/// A recorder taken for writing, with its word array at hand. Dropping
+/// it returns the recorder to the free list, values and events included.
+struct Held {
+    recorder: Arc<Recorder>,
+    words: Arc<[AtomicU64]>,
+}
+
+impl Held {
+    /// Takes a free recorder, or makes one sized for every metric
+    /// registered so far.
+    fn acquire() -> Self {
+        let mut reg = registry();
+        let recorder = reg.free.pop().unwrap_or_else(|| {
+            let recorder = Arc::new(Recorder {
+                words: Mutex::new((0..reg.words).map(|_| AtomicU64::new(0)).collect()),
+                ring: OnceLock::new(),
+            });
+            reg.recorders.push(Arc::clone(&recorder));
+            recorder
+        });
+        drop(reg);
+        let words = recorder.words();
+        Self { recorder, words }
+    }
+
+    /// The `width` words from `word` on. Growth at least doubles the
+    /// array by copying it; the holder is its only writer, so the copy
+    /// loses nothing.
+    fn words(&mut self, word: usize, width: usize) -> &[AtomicU64] {
+        if self.words.len() < word + width {
+            let len = (word + width).max(2 * self.words.len());
+            let old = &self.words;
+            self.words = (0..len)
+                .map(|i| AtomicU64::new(old.get(i).map_or(0, |w| w.load(Relaxed))))
+                .collect();
+            *lock(&self.recorder.words) = Arc::clone(&self.words);
+        }
+        &self.words[word..word + width]
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        registry().free.push(Arc::clone(&self.recorder));
+    }
+}
+
+impl Recorder {
+    fn words(&self) -> Arc<[AtomicU64]> {
+        Arc::clone(&lock(&self.words))
+    }
+}
+
+thread_local! {
+    /// The calling thread's recorder, taken on its first write and
+    /// returned when the thread-local destructor drops it.
+    static LOCAL: RefCell<Option<Held>> = const { RefCell::new(None) };
+}
+
+/// Runs `write` on the calling thread's recorder. A write that comes
+/// after the thread has returned it (another thread-local's destructor
+/// running later) borrows a free recorder for that one write.
+fn with_recorder(write: impl Fn(&mut Held)) {
+    let on_thread =
+        LOCAL.try_with(|local| write(local.borrow_mut().get_or_insert_with(Held::acquire)));
+    if on_thread.is_err() {
+        write(&mut Held::acquire());
+    }
+}
+
+/// Adds `n` to a word only its holder writes.
+fn bump(word: &AtomicU64, n: u64) {
+    word.store(word.load(Relaxed).wrapping_add(n), Relaxed);
+}
+
+/// Raises a word only its holder writes to at least `v`.
+fn raise(word: &AtomicU64, v: u64) {
+    if v > word.load(Relaxed) {
+        word.store(v, Relaxed);
+    }
+}
+
+/// What a metric or event-scope static holds: its name and its first
+/// word (a scope: its index in the scope names) + 1, 0 until first use
+/// registers it.
+struct Key(&'static str, AtomicU32);
+
+impl Key {
+    /// The first word (the scope index), registering on first use.
+    fn word(&self, kind: Kind) -> usize {
+        match self.1.load(Relaxed) {
+            0 => self.register(kind),
+            w => w as usize - 1,
+        }
+    }
+
+    #[cold]
+    fn register(&self, kind: Kind) -> usize {
+        let mut reg = registry();
+        // Another thread may have registered it since the caller looked.
+        if let w @ 1.. = self.1.load(Relaxed) {
+            return w as usize - 1;
+        }
+        let word = if kind == Kind::Scope {
+            reg.scopes.push(self.0);
+            reg.scopes.len() - 1
+        } else {
+            let word = reg.words;
+            reg.metrics.push((kind, self.0, word));
+            reg.words += kind.layout().0;
+            word
+        };
+        let stored = u32::try_from(word + 1).expect("fewer than 2^32 words");
+        self.1.store(stored, Relaxed);
+        word
+    }
+}
 
 /// A monotonically increasing event counter.
 ///
 /// Declare one per call site with [`counter!`]; the `static` storage is
 /// what makes increments allocation-free.
-pub struct Counter {
-    name: &'static str,
-    cells: [CounterCell; SHARDS],
-    registered: AtomicBool,
-}
+pub struct Counter(Key);
 
 impl Counter {
     /// Creates an unregistered counter (const: usable in `static`s).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: CounterCell = CounterCell(AtomicU64::new(0));
-        Self {
-            name,
-            cells: [ZERO; SHARDS],
-            registered: AtomicBool::new(false),
-        }
+        Self(Key(name, AtomicU32::new(0)))
     }
 
-    /// Adds `n` to the counter (relaxed; safe from any thread).
+    /// Adds `n` to the counter (safe from any thread).
     pub fn add(&'static self, n: u64) {
-        self.cells[slot()].0.fetch_add(n, Ordering::Relaxed);
-        register_once(&self.registered, || Metric::Counter(self));
+        let word = self.0.word(Kind::Counter);
+        with_recorder(|held| bump(&held.words(word, 1)[0], n));
     }
 
     /// Increments the counter by one.
@@ -186,151 +316,73 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (the sum over the cells).
+    /// Current value: the total under this name, as [`snapshot`]
+    /// reports it.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        snapshot().counter(self.name())
     }
 
     /// Metric name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        self.name
+        self.0 .0
     }
-}
-
-/// One thread slot's share of a [`Histogram`], cache-line aligned.
-/// The count and the extremes of the exact range follow from the
-/// buckets, so only the overflow bucket keeps its own minimum and
-/// maximum.
-#[repr(align(64))]
-struct HistogramCell {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    overflow_min: AtomicU64,
-    overflow_max: AtomicU64,
 }
 
 /// A histogram of small non-negative integer observations (iteration
 /// counts, tasks per worker, …) with exact buckets plus running
 /// count/sum/min/max.
-pub struct Histogram {
-    name: &'static str,
-    cells: [HistogramCell; SHARDS],
-    registered: AtomicBool,
-}
+pub struct Histogram(Key);
 
 impl Histogram {
     /// Creates an unregistered histogram (const: usable in `static`s).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        #[allow(clippy::declare_interior_mutable_const)]
-        const EMPTY: HistogramCell = HistogramCell {
-            buckets: [ZERO; BUCKETS],
-            sum: AtomicU64::new(0),
-            overflow_min: AtomicU64::new(u64::MAX),
-            overflow_max: AtomicU64::new(0),
-        };
-        Self {
-            name,
-            cells: [EMPTY; SHARDS],
-            registered: AtomicBool::new(false),
-        }
+        Self(Key(name, AtomicU32::new(0)))
     }
 
-    /// Records one observation (relaxed; safe from any thread).
+    /// Records one observation (safe from any thread).
     pub fn observe(&'static self, value: u64) {
-        let cell = &self.cells[slot()];
+        let word = self.0.word(Kind::Histogram);
         let bucket = (value as usize).min(BUCKETS - 1);
-        if bucket == BUCKETS - 1 {
-            cell.overflow_min.fetch_min(value, Ordering::Relaxed);
-            cell.overflow_max.fetch_max(value, Ordering::Relaxed);
-        }
-        cell.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        cell.sum.fetch_add(value, Ordering::Relaxed);
-        register_once(&self.registered, || Metric::Histogram(self));
+        with_recorder(|held| {
+            let w = held.words(word, Kind::Histogram.layout().0);
+            bump(&w[bucket], 1);
+            bump(&w[BUCKETS], value);
+            if bucket == BUCKETS - 1 {
+                raise(&w[BUCKETS + 1], !value);
+                raise(&w[BUCKETS + 2], value);
+            }
+        });
     }
 
-    /// Number of observations so far (the sum over the cells).
+    /// Number of observations so far under this name, as [`snapshot`]
+    /// reports it.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.cells
-            .iter()
-            .flat_map(|c| &c.buckets)
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// The cells summed into one [`HistogramSnapshot`].
-    fn snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot {
-            buckets: vec![0; BUCKETS],
-            ..HistogramSnapshot::default()
-        };
-        let (mut overflow_min, mut overflow_max) = (u64::MAX, 0);
-        for cell in &self.cells {
-            for (dst, src) in snap.buckets.iter_mut().zip(&cell.buckets) {
-                *dst += src.load(Ordering::Relaxed);
-            }
-            snap.sum += cell.sum.load(Ordering::Relaxed);
-            overflow_min = overflow_min.min(cell.overflow_min.load(Ordering::Relaxed));
-            overflow_max = overflow_max.max(cell.overflow_max.load(Ordering::Relaxed));
-        }
-        let last = BUCKETS - 1;
-        snap.count = snap.buckets.iter().sum();
-        snap.min = snap
-            .buckets
-            .iter()
-            .position(|&c| c > 0)
-            .map(|i| if i < last { i as u64 } else { overflow_min });
-        snap.max = snap
-            .max_bucket()
-            .map(|i| if i < last { i as u64 } else { overflow_max });
-        snap
+        snapshot()
+            .histograms
+            .get(self.name())
+            .map_or(0, |h| h.count)
     }
 
     /// Metric name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        self.name
+        self.0 .0
     }
-}
-
-/// One thread slot's share of a [`SpanTimer`], on its own cache line.
-#[repr(align(64))]
-struct SpanCell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
 }
 
 /// Aggregated wall-clock timings for one span label: count, total,
 /// min and max, all in nanoseconds.
-pub struct SpanTimer {
-    name: &'static str,
-    cells: [SpanCell; SHARDS],
-    registered: AtomicBool,
-}
+pub struct SpanTimer(Key);
 
 impl SpanTimer {
     /// Creates an unregistered span timer (const: usable in `static`s).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const EMPTY: SpanCell = SpanCell {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        };
-        Self {
-            name,
-            cells: [EMPTY; SHARDS],
-            registered: AtomicBool::new(false),
-        }
+        Self(Key(name, AtomicU32::new(0)))
     }
 
     /// Starts a span. When tracing is disabled the returned guard is
@@ -346,18 +398,20 @@ impl SpanTimer {
 
     /// Records a completed span of `ns` nanoseconds directly.
     pub fn record_ns(&'static self, ns: u64) {
-        let cell = &self.cells[slot()];
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.total_ns.fetch_add(ns, Ordering::Relaxed);
-        cell.min_ns.fetch_min(ns, Ordering::Relaxed);
-        cell.max_ns.fetch_max(ns, Ordering::Relaxed);
-        register_once(&self.registered, || Metric::Span(self));
+        let word = self.0.word(Kind::Span);
+        with_recorder(|held| {
+            let w = held.words(word, Kind::Span.layout().0);
+            bump(&w[0], 1);
+            bump(&w[1], ns);
+            raise(&w[2], !ns);
+            raise(&w[3], ns);
+        });
     }
 
     /// Metric name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        self.name
+        self.0 .0
     }
 }
 
@@ -451,9 +505,7 @@ impl Sink {
 /// The parsed `RLCKIT_TRACE` value, read once per process.
 fn env_sink() -> &'static Sink {
     static SINK: OnceLock<Sink> = OnceLock::new();
-    SINK.get_or_init(|| {
-        Sink::parse(&std::env::var("RLCKIT_TRACE").unwrap_or_default())
-    })
+    SINK.get_or_init(|| Sink::parse(&std::env::var("RLCKIT_TRACE").unwrap_or_default()))
 }
 
 /// Programmatic enablement override: 0 = follow the environment,
@@ -466,7 +518,7 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 /// timers and is what makes the disabled path clock-free.
 #[must_use]
 pub fn enabled() -> bool {
-    match FORCED.load(Ordering::Relaxed) {
+    match FORCED.load(Relaxed) {
         1 => true,
         2 => false,
         _ => *env_sink() != Sink::Disabled,
@@ -477,7 +529,7 @@ pub fn enabled() -> bool {
 /// (used by tests and the bench harness; campaigns normally rely on the
 /// environment variable alone).
 pub fn set_enabled(on: bool) {
-    FORCED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    FORCED.store(if on { 1 } else { 2 }, Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -630,9 +682,8 @@ impl Snapshot {
             .histograms
             .iter()
             .map(|(name, h)| {
-                let old = earlier.histograms.get(name);
                 let mut d = h.clone();
-                if let Some(old) = old {
+                if let Some(old) = earlier.histograms.get(name) {
                     d.count = d.count.saturating_sub(old.count);
                     d.sum = d.sum.saturating_sub(old.sum);
                     for (b, ob) in d.buckets.iter_mut().zip(&old.buckets) {
@@ -646,9 +697,8 @@ impl Snapshot {
             .spans
             .iter()
             .map(|(name, s)| {
-                let old = earlier.spans.get(name);
                 let mut d = s.clone();
-                if let Some(old) = old {
+                if let Some(old) = earlier.spans.get(name) {
                     d.count = d.count.saturating_sub(old.count);
                     d.total_ns = d.total_ns.saturating_sub(old.total_ns);
                 }
@@ -666,45 +716,44 @@ impl Snapshot {
 /// Captures the current value of every registered metric.
 #[must_use]
 pub fn snapshot() -> Snapshot {
+    let mut merged = BTreeMap::new();
+    let reg = registry();
+    let recorders: Vec<_> = reg.recorders.iter().map(|r| r.words()).collect();
+    for &(kind, name, word) in &reg.metrics {
+        let width = kind.layout().0;
+        let acc = merged.entry((kind, name)).or_insert_with(|| vec![0; width]);
+        for words in &recorders {
+            kind.merge(acc, words, word);
+        }
+    }
+    drop(reg);
     let mut snap = Snapshot::default();
-    let registry = REGISTRY.lock().expect("registry lock");
-    for metric in registry.iter() {
-        match metric {
-            Metric::Counter(c) => {
-                *snap.counters.entry(c.name.to_string()).or_insert(0) += c.value();
-            }
-            Metric::Histogram(h) => {
-                let cells = h.snapshot();
-                let entry = snap
-                    .histograms
-                    .entry(h.name.to_string())
-                    .or_insert_with(|| HistogramSnapshot {
-                        buckets: vec![0; BUCKETS],
-                        ..HistogramSnapshot::default()
-                    });
-                entry.count += cells.count;
-                entry.sum += cells.sum;
-                entry.min = entry.min.into_iter().chain(cells.min).min();
-                entry.max = entry.max.max(cells.max);
-                for (dst, src) in entry.buckets.iter_mut().zip(&cells.buckets) {
-                    *dst += src;
-                }
-            }
-            Metric::Span(s) => {
-                let entry = snap.spans.entry(s.name.to_string()).or_insert(SpanSnapshot {
-                    min_ns: u64::MAX,
-                    ..SpanSnapshot::default()
-                });
-                for cell in &s.cells {
-                    let count = cell.count.load(Ordering::Relaxed);
-                    entry.count += count;
-                    entry.total_ns += cell.total_ns.load(Ordering::Relaxed);
-                    if count > 0 {
-                        entry.min_ns = entry.min_ns.min(cell.min_ns.load(Ordering::Relaxed));
-                    }
-                    entry.max_ns = entry.max_ns.max(cell.max_ns.load(Ordering::Relaxed));
-                }
-            }
+    for ((kind, name), w) in merged {
+        let name = String::from(name);
+        if kind == Kind::Counter {
+            snap.counters.insert(name, w[0]);
+        } else if kind == Kind::Span {
+            let span = SpanSnapshot {
+                count: w[0],
+                total_ns: w[1],
+                min_ns: !w[2],
+                max_ns: w[3],
+            };
+            snap.spans.insert(name, span);
+        } else {
+            // The extremes are bucket indices unless they overflowed.
+            let at = |i: Option<usize>, overflow| {
+                i.map(|i| if i < BUCKETS - 1 { i as u64 } else { overflow })
+            };
+            let buckets = w[..BUCKETS].to_vec();
+            let h = HistogramSnapshot {
+                count: buckets.iter().sum(),
+                sum: w[BUCKETS],
+                min: at(buckets.iter().position(|&c| c > 0), !w[BUCKETS + 1]),
+                max: at(buckets.iter().rposition(|&c| c > 0), w[BUCKETS + 2]),
+                buckets,
+            };
+            snap.histograms.insert(name, h);
         }
     }
     snap
@@ -835,13 +884,11 @@ pub fn jsonl_string() -> String {
     jsonl_of(&snapshot())
 }
 
-/// Per-process sequence number stamped into `jsonl+:` flush markers.
-static FLUSH_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Serializes concurrent flushes so each appended block is one
+/// The next `jsonl+:` flush marker's sequence number. Its lock also
+/// serializes concurrent flushes, so each appended block is one
 /// contiguous byte range with an in-order marker (see
 /// [`append_jsonl_snapshot`]).
-static FLUSH_LOCK: Mutex<()> = Mutex::new(());
+static FLUSH_SEQ: Mutex<u64> = Mutex::new(0);
 
 /// Appends one marker-delimited snapshot of the current metrics to
 /// `path`: a `{"type":"flush","value":<seq>}` marker line (`seq` is a
@@ -861,11 +908,14 @@ static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 ///
 /// Propagates the underlying open/write failure.
 pub fn append_jsonl_snapshot(path: &std::path::Path) -> std::io::Result<()> {
-    let _guard = FLUSH_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let seq = FLUSH_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut seq = lock(&FLUSH_SEQ);
     let mut block = format!("{{\"type\":\"flush\",\"value\":{seq}}}\n");
+    *seq += 1;
     block.push_str(&jsonl_string());
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     file.write_all(block.as_bytes())
 }
 
@@ -888,12 +938,18 @@ pub fn flush() {
         }
         Sink::Jsonl(Some(path)) => {
             if let Err(e) = std::fs::write(path, jsonl_string()) {
-                eprintln!("warning: could not write trace jsonl {}: {e}", path.display());
+                eprintln!(
+                    "warning: could not write trace jsonl {}: {e}",
+                    path.display()
+                );
             }
         }
         Sink::JsonlAppend(path) => {
             if let Err(e) = append_jsonl_snapshot(path) {
-                eprintln!("warning: could not append trace jsonl {}: {e}", path.display());
+                eprintln!(
+                    "warning: could not append trace jsonl {}: {e}",
+                    path.display()
+                );
             }
         }
     }
@@ -905,7 +961,8 @@ pub fn flush() {
 #[cfg(test)]
 pub(crate) fn enabled_flag_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -955,15 +1012,16 @@ mod tests {
         assert_eq!(hs.buckets[BUCKETS - 1], 3);
     }
 
-    /// More threads than cells, so slots collide: every total must
-    /// still be exact, and equal the closed form over all threads.
+    /// Seventeen threads write at once, each into its own recorder:
+    /// every total must be exact, and equal the closed form over all
+    /// threads.
     #[test]
-    fn cells_sum_to_exact_totals_when_slots_collide() {
-        const THREADS: u64 = 2 * SHARDS as u64 + 1;
+    fn recorders_sum_to_exact_totals_across_threads() {
+        const THREADS: u64 = 17;
         const ROUNDS: u64 = 500;
-        let c = counter!("test.cells_counter");
-        let h = histogram!("test.cells_histogram");
-        static SPAN: SpanTimer = SpanTimer::new("test.cells_span");
+        let c = counter!("test.recorders_counter");
+        let h = histogram!("test.recorders_histogram");
+        static SPAN: SpanTimer = SpanTimer::new("test.recorders_span");
         let s = &SPAN;
         // Thread t observes (t + i) mod 40, covering every exact bucket
         // and the overflow bucket, and records a span of 10·t + i + 5 ns.
@@ -991,9 +1049,9 @@ mod tests {
             }
         }
         let snap = snapshot();
-        assert_eq!(snap.counter("test.cells_counter"), 3 * THREADS * ROUNDS);
+        assert_eq!(snap.counter("test.recorders_counter"), 3 * THREADS * ROUNDS);
         assert_eq!(c.value(), 3 * THREADS * ROUNDS);
-        let hs = &snap.histograms["test.cells_histogram"];
+        let hs = &snap.histograms["test.recorders_histogram"];
         assert_eq!(hs.count, THREADS * ROUNDS);
         assert_eq!(h.count(), THREADS * ROUNDS);
         assert_eq!(hs.sum, sum);
@@ -1001,11 +1059,98 @@ mod tests {
         assert_eq!(hs.max, Some(39));
         assert_eq!(hs.buckets, buckets);
         assert!(hs.buckets[BUCKETS - 1] > 0, "overflow bucket is exercised");
-        let ss = &snap.spans["test.cells_span"];
+        let ss = &snap.spans["test.recorders_span"];
         assert_eq!(ss.count, THREADS * ROUNDS);
         assert_eq!(ss.total_ns, total_ns);
         assert_eq!(ss.min_ns, 5);
         assert_eq!(ss.max_ns, ns(THREADS - 1, ROUNDS - 1));
+    }
+
+    /// Threads that run one after another reuse the recorder each one
+    /// hands back: the recorder list grows by about the number of
+    /// threads recording at once (sibling tests spawn some too), not by
+    /// the number spawned, and every thread's values and events outlive
+    /// it.
+    #[test]
+    fn short_lived_threads_recycle_recorders() {
+        const THREADS: u64 = 256;
+        let _flag = enabled_flag_lock();
+        set_enabled(true);
+        let before = registry().recorders.len();
+        for t in 0..THREADS {
+            std::thread::spawn(move || {
+                counter!("test.recycle_counter").add(t);
+                histogram!("test.recycle_histogram").observe(t % 40);
+                static SPAN: SpanTimer = SpanTimer::new("test.recycle_span");
+                SPAN.record_ns(t + 1);
+                crate::event!(t, "test.recycle_event", events::EventKind::Outcome, t);
+            })
+            .join()
+            .unwrap();
+        }
+        let grown = registry().recorders.len() - before;
+        let snap = snapshot();
+        assert_eq!(
+            snap.counter("test.recycle_counter"),
+            THREADS * (THREADS - 1) / 2
+        );
+        let hs = &snap.histograms["test.recycle_histogram"];
+        assert_eq!(hs.count, THREADS);
+        assert_eq!(hs.sum, (0..THREADS).map(|t| t % 40).sum::<u64>());
+        assert_eq!((hs.min, hs.max), (Some(0), Some(39)));
+        let ss = &snap.spans["test.recycle_span"];
+        assert_eq!(ss.count, THREADS);
+        assert_eq!(ss.total_ns, THREADS * (THREADS + 1) / 2);
+        assert_eq!((ss.min_ns, ss.max_ns), (1, THREADS));
+        let events = events::collect().events;
+        let mine = events.iter().filter(|e| e.scope == "test.recycle_event");
+        assert_eq!(mine.count() as u64, THREADS);
+        assert!(
+            grown < 64,
+            "{THREADS} threads in turn made {grown} recorders"
+        );
+    }
+
+    /// A write from a thread-local destructor that runs after the
+    /// thread has handed its recorder back must neither panic nor be
+    /// lost. Destructor order follows registration order, so one of the
+    /// two threads writes late whichever way it runs.
+    #[test]
+    fn writes_from_late_destructors_are_kept() {
+        struct WritesOnDrop;
+        impl Drop for WritesOnDrop {
+            fn drop(&mut self) {
+                counter!("test.late_write").incr();
+            }
+        }
+        thread_local! {
+            static WRITES_ON_DROP: WritesOnDrop = const { WritesOnDrop };
+        }
+        std::thread::spawn(|| {
+            WRITES_ON_DROP.with(|_| {});
+            counter!("test.late_write").incr();
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(|| {
+            counter!("test.late_write").incr();
+            WRITES_ON_DROP.with(|_| {});
+        })
+        .join()
+        .unwrap();
+        assert_eq!(snapshot().counter("test.late_write"), 4);
+    }
+
+    /// A metric static is its name and a word offset; its values live
+    /// in the recorders.
+    #[test]
+    fn metric_statics_are_a_name_and_an_offset() {
+        let sizes = [
+            std::mem::size_of::<Counter>(),
+            std::mem::size_of::<Histogram>(),
+            std::mem::size_of::<SpanTimer>(),
+        ];
+        assert!(sizes.iter().all(|&size| size <= 32), "{sizes:?}");
     }
 
     #[test]
@@ -1035,9 +1180,18 @@ mod tests {
         set_enabled(false);
         {
             let guard = span!("test.span_disabled");
-            assert!(!guard.is_active(), "disabled tracing must yield inert guards");
+            assert!(
+                !guard.is_active(),
+                "disabled tracing must yield inert guards"
+            );
         }
-        assert_eq!(snapshot().spans.get("test.span_disabled").map_or(0, |s| s.count), 0);
+        assert_eq!(
+            snapshot()
+                .spans
+                .get("test.span_disabled")
+                .map_or(0, |s| s.count),
+            0
+        );
 
         set_enabled(true);
         {
@@ -1082,10 +1236,8 @@ mod tests {
     /// flush wins" image.
     #[test]
     fn two_append_flushes_preserve_two_snapshots() {
-        let path = std::env::temp_dir().join(format!(
-            "rlckit_trace_append_{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("rlckit_trace_append_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
         counter!("test.append_flush_counter").incr();
@@ -1148,7 +1300,10 @@ mod tests {
         let mut markers = Vec::new();
         for line in text.lines() {
             // No torn lines: every line is a standalone JSON object.
-            assert!(line.starts_with('{') && line.ends_with('}'), "torn line: {line:?}");
+            assert!(
+                line.starts_with('{') && line.ends_with('}'),
+                "torn line: {line:?}"
+            );
             if let Some(rest) = line.strip_prefix("{\"type\":\"flush\",\"value\":") {
                 let seq: u64 = rest.trim_end_matches('}').parse().expect(line);
                 markers.push(seq);

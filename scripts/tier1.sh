@@ -369,6 +369,24 @@ for pair in 250nm:solo_250nm 100nm:solo 100nm_eps33:solo_100nm_eps33 100nm_fault
     exit 1
   fi
 done
+# Trace goldens: the JSONL sink of the clean and the armed 100 nm solo
+# campaigns must equal the committed captures line for line once the
+# span lines (wall clock) are dropped. This pins which metrics register
+# and every counter and histogram total, so a change to the telemetry
+# store that loses, doubles or misnames a write fails here.
+RLCKIT_TRACE="jsonl:$campaign_dir/clean.trace.jsonl" \
+  cargo run --release --offline -q -p rlckit-campaign -- solo \
+  --dir "$campaign_dir/trace_clean" --out "$campaign_dir/trace_clean.csv" 2>/dev/null
+RLCKIT_FAULTS=2001:0.1 RLCKIT_TRACE="jsonl:$campaign_dir/armed.trace.jsonl" \
+  cargo run --release --offline -q -p rlckit-campaign -- solo \
+  --dir "$campaign_dir/trace_armed" --out "$campaign_dir/trace_armed.csv" 2>/dev/null
+for pair in 100nm:clean 100nm_faults_2001:armed; do
+  golden="tests/golden/campaign_solo_${pair%%:*}.trace.jsonl"
+  if ! cmp -s "$golden" <(grep -v '"type":"span"' "$campaign_dir/${pair#*:}.trace.jsonl"); then
+    echo "tier-1 gate: FAIL — solo campaign trace sink drifted from $golden" >&2
+    exit 1
+  fi
+done
 
 # Perf guard on the committed bench baselines: the delay solver must
 # hold the paper's ≤4-iteration claim, and one optimizer solve must not
