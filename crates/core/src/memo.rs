@@ -561,22 +561,14 @@ mod tests {
     use rlckit_tech::TechNode;
     use rlckit_units::HenriesPerMeter;
 
-    /// Also returns a guard on one lock that every test here holds
-    /// while it touches a memo: the `memo.*` counters are
-    /// process-global, so a sibling test running in parallel would
-    /// otherwise count into another's deltas.
-    fn setup() -> (std::sync::MutexGuard<'static, ()>, LineRlc, DriverParams) {
-        static COUNTERS: Mutex<()> = Mutex::new(());
+    fn setup() -> (LineRlc, DriverParams) {
         let node = TechNode::nm100();
-        (
-            COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-            LineRlc::new(
-                node.line().resistance,
-                HenriesPerMeter::from_nano_per_milli(1.8),
-                node.line().capacitance,
-            ),
-            node.driver(),
-        )
+        let line = LineRlc::new(
+            node.line().resistance,
+            HenriesPerMeter::from_nano_per_milli(1.8),
+            node.line().capacitance,
+        );
+        (line, node.driver())
     }
 
     #[test]
@@ -621,7 +613,7 @@ mod tests {
     /// `quantize(0.0)` length component that no caller could vary.
     #[test]
     fn key_has_exactly_the_seven_live_words() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let opts = OptimizerOptions::default();
         let key = key_for(&line, &driver, opts);
         assert_eq!(key.len(), 7);
@@ -641,24 +633,21 @@ mod tests {
 
     #[test]
     fn second_ask_is_served_from_the_memo() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::default();
-        let before = rlckit_trace::snapshot();
-        let (a, first) = memo
-            .optimum_served(&line, &driver, OptimizerOptions::default())
-            .unwrap();
-        assert_eq!(first, Served::Solved);
         // A measurement-noise perturbation of the inductance: same key.
         let noisy = LineRlc::new(
             line.resistance(),
             HenriesPerMeter::new(f64::from_bits(line.inductance().get().to_bits() + 1)),
             line.capacitance(),
         );
-        let (b, second) = memo
-            .optimum_served(&noisy, &driver, OptimizerOptions::default())
-            .unwrap();
+        let (((a, first), (b, second)), delta) = rlckit_trace::scoped(|| {
+            let opts = OptimizerOptions::default();
+            let first = memo.optimum_served(&line, &driver, opts).unwrap();
+            (first, memo.optimum_served(&noisy, &driver, opts).unwrap())
+        });
+        assert_eq!(first, Served::Solved);
         assert_eq!(second, Served::Hit);
-        let delta = rlckit_trace::snapshot().since(&before);
         assert_eq!(delta.counter("memo.misses"), 1);
         assert_eq!(delta.counter("memo.hits"), 1);
         assert_eq!(
@@ -671,7 +660,7 @@ mod tests {
 
     #[test]
     fn distinct_questions_do_not_collide() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::default();
         let a = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
         let other = LineRlc::new(
@@ -696,29 +685,21 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_the_oldest_entry() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::new(2);
-        let before = rlckit_trace::snapshot();
-        for nano_per_milli in [1.0, 1.4, 1.8] {
+        let at = |nano_per_milli| {
             let l = LineRlc::new(
                 line.resistance(),
                 HenriesPerMeter::from_nano_per_milli(nano_per_milli),
                 line.capacitance(),
             );
             memo.optimum(&l, &driver, OptimizerOptions::default()).unwrap();
-        }
+        };
+        let (_, delta) = rlckit_trace::scoped(|| [1.0, 1.4, 1.8].map(at));
         assert_eq!(memo.len(), 2);
-        let delta = rlckit_trace::snapshot().since(&before);
         assert_eq!(delta.counter("memo.evictions"), 1);
         // The oldest (1.0 nH/mm) was evicted: asking again re-solves.
-        let oldest = LineRlc::new(
-            line.resistance(),
-            HenriesPerMeter::from_nano_per_milli(1.0),
-            line.capacitance(),
-        );
-        let before = rlckit_trace::snapshot();
-        memo.optimum(&oldest, &driver, OptimizerOptions::default()).unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
+        let ((), delta) = rlckit_trace::scoped(|| at(1.0));
         assert_eq!(delta.counter("memo.misses"), 1);
     }
 
@@ -728,7 +709,7 @@ mod tests {
     /// oldest insert and therefore the first casualty of cold churn.)
     #[test]
     fn lru_hits_promote_and_redirect_eviction() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let opts = OptimizerOptions::default();
         let at = |nano_per_milli: f64| {
             LineRlc::new(
@@ -740,12 +721,12 @@ mod tests {
         let memo = OptimumMemo::sharded_with_eviction(1, 2, Eviction::Lru);
         assert_eq!(memo.eviction(), Eviction::Lru);
         let hot = at(1.0);
-        let before = rlckit_trace::snapshot();
-        memo.optimum(&hot, &driver, opts).unwrap(); // insert hot
-        memo.optimum(&at(1.4), &driver, opts).unwrap(); // insert cold
-        memo.optimum(&hot, &driver, opts).unwrap(); // hit hot → promote
-        memo.optimum(&at(1.8), &driver, opts).unwrap(); // evicts 1.4, not hot
-        let delta = rlckit_trace::snapshot().since(&before);
+        let ((), delta) = rlckit_trace::scoped(|| {
+            memo.optimum(&hot, &driver, opts).unwrap(); // insert hot
+            memo.optimum(&at(1.4), &driver, opts).unwrap(); // insert cold
+            memo.optimum(&hot, &driver, opts).unwrap(); // hit hot → promote
+            memo.optimum(&at(1.8), &driver, opts).unwrap(); // evicts 1.4, not hot
+        });
         assert_eq!(delta.counter("memo.evictions"), 1, "evictions still count");
         assert!(
             memo.probe(&key_for(&hot, &driver, opts)).is_some(),
@@ -773,7 +754,7 @@ mod tests {
     /// recency ranking.
     #[test]
     fn lru_probe_and_preload_do_not_promote() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let opts = OptimizerOptions::default();
         let at = |nano_per_milli: f64| {
             LineRlc::new(
@@ -805,17 +786,15 @@ mod tests {
     /// all share **one** memo entry — one miss, then hits.
     #[test]
     fn optimum_and_route_delay_share_one_entry() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::default();
-        let before = rlckit_trace::snapshot();
-        let opt = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
-        let d1 = memo
-            .route_delay(&line, &driver, Meters::from_milli(30.0), OptimizerOptions::default())
-            .unwrap();
-        let d2 = memo
-            .route_delay(&line, &driver, Meters::from_milli(60.0), OptimizerOptions::default())
-            .unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
+        let opts = OptimizerOptions::default();
+        let ((opt, d1, d2), delta) = rlckit_trace::scoped(|| {
+            let opt = memo.optimum(&line, &driver, opts).unwrap();
+            let d1 = memo.route_delay(&line, &driver, Meters::from_milli(30.0), opts);
+            let d2 = memo.route_delay(&line, &driver, Meters::from_milli(60.0), opts);
+            (opt, d1.unwrap(), d2.unwrap())
+        });
         assert_eq!(memo.len(), 1, "every length maps onto the optimum's entry");
         assert_eq!(delta.counter("memo.misses"), 1, "one solve serves all lengths");
         assert_eq!(delta.counter("memo.hits"), 2);
@@ -828,12 +807,13 @@ mod tests {
 
     #[test]
     fn lcrit_is_served_from_the_optimum_entry() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::default();
-        let before = rlckit_trace::snapshot();
-        let opt = memo.optimum(&line, &driver, OptimizerOptions::default()).unwrap();
-        let lc = memo.lcrit(&line, &driver, OptimizerOptions::default()).unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
+        let opts = OptimizerOptions::default();
+        let ((opt, lc), delta) = rlckit_trace::scoped(|| {
+            let opt = memo.optimum(&line, &driver, opts).unwrap();
+            (opt, memo.lcrit(&line, &driver, opts).unwrap())
+        });
         assert_eq!(lc.get().to_bits(), opt.critical_inductance.get().to_bits());
         assert_eq!(delta.counter("memo.misses"), 1);
         assert_eq!(delta.counter("memo.hits"), 1);
@@ -848,23 +828,21 @@ mod tests {
     /// entries mutex), so no telemetry-free locked read could exist.
     #[test]
     fn probe_is_telemetry_free_and_lookup_counts_outside_the_lock() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::default();
         let opts = OptimizerOptions::default();
         memo.optimum(&line, &driver, opts).unwrap();
         let key = key_for(&line, &driver, opts);
 
-        let before = rlckit_trace::snapshot();
-        assert!(memo.probe(&key).is_some());
-        assert!(memo.probe(&[0; 7]).is_none());
-        let delta = rlckit_trace::snapshot().since(&before);
+        let ((), delta) = rlckit_trace::scoped(|| {
+            assert!(memo.probe(&key).is_some());
+            assert!(memo.probe(&[0; 7]).is_none());
+        });
         assert_eq!(delta.counter("memo.hits"), 0, "probe must not count");
         assert_eq!(delta.counter("memo.misses"), 0, "probe must not count");
 
         // The counting lookup path still records exactly once per ask.
-        let before = rlckit_trace::snapshot();
-        memo.optimum(&line, &driver, opts).unwrap();
-        let delta = rlckit_trace::snapshot().since(&before);
+        let (_, delta) = rlckit_trace::scoped(|| memo.optimum(&line, &driver, opts).unwrap());
         assert_eq!(delta.counter("memo.hits"), 1);
         assert_eq!(delta.counter("memo.misses"), 0);
     }
@@ -873,7 +851,7 @@ mod tests {
     /// gets the first answer back, and the stored entry does not move.
     #[test]
     fn a_lost_insert_race_returns_the_stored_answer() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let opts = OptimizerOptions::default();
         let memo = OptimumMemo::sharded_with_eviction(1, 2, Eviction::Lru);
         let key = key_for(&line, &driver, opts);
@@ -898,7 +876,7 @@ mod tests {
 
     #[test]
     fn sharded_memo_routes_keys_stably_and_bounds_each_shard() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let memo = OptimumMemo::sharded(4, 2);
         assert_eq!(memo.shard_count(), 4);
         let mut inserted = Vec::new();
@@ -927,7 +905,7 @@ mod tests {
 
     #[test]
     fn preload_and_export_round_trip_without_counters() {
-        let (_counters, line, driver) = setup();
+        let (line, driver) = setup();
         let source = OptimumMemo::sharded(3, 8);
         for i in 0..5 {
             let l = LineRlc::new(
@@ -941,12 +919,12 @@ mod tests {
         assert_eq!(entries.len(), 5);
 
         let target = OptimumMemo::sharded(5, 8);
-        let before = rlckit_trace::snapshot();
-        for (key, value) in &entries {
-            assert!(target.preload(*key, *value), "fresh preload must insert");
-            assert!(!target.preload(*key, *value), "duplicate preload must no-op");
-        }
-        let delta = rlckit_trace::snapshot().since(&before);
+        let ((), delta) = rlckit_trace::scoped(|| {
+            for (key, value) in &entries {
+                assert!(target.preload(*key, *value), "fresh preload must insert");
+                assert!(!target.preload(*key, *value), "duplicate preload must no-op");
+            }
+        });
         assert_eq!(delta.counter("memo.hits"), 0);
         assert_eq!(delta.counter("memo.misses"), 0);
         assert_eq!(target.len(), 5);

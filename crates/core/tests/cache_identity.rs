@@ -2,12 +2,6 @@
 //! self-scheduler must not change a single bit of campaign output
 //! against a hand-written scalar per-point reference — serial, at
 //! multiple thread counts, and under armed fault injection.
-//!
-//! Fault arming and trace counters are process-global, so every test
-//! takes `FAULT_LOCK` for its whole body and sets the armed state
-//! explicitly.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit::elmore::rc_optimum;
 use rlckit::optimizer::{optimize_rlc_with_retry, segment_delay, OptimizerOptions, RetryPolicy};
@@ -18,12 +12,6 @@ use rlckit_par::Parallelism;
 use rlckit_tech::TechNode;
 use rlckit_tline::LineRlc;
 use rlckit_units::HenriesPerMeter;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Seed that demonstrably injects into this grid at a 10 % rate
 /// (asserted in `crates/core/tests/fault_tolerance.rs`).
@@ -65,15 +53,6 @@ fn campaign_csv(points: &[SweepPoint]) -> String {
         );
     }
     table.to_csv()
-}
-
-fn point_bits(p: &SweepPoint) -> [u64; 4] {
-    [
-        p.h_opt.to_bits(),
-        p.k_opt.to_bits(),
-        p.delay_per_length.to_bits(),
-        p.l_crit.to_bits(),
-    ]
 }
 
 /// The scalar sweep, replicated point by point from the public API —
@@ -144,16 +123,14 @@ fn full_bits(p: &SweepPoint) -> ([u64; 8], rlckit_tline::Damping) {
 
 #[test]
 fn sweep_is_bit_identical_to_the_scalar_reference() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let scalar = scalar_sweep();
+    let scalar = rlckit_fault::with_plan(None, scalar_sweep);
     let reference_csv = campaign_csv(&scalar);
     for (label, parallelism) in [
         ("serial", Parallelism::Serial),
         ("2 threads", Parallelism::Threads(2)),
         ("5 threads", Parallelism::Threads(5)),
     ] {
-        let swept = sweep(parallelism);
+        let swept = rlckit_fault::with_plan(None, || sweep(parallelism));
         assert_eq!(scalar.len(), swept.len());
         for (i, (s, b)) in scalar.iter().zip(&swept).enumerate() {
             assert_eq!(
@@ -172,17 +149,12 @@ fn sweep_is_bit_identical_to_the_scalar_reference() {
 
 #[test]
 fn sweep_matches_the_scalar_reference_under_armed_faults() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let before = rlckit_trace::snapshot();
-    let scalar_csv = campaign_csv(&scalar_sweep());
-    let swept_serial = campaign_csv(&sweep(Parallelism::Serial));
-    let swept_two = campaign_csv(&sweep(Parallelism::Threads(2)));
-    let swept_five = campaign_csv(&sweep(Parallelism::Threads(5)));
-    let delta = rlckit_trace::snapshot().since(&before);
-    rlckit_fault::disarm();
+    let ((scalar_csv, [swept_serial, swept_two, swept_five]), delta) = rlckit_trace::scoped(|| {
+        rlckit_fault::with_plan(Some((FAULT_SEED, 0.10)), || {
+            let swept = [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(5)];
+            (campaign_csv(&scalar_sweep()), swept.map(|p| campaign_csv(&sweep(p))))
+        })
+    });
 
     assert!(
         delta.counters_ending_with(".injected_faults") > 0,
@@ -201,40 +173,14 @@ fn sweep_matches_the_scalar_reference_under_armed_faults() {
 }
 
 #[test]
-fn campaign_csv_is_byte_identical_across_schedulers_and_thread_counts() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let serial = sweep(Parallelism::Serial);
-    let reference_csv = campaign_csv(&serial);
-    for threads in [2, 5] {
-        let guided = sweep(Parallelism::Threads(threads));
-        for (i, (s, g)) in serial.iter().zip(&guided).enumerate() {
-            assert_eq!(
-                point_bits(s),
-                point_bits(g),
-                "point {i} drifted at {threads} threads"
-            );
-        }
-        assert_eq!(
-            reference_csv,
-            campaign_csv(&guided),
-            "campaign CSV drifted at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn campaign_csv_is_byte_identical_under_armed_faults() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let clean_csv = campaign_csv(&sweep(Parallelism::Serial));
+    let clean_csv = rlckit_fault::with_plan(None, || campaign_csv(&sweep(Parallelism::Serial)));
 
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let before = rlckit_trace::snapshot();
-    let armed_serial = campaign_csv(&sweep(Parallelism::Serial));
-    let armed_guided = campaign_csv(&sweep(Parallelism::Threads(3)));
-    let delta = rlckit_trace::snapshot().since(&before);
-    rlckit_fault::disarm();
+    let ([armed_serial, armed_guided], delta) = rlckit_trace::scoped(|| {
+        rlckit_fault::with_plan(Some((FAULT_SEED, 0.10)), || {
+            [Parallelism::Serial, Parallelism::Threads(3)].map(|p| campaign_csv(&sweep(p)))
+        })
+    });
 
     assert!(
         delta.counters_ending_with(".injected_faults") > 0,

@@ -14,12 +14,6 @@
 //! get a small regression margin: the reproduction's bracketed Newton
 //! trades a bisection safeguard for one or two extra iterations on the
 //! worst points).
-//!
-//! Trace metrics are process-global, so the campaign runs exactly once
-//! behind a `OnceLock` and every test asserts on the same snapshot
-//! delta — concurrent test threads cannot pollute each other.
-
-use std::sync::OnceLock;
 
 use rlckit::optimizer::{optimize_rlc, optimize_rlc_direct, OptimizerOptions};
 use rlckit::sweeps::standard_node_sweep;
@@ -40,19 +34,17 @@ fn campaign_nodes() -> Vec<TechNode> {
     nodes
 }
 
-/// Runs the full campaign once and returns the trace delta it produced.
-fn campaign_delta() -> &'static Snapshot {
-    static DELTA: OnceLock<Snapshot> = OnceLock::new();
-    DELTA.get_or_init(|| {
-        // The claims are about clean solves: force fault injection off
-        // even if the test process inherited RLCKIT_FAULTS.
-        rlckit_fault::disarm();
-        let before = rlckit_trace::snapshot();
+/// Runs the full campaign in a trace scope of its own and returns the
+/// telemetry it produced.
+fn campaign_delta() -> Snapshot {
+    // The claims are about clean solves: no fault plan, even if the
+    // test process inherited RLCKIT_FAULTS.
+    let campaign = || {
         for node in campaign_nodes() {
             standard_node_sweep(&node, GRID_POINTS).expect("campaign sweep");
         }
-        rlckit_trace::snapshot().since(&before)
-    })
+    };
+    rlckit_trace::scoped(|| rlckit_fault::with_plan(None, campaign)).1
 }
 
 #[test]
@@ -141,8 +133,7 @@ fn newton_converges_at_every_threshold_without_fallback() {
     // damping: over both Table 1 nodes, the 10/50/90 % thresholds and
     // the campaign's inductance grid, every optimum comes from the
     // first Newton attempt — no perturbed restart, no Nelder–Mead
-    // fallback. Checked per solve (not from the process-global trace
-    // counters, which sibling tests in this binary also move).
+    // fallback. Checked per solve.
     let mut worst = 0;
     for node in TechNode::table1() {
         for f in [0.1, 0.5, 0.9] {
@@ -206,5 +197,43 @@ fn clean_campaign_spends_no_retry_budget() {
         delta.counters_ending_with(".injected_faults"),
         0,
         "an injected fault fired in a disarmed campaign"
+    );
+}
+
+/// The optimizer's Newton fails an attempt for one of two reasons, and
+/// each has its own counter: `optimizer.newton.line_search_stalls` (30
+/// halvings found no descent) and `optimizer.newton.budget_exhausted`
+/// (every iteration was spent). A stall must not also count as a spent
+/// budget, or the counters cannot say why a point retried.
+#[test]
+fn line_search_stalls_are_not_counted_as_spent_budgets() {
+    // At a 1e-9 delay threshold the 100 nm residuals bottom out above
+    // `f_tol`: every Newton attempt stalls in its line search long
+    // before its 60 iterations are spent, and the point falls back to
+    // Nelder–Mead.
+    let node = TechNode::nm100();
+    let line = LineRlc::new(
+        node.line().resistance,
+        HenriesPerMeter::from_nano_per_milli(1.0),
+        node.line().capacitance,
+    );
+    let options = OptimizerOptions {
+        threshold: 1e-9,
+        ..OptimizerOptions::default()
+    };
+    let (opt, delta) = rlckit_trace::scoped(|| {
+        rlckit_fault::with_plan(None, || optimize_rlc(&line, &node.driver(), options))
+    });
+    let opt = opt.expect("the fallback optimum");
+    assert!(opt.used_fallback, "Newton converged: no stall to count");
+    assert_eq!(
+        delta.counter("optimizer.newton.line_search_stalls"),
+        u64::from(opt.restarts) + 1,
+        "every Newton attempt should have stalled"
+    );
+    assert_eq!(
+        delta.counter("optimizer.newton.budget_exhausted"),
+        0,
+        "a line-search stall was counted as a spent iteration budget"
     );
 }

@@ -3,12 +3,6 @@
 //! and retried points must be bit-identical to a clean run.
 //! (Checkpoint/resume is the `rlckit-campaign` shard runner's job and
 //! is tested there.)
-//!
-//! Fault arming and trace counters are process-global, so every test
-//! takes `FAULT_LOCK` for its whole body and sets the armed state
-//! explicitly (the cargo test harness runs tests on multiple threads).
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rlckit::optimizer::{optimize_rlc_with_retry, OptimizerOptions, RetryPolicy};
 use rlckit::outcome::PointOutcome;
@@ -20,12 +14,6 @@ use rlckit_tline::twopole::Damping;
 use rlckit_tline::LineRlc;
 use rlckit_units::{HenriesPerMeter, Meters};
 
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 const GRID_POINTS: usize = 13;
 
 fn grid() -> Vec<HenriesPerMeter> {
@@ -35,16 +23,23 @@ fn grid() -> Vec<HenriesPerMeter> {
         .collect()
 }
 
-fn sweep_outcomes(policy: &RetryPolicy, parallelism: Parallelism) -> Vec<PointOutcome<SweepPoint>> {
+/// The campaign over [`grid`] under the fault plan `plan`.
+fn sweep_outcomes(
+    plan: Option<(u64, f64)>,
+    policy: &RetryPolicy,
+    parallelism: Parallelism,
+) -> Vec<PointOutcome<SweepPoint>> {
     let node = TechNode::nm100();
-    inductance_sweep_outcomes(
-        &node.line(),
-        &node.driver(),
-        grid(),
-        OptimizerOptions::default(),
-        policy,
-        parallelism,
-    )
+    rlckit_fault::with_plan(plan, || {
+        inductance_sweep_outcomes(
+            &node.line(),
+            &node.driver(),
+            grid(),
+            OptimizerOptions::default(),
+            policy,
+            parallelism,
+        )
+    })
     .expect("campaign engine failure")
 }
 
@@ -72,18 +67,14 @@ const FAULT_SEED: u64 = 2001;
 
 #[test]
 fn armed_campaign_is_bit_identical_to_clean_run() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let clean: Vec<SweepPoint> = sweep_outcomes(&RetryPolicy::default(), Parallelism::Serial)
+    let clean: Vec<SweepPoint> = sweep_outcomes(None, &RetryPolicy::default(), Parallelism::Serial)
         .into_iter()
         .map(|o| o.into_result().expect("clean run must converge"))
         .collect();
 
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let before = rlckit_trace::snapshot();
-    let armed = sweep_outcomes(&RetryPolicy::default(), Parallelism::Serial);
-    let delta = rlckit_trace::snapshot().since(&before);
-    rlckit_fault::disarm();
+    let plan = Some((FAULT_SEED, 0.10));
+    let armed = || sweep_outcomes(plan, &RetryPolicy::default(), Parallelism::Serial);
+    let (armed, delta) = rlckit_trace::scoped(armed);
 
     assert!(
         delta.counters_ending_with(".injected_faults") > 0,
@@ -119,11 +110,9 @@ fn armed_campaign_is_bit_identical_to_clean_run() {
 
 #[test]
 fn serial_and_parallel_agree_bit_for_bit_under_faults() {
-    let _guard = locked();
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let serial = sweep_outcomes(&RetryPolicy::default(), Parallelism::Serial);
-    let threaded = sweep_outcomes(&RetryPolicy::default(), Parallelism::Threads(3));
-    rlckit_fault::disarm();
+    let plan = Some((FAULT_SEED, 0.10));
+    let serial = sweep_outcomes(plan, &RetryPolicy::default(), Parallelism::Serial);
+    let threaded = sweep_outcomes(plan, &RetryPolicy::default(), Parallelism::Threads(3));
 
     assert_eq!(serial.len(), threaded.len());
     for (i, (s, t)) in serial.iter().zip(&threaded).enumerate() {
@@ -148,8 +137,6 @@ fn serial_and_parallel_agree_bit_for_bit_under_faults() {
 
 #[test]
 fn failed_points_are_isolated_from_their_neighbours() {
-    let _guard = locked();
-    rlckit_fault::disarm();
     // A policy with no retry budget and no fallback: the first injected
     // fault at a point becomes a recorded failure.
     let brittle = RetryPolicy {
@@ -158,14 +145,12 @@ fn failed_points_are_isolated_from_their_neighbours() {
         nelder_mead_fallback: false,
         ..RetryPolicy::default()
     };
-    let clean: Vec<SweepPoint> = sweep_outcomes(&brittle, Parallelism::Serial)
+    let clean: Vec<SweepPoint> = sweep_outcomes(None, &brittle, Parallelism::Serial)
         .into_iter()
         .map(|o| o.into_result().expect("clean run must converge"))
         .collect();
 
-    rlckit_fault::arm(FAULT_SEED, 0.5);
-    let armed = sweep_outcomes(&brittle, Parallelism::Serial);
-    rlckit_fault::disarm();
+    let armed = sweep_outcomes(Some((FAULT_SEED, 0.5)), &brittle, Parallelism::Serial);
 
     let failed = armed.iter().filter(|o| o.is_failed()).count();
     assert!(
@@ -193,28 +178,25 @@ fn failed_points_are_isolated_from_their_neighbours() {
 
 #[test]
 fn retry_and_degraded_counters_split_the_two_ladders() {
-    let _guard = locked();
-
     // Transient faults: retried on the rigorous path, never degraded.
-    rlckit_fault::arm(7, 1.0);
     let node = TechNode::nm100();
     let line = LineRlc::new(
         node.line().resistance,
         HenriesPerMeter::from_nano_per_milli(2.0),
         node.line().capacitance,
     );
-    let before = rlckit_trace::snapshot();
-    let retried = rlckit_fault::with_scope(0, || {
-        optimize_rlc_with_retry(
-            &line,
-            &node.driver(),
-            OptimizerOptions::default(),
-            &RetryPolicy::default(),
-        )
-    })
-    .expect("transient fault must be absorbed");
-    let delta = rlckit_trace::snapshot().since(&before);
-    rlckit_fault::disarm();
+    let solve = |plan, options| {
+        let policy = RetryPolicy::default();
+        rlckit_trace::scoped(|| {
+            rlckit_fault::with_plan(plan, || {
+                rlckit_fault::with_scope(0, || {
+                    optimize_rlc_with_retry(&line, &node.driver(), options, &policy)
+                })
+            })
+        })
+    };
+    let (retried, delta) = solve(Some((7, 1.0)), OptimizerOptions::default());
+    let retried = retried.expect("transient fault must be absorbed");
     assert!(retried.restarts > 0, "the solve must record its retry");
     assert!(!retried.used_fallback);
     assert!(delta.counter("optimizer.retries") > 0);
@@ -241,15 +223,8 @@ fn retry_and_degraded_counters_split_the_two_ladders() {
         max_iterations: 1,
         ..OptimizerOptions::default()
     };
-    let before = rlckit_trace::snapshot();
-    let degraded = optimize_rlc_with_retry(
-        &line,
-        &node.driver(),
-        starved,
-        &RetryPolicy::default(),
-    )
-    .expect("fallback must rescue the starved solve");
-    let delta = rlckit_trace::snapshot().since(&before);
+    let (degraded, delta) = solve(None, starved);
+    let degraded = degraded.expect("fallback must rescue the starved solve");
     assert!(degraded.used_fallback, "one Newton step cannot converge");
     assert_eq!(
         degraded.restarts,
@@ -266,25 +241,25 @@ fn retry_and_degraded_counters_split_the_two_ladders() {
 
 #[test]
 fn property_any_fault_seed_preserves_the_clean_bits() {
-    let _guard = locked();
-    rlckit_fault::disarm();
     let node = TechNode::nm100();
     let small_grid: Vec<HenriesPerMeter> = rlckit_numeric::grid::linspace(0.5, 4.5, 5)
         .into_iter()
         .map(HenriesPerMeter::from_nano_per_milli)
         .collect();
-    let run = |parallelism| {
-        inductance_sweep_outcomes(
-            &node.line(),
-            &node.driver(),
-            small_grid.iter().copied(),
-            OptimizerOptions::default(),
-            &RetryPolicy::default(),
-            parallelism,
-        )
+    let run = |plan, parallelism| {
+        rlckit_fault::with_plan(plan, || {
+            inductance_sweep_outcomes(
+                &node.line(),
+                &node.driver(),
+                small_grid.iter().copied(),
+                OptimizerOptions::default(),
+                &RetryPolicy::default(),
+                parallelism,
+            )
+        })
         .expect("campaign engine failure")
     };
-    let clean: Vec<[u64; 9]> = run(Parallelism::Serial)
+    let clean: Vec<[u64; 9]> = run(None, Parallelism::Serial)
         .iter()
         .map(|o| point_bits(o.value().expect("clean run must converge")))
         .collect();
@@ -292,10 +267,9 @@ fn property_any_fault_seed_preserves_the_clean_bits() {
     rlckit_check::Check::new().cases(4).seed(0xFA17).run(
         &rlckit_check::gen::usize_range(0, 1 << 48),
         |&fault_seed| {
-            rlckit_fault::arm(fault_seed as u64, 0.25);
-            let serial = run(Parallelism::Serial);
-            let threaded = run(Parallelism::Threads(2));
-            rlckit_fault::disarm();
+            let plan = Some((fault_seed as u64, 0.25));
+            let serial = run(plan, Parallelism::Serial);
+            let threaded = run(plan, Parallelism::Threads(2));
             for (i, (s, t)) in serial.iter().zip(&threaded).enumerate() {
                 let s = s.value().expect("default ladder must absorb faults");
                 let t = t.value().expect("default ladder must absorb faults");
@@ -304,7 +278,6 @@ fn property_any_fault_seed_preserves_the_clean_bits() {
             }
         },
     );
-    rlckit_fault::disarm();
 }
 
 /// The planner trade-off under live fault injection: fault decisions
@@ -313,7 +286,6 @@ fn property_any_fault_seed_preserves_the_clean_bits() {
 /// values a disarmed run produces.
 #[test]
 fn armed_tradeoff_is_thread_invariant_and_value_stable() {
-    let _guard = locked();
     let node = TechNode::nm100();
     let line = LineRlc::new(
         node.line().resistance,
@@ -328,13 +300,10 @@ fn armed_tradeoff_is_thread_invariant_and_value_stable() {
             .unwrap()
     };
 
-    rlckit_fault::disarm();
-    let clean = run(Parallelism::Serial);
-
-    rlckit_fault::arm(2001, 0.3);
-    let serial = run(Parallelism::Serial);
-    let threaded = run(Parallelism::Threads(3));
-    rlckit_fault::disarm();
+    let clean = rlckit_fault::with_plan(None, || run(Parallelism::Serial));
+    let armed = |parallelism| rlckit_fault::with_plan(Some((2001, 0.3)), || run(parallelism));
+    let serial = armed(Parallelism::Serial);
+    let threaded = armed(Parallelism::Threads(3));
 
     assert_eq!(serial.len(), threaded.len());
     for (i, ((s, t), c)) in serial.iter().zip(&threaded).zip(&clean).enumerate() {

@@ -41,17 +41,17 @@ fn planner_tradeoff_records_per_worker_task_counts() {
         node.line().capacitance,
     );
 
-    let before = rlckit_trace::snapshot();
-    let plans = segment_count_tradeoff_with(
-        &line,
-        &node.driver(),
-        Meters::from_milli(11.1),
-        0.5,
-        COUNTS,
-        Parallelism::Threads(WORKERS),
-    )
-    .expect("trade-off");
-    let delta = rlckit_trace::snapshot().since(&before);
+    let (plans, delta) = rlckit_trace::scoped(|| {
+        segment_count_tradeoff_with(
+            &line,
+            &node.driver(),
+            Meters::from_milli(11.1),
+            0.5,
+            COUNTS,
+            Parallelism::Threads(WORKERS),
+        )
+    });
+    let plans = plans.expect("trade-off");
 
     assert_eq!(plans.len(), COUNTS.count());
     // One scheduled task per count.
@@ -86,24 +86,23 @@ fn planner_tradeoff_records_per_worker_task_counts() {
 
 #[test]
 fn serial_tradeoff_records_no_worker_split() {
-    // Disjoint metric family from the parallel test above
-    // (`par.serial_maps` only), so the two tests may interleave freely.
     let node = TechNode::nm100();
     let line = LineRlc::new(
         node.line().resistance,
         HenriesPerMeter::from_nano_per_milli(1.8),
         node.line().capacitance,
     );
-    let before = rlckit_trace::snapshot();
-    segment_count_tradeoff_with(
-        &line,
-        &node.driver(),
-        Meters::from_milli(11.1),
-        0.5,
-        1..=6,
-        Parallelism::Serial,
-    )
-    .expect("trade-off");
-    let delta = rlckit_trace::snapshot().since(&before);
-    assert!(delta.counter("par.serial_maps") >= 1);
+    let (plans, delta) = rlckit_trace::scoped(|| {
+        segment_count_tradeoff_with(
+            &line,
+            &node.driver(),
+            Meters::from_milli(11.1),
+            0.5,
+            1..=6,
+            Parallelism::Serial,
+        )
+    });
+    plans.expect("trade-off");
+    assert_eq!(delta.counter("par.serial_maps"), 1);
+    assert_eq!(delta.counter("par.guided_maps"), 0);
 }

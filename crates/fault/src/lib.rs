@@ -1,59 +1,59 @@
 //! Deterministic seeded fault injection for the `rlckit` workspace.
 //!
-//! Solver entry points carry [`faultpoint!`] sites. Disarmed (the
-//! default), a site costs one relaxed atomic load plus a `OnceLock`
-//! read and injects nothing. Armed — via `RLCKIT_FAULTS=<seed>:<rate>`
-//! or programmatically with [`arm`] — each *scope* (one campaign point,
-//! keyed by its grid index) deterministically either stays clean or
-//! takes **exactly one** injected fault at a seed-chosen faultpoint hit,
-//! and only on the scope's **first attempt**. Retrying the scope (after
-//! [`next_attempt`]) therefore re-runs a pure computation with no
-//! injection, which is what makes retried campaign points bit-identical
-//! to an uninterrupted clean run.
+//! Solver entry points carry [`faultpoint!`] sites. Each thread runs
+//! under a *plan*, `(seed, rate)` or none: it starts with the plan of
+//! `RLCKIT_FAULTS`, [`with_plan`] runs a closure under another one, and
+//! `rlckit-par` workers and pool jobs run under the plan of the thread
+//! that handed them work. Without a plan (the default) a site costs a
+//! thread-local read and injects nothing. Under one, each *scope* (one
+//! campaign point, keyed by its grid index) deterministically either
+//! stays clean or takes **exactly one** injected fault at a seed-chosen
+//! faultpoint hit, and only on the scope's **first attempt**. Retrying
+//! the scope (after [`next_attempt`]) therefore re-runs a pure
+//! computation with no injection, which is what makes retried campaign
+//! points bit-identical to an uninterrupted clean run.
 //!
 //! The decision for a scope depends only on `(seed, key)` — not on
 //! thread assignment, global call order, or how many other scopes ran
 //! before it — so serial and parallel campaigns inject identically, and
 //! a checkpoint-resumed campaign re-injects exactly what the killed run
-//! would have seen.
+//! would have seen. A plan is per thread, so a caller's plan never
+//! reaches another caller's threads.
 //!
 //! # Environment
 //!
 //! `RLCKIT_FAULTS=<seed>:<rate>` with `seed` a decimal (or `0x`-hex)
 //! `u64` and `rate` a fraction in `[0, 1]` of scopes that take a fault.
-//! A malformed value disarms injection (fail-safe) and prints a single
-//! warning to stderr.
-//!
-//! Mirrors the `rlckit-trace` arming pattern: env `OnceLock` +
-//! programmatic atomic override ([`arm`]/[`disarm`]/[`follow_env`]).
+//! A malformed value leaves threads without a plan (fail-safe) and
+//! prints a single warning to stderr.
 //!
 //! # Example
 //!
 //! ```
-//! use rlckit_fault::{arm, disarm, faultpoint, with_scope, next_attempt};
+//! use rlckit_fault::{faultpoint, next_attempt, with_plan, with_scope};
 //!
-//! arm(7, 1.0); // every scope faults, at a seed-chosen hit
-//! let fired = with_scope(0, || {
-//!     let mut fired = false;
-//!     for _ in 0..64 {
-//!         fired |= faultpoint!("doc.example");
-//!     }
-//!     // A retry of the same scope injects nothing.
-//!     next_attempt();
-//!     for _ in 0..64 {
-//!         assert!(!faultpoint!("doc.example"));
-//!     }
-//!     fired
+//! // Every scope faults, at a seed-chosen hit.
+//! let fired = with_plan(Some((7, 1.0)), || {
+//!     with_scope(0, || {
+//!         let mut fired = false;
+//!         for _ in 0..64 {
+//!             fired |= faultpoint!("doc.example");
+//!         }
+//!         // A retry of the same scope injects nothing.
+//!         next_attempt();
+//!         for _ in 0..64 {
+//!             assert!(!faultpoint!("doc.example"));
+//!         }
+//!         fired
+//!     })
 //! });
 //! assert!(fired);
-//! disarm();
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 #[doc(hidden)]
@@ -71,38 +71,38 @@ pub use rlckit_trace as __trace;
 /// keeps the effective rate at the configured one for such points.
 pub const TARGET_WINDOW: u32 = 16;
 
-// Programmatic override, mirroring rlckit-trace's FORCED pattern:
-// 0 = follow the environment, 1 = forced armed, 2 = forced disarmed.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-static FORCED_SEED: AtomicU64 = AtomicU64::new(0);
-static FORCED_RATE_BITS: AtomicU64 = AtomicU64::new(0);
-
-/// Per-thread injection scope. `key` identifies the campaign point,
-/// `attempt` counts retries (injection fires only at attempt 0), `hits`
-/// counts faultpoint passes within the current attempt, and `poisoned`
-/// records that this attempt took an injection — consulted by solvers
-/// whose callers swallow typed errors into NaN/∞ objective values.
-#[derive(Clone, Copy)]
+/// Per-thread injection state. `plan` is the thread's fault plan (the
+/// seed and the fraction of scopes that fault), `key` identifies the
+/// campaign point, `attempt` counts retries (injection fires only at
+/// attempt 0), `hits` counts faultpoint passes within the current
+/// attempt, and `poisoned` records that this attempt took an injection
+/// — consulted by solvers whose callers swallow typed errors into NaN/∞
+/// objective values. The default is attempt 0 of the root scope,
+/// without a plan.
+#[derive(Clone, Copy, Default)]
 struct Scope {
+    plan: Option<(u64, f64)>,
     key: u64,
     attempt: u32,
     hits: u32,
     poisoned: bool,
 }
 
-impl Scope {
-    const fn root() -> Self {
-        Self {
-            key: 0,
-            attempt: 0,
-            hits: 0,
-            poisoned: false,
-        }
-    }
+thread_local! {
+    static SCOPE: Cell<Scope> = Cell::new(Scope { plan: env_config(), ..Scope::default() });
 }
 
-thread_local! {
-    static SCOPE: Cell<Scope> = const { Cell::new(Scope::root()) };
+/// Replaces the calling thread's injection state by `enter(state)` for
+/// the duration of `f`, restoring it afterwards (also on panic).
+fn entered<R>(enter: impl FnOnce(Scope) -> Scope, f: impl FnOnce() -> R) -> R {
+    struct Restore(Scope);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPE.with(|cell| cell.replace(enter(cell.get()))));
+    f()
 }
 
 fn env_config() -> Option<(u64, f64)> {
@@ -137,38 +137,27 @@ fn parse_spec(raw: &str) -> Option<(u64, f64)> {
     Some((seed, rate))
 }
 
-fn config() -> Option<(u64, f64)> {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => Some((
-            FORCED_SEED.load(Ordering::Relaxed),
-            f64::from_bits(FORCED_RATE_BITS.load(Ordering::Relaxed)),
-        )),
-        2 => None,
-        _ => env_config(),
-    }
+/// The calling thread's fault plan: `RLCKIT_FAULTS` unless a
+/// [`with_plan`] (or the `rlckit-par` work it was handed) says
+/// otherwise.
+#[must_use]
+pub fn plan() -> Option<(u64, f64)> {
+    SCOPE.with(|cell| cell.get().plan)
 }
 
-/// Arms injection process-wide, overriding `RLCKIT_FAULTS`.
-pub fn arm(seed: u64, rate: f64) {
-    FORCED_SEED.store(seed, Ordering::Relaxed);
-    FORCED_RATE_BITS.store(rate.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    FORCED.store(1, Ordering::Relaxed);
+/// Runs `f` with the calling thread under `plan` (`None`: inject
+/// nothing; a rate is clamped to `[0, 1]`), restoring the previous plan
+/// and scope afterwards (also on panic). Other threads keep their own
+/// plans; `rlckit-par` work that `f` hands out runs under this one.
+pub fn with_plan<R>(plan: Option<(u64, f64)>, f: impl FnOnce() -> R) -> R {
+    let plan = plan.map(|(seed, rate)| (seed, rate.clamp(0.0, 1.0)));
+    entered(|outer| Scope { plan, ..outer }, f)
 }
 
-/// Disarms injection process-wide, overriding `RLCKIT_FAULTS`.
-pub fn disarm() {
-    FORCED.store(2, Ordering::Relaxed);
-}
-
-/// Reverts [`arm`]/[`disarm`] so the environment decides again.
-pub fn follow_env() {
-    FORCED.store(0, Ordering::Relaxed);
-}
-
-/// Whether injection is currently armed with a nonzero rate.
+/// Whether the calling thread's plan injects at a nonzero rate.
 #[must_use]
 pub fn armed() -> bool {
-    config().is_some_and(|(_, rate)| rate > 0.0)
+    plan().is_some_and(|(_, rate)| rate > 0.0)
 }
 
 // SplitMix64 finalizer: the standard avalanche mix, also used (via the
@@ -181,10 +170,10 @@ fn mix(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The injection plan for a scope: `None` if the scope stays clean,
-/// otherwise the faultpoint hit index (within attempt 0) that faults.
-/// Depends only on `(seed, rate, key)`.
-fn plan(seed: u64, rate: f64, key: u64) -> Option<u32> {
+/// The faultpoint hit index (within attempt 0) at which a scope
+/// faults, `None` if it stays clean. Depends only on `(seed, rate,
+/// key)`.
+fn target_hit(seed: u64, rate: f64, key: u64) -> Option<u32> {
     let h = mix(mix(seed) ^ key);
     // 53 uniform mantissa bits, as in rlckit_numeric::rng::next_f64.
     let uniform = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -200,31 +189,14 @@ fn plan(seed: u64, rate: f64, key: u64) -> Option<u32> {
 /// keeps injection decisions stable across serial/parallel execution
 /// and checkpoint resume.
 pub fn with_scope<R>(key: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Scope);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCOPE.with(|cell| cell.set(self.0));
-        }
-    }
-    let previous = SCOPE.with(|cell| {
-        let previous = cell.get();
-        cell.set(Scope {
-            key,
-            attempt: 0,
-            hits: 0,
-            poisoned: false,
-        });
-        previous
-    });
-    let _restore = Restore(previous);
-    f()
+    entered(|outer| Scope { plan: outer.plan, key, ..Scope::default() }, f)
 }
 
 /// Advances the current scope to its next attempt: resets the hit
 /// counter, clears the poison flag, and — because injection fires only
 /// at attempt 0 — guarantees the re-run is injection-free. Retry
-/// ladders call this after consuming an injected failure. No-op when
-/// disarmed.
+/// ladders call this after consuming an injected failure. No-op
+/// without a plan.
 pub fn next_attempt() {
     if !armed() {
         return;
@@ -255,18 +227,15 @@ pub fn poisoned() -> bool {
 /// under `<site>.injected_faults`.
 #[must_use]
 pub fn should_inject(_site: &'static str) -> bool {
-    let Some((seed, rate)) = config() else {
-        return false;
-    };
-    if rate <= 0.0 {
-        return false;
-    }
     SCOPE.with(|cell| {
         let mut scope = cell.get();
+        let Some((seed, rate)) = scope.plan.filter(|&(_, rate)| rate > 0.0) else {
+            return false;
+        };
         let hit = scope.hits;
         scope.hits = scope.hits.saturating_add(1);
         let fire =
-            scope.attempt == 0 && !scope.poisoned && plan(seed, rate, scope.key) == Some(hit);
+            scope.attempt == 0 && !scope.poisoned && target_hit(seed, rate, scope.key) == Some(hit);
         if fire {
             scope.poisoned = true;
         }
@@ -275,16 +244,16 @@ pub fn should_inject(_site: &'static str) -> bool {
     })
 }
 
-/// A named fault-injection site. Evaluates to `true` when the armed
+/// A named fault-injection site. Evaluates to `true` when the thread's
 /// plan injects at this pass, incrementing the site's
-/// `<site>.injected_faults` trace counter; `false` (a cheap load) when
-/// disarmed or when the plan says this pass stays clean.
+/// `<site>.injected_faults` trace counter; `false` (a cheap read)
+/// without a plan or when the plan says this pass stays clean.
 ///
 /// ```
-/// use rlckit_fault::faultpoint;
+/// use rlckit_fault::{faultpoint, with_plan};
 ///
-/// // Disarmed by default: never fires.
-/// assert!(!faultpoint!("doc.site"));
+/// // Without a plan a site never fires.
+/// assert!(!with_plan(None, || faultpoint!("doc.site")));
 /// ```
 #[macro_export]
 macro_rules! faultpoint {
@@ -405,17 +374,6 @@ pub mod shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // Tests mutate the process-wide FORCED state; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let result = f();
-        disarm();
-        result
-    }
 
     #[test]
     fn parse_accepts_decimal_and_hex_seeds() {
@@ -433,8 +391,7 @@ mod tests {
 
     #[test]
     fn disarmed_never_injects() {
-        locked(|| {
-            disarm();
+        with_plan(None, || {
             with_scope(3, || {
                 for _ in 0..200 {
                     assert!(!should_inject("test.site"));
@@ -447,8 +404,8 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic_and_rate_bounded() {
-        let hits: Vec<Option<u32>> = (0..1000).map(|k| plan(99, 0.3, k)).collect();
-        assert_eq!(hits, (0..1000).map(|k| plan(99, 0.3, k)).collect::<Vec<_>>());
+        let hits: Vec<Option<u32>> = (0..1000).map(|k| target_hit(99, 0.3, k)).collect();
+        assert_eq!(hits, (0..1000).map(|k| target_hit(99, 0.3, k)).collect::<Vec<_>>());
         let faulted = hits.iter().filter(|h| h.is_some()).count();
         // 30 % of 1000 scopes, generously bracketed.
         assert!((200..400).contains(&faulted), "{faulted} faulted scopes");
@@ -456,16 +413,15 @@ mod tests {
             assert!(hit < TARGET_WINDOW);
         }
         // Rate 1.0 faults every scope; rate 0 faults none.
-        assert!((0..100).all(|k| plan(5, 1.0, k).is_some()));
-        assert!((0..100).all(|k| plan(5, 0.0, k).is_none()));
+        assert!((0..100).all(|k| target_hit(5, 1.0, k).is_some()));
+        assert!((0..100).all(|k| target_hit(5, 0.0, k).is_none()));
     }
 
     #[test]
     fn injection_fires_exactly_once_and_only_on_attempt_zero() {
-        locked(|| {
-            arm(11, 1.0);
+        with_plan(Some((11, 1.0)), || {
             with_scope(0, || {
-                let target = plan(11, 1.0, 0).expect("rate 1.0 faults every scope");
+                let target = target_hit(11, 1.0, 0).expect("rate 1.0 faults every scope");
                 let mut fired_at = Vec::new();
                 for hit in 0..TARGET_WINDOW {
                     if should_inject("test.site") {
@@ -485,8 +441,7 @@ mod tests {
 
     #[test]
     fn scopes_are_independent_and_restored() {
-        locked(|| {
-            arm(11, 1.0);
+        with_plan(Some((11, 1.0)), || {
             with_scope(1, || {
                 while !should_inject("test.site") {}
                 assert!(poisoned());
@@ -500,17 +455,28 @@ mod tests {
         });
     }
 
+    /// A plan is the calling thread's alone: a sibling thread running
+    /// the same scope key at the same time takes no injection, and the
+    /// plan ends with its closure.
     #[test]
-    fn arm_overrides_and_follow_env_reverts() {
-        locked(|| {
-            arm(1, 0.5);
-            assert!(armed());
-            disarm();
-            assert!(!armed());
-            follow_env();
-            // No RLCKIT_FAULTS in the test environment: disarmed.
-            assert!(!armed());
+    fn a_plan_injects_into_its_own_thread_only() {
+        let barrier = std::sync::Barrier::new(2);
+        let run = |plan| {
+            with_plan(plan, || {
+                with_scope(0, || {
+                    barrier.wait();
+                    (0..TARGET_WINDOW).filter(|_| should_inject("test.site")).count()
+                })
+            })
+        };
+        std::thread::scope(|s| {
+            let armed = s.spawn(|| run(Some((11, 1.0))));
+            assert_eq!(run(None), 0);
+            assert_eq!(armed.join().unwrap(), 1);
         });
+        let outer = plan();
+        with_plan(Some((1, 7.0)), || assert_eq!(plan(), Some((1, 1.0))));
+        assert_eq!(plan(), outer);
     }
 
     #[test]
@@ -570,21 +536,14 @@ mod tests {
 
     #[test]
     fn faultpoint_macro_counts_per_site() {
-        locked(|| {
-            arm(23, 1.0);
-            let before = rlckit_trace::snapshot();
-            let fired = with_scope(4, || {
-                let mut fired = 0u32;
-                for _ in 0..TARGET_WINDOW {
-                    if faultpoint!("fault.selftest") {
-                        fired += 1;
-                    }
-                }
-                fired
-            });
-            assert_eq!(fired, 1);
-            let delta = rlckit_trace::snapshot().since(&before);
-            assert_eq!(delta.counter("fault.selftest.injected_faults"), 1);
+        let (fired, snap) = rlckit_trace::scoped(|| {
+            with_plan(Some((23, 1.0)), || {
+                with_scope(4, || {
+                    (0..TARGET_WINDOW).filter(|_| faultpoint!("fault.selftest")).count()
+                })
+            })
         });
+        assert_eq!(fired, 1);
+        assert_eq!(snap.counter("fault.selftest.injected_faults"), 1);
     }
 }

@@ -439,7 +439,6 @@ mod tests {
     fn accept_errors_are_survived_and_the_next_client_is_served() {
         rlckit_trace::set_enabled(true);
         let server = Server::new(ServeConfig::default());
-        let before = rlckit_trace::snapshot();
         let (bad_peer, _feed1, _out1) = test_conn(true, false);
         let (bad_split, _feed2, _out2) = test_conn(false, true);
         let (good, feed, out) = test_conn(false, false);
@@ -452,19 +451,20 @@ mod tests {
             Ok(bad_split),
             Ok(good),
         ];
-        let survived = serve_connections(
-            &server,
-            incoming.into_iter(),
-            &TcpOptions::default(),
-            |peer, result| {
-                closed
-                    .lock()
-                    .unwrap()
-                    .push((peer.to_string(), result.as_ref().unwrap().requests));
-            },
-        );
+        let (survived, delta) = rlckit_trace::scoped(|| {
+            serve_connections(
+                &server,
+                incoming.into_iter(),
+                &TcpOptions::default(),
+                |peer, result| {
+                    closed
+                        .lock()
+                        .unwrap()
+                        .push((peer.to_string(), result.as_ref().unwrap().requests));
+                },
+            )
+        });
         assert_eq!(survived, 3, "accept, peer, and split errors all survive");
-        let delta = rlckit_trace::snapshot().since(&before);
         assert_eq!(delta.counter("serve.accept_errors"), 3);
         let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
         assert!(text.contains("\"id\":1,\"ok\":true"), "good client served: {text}");

@@ -520,12 +520,14 @@ pub struct StatsView {
     pub in_flight: u64,
     /// Nanoseconds since the server was created.
     pub uptime_ns: u64,
-    /// Median end-to-end request latency in ns (session, interpolated
-    /// from the log₂ histogram; 0 when no latency was recorded).
+    /// Median end-to-end request latency in ns, process-wide since
+    /// this session began (other sessions' requests included under
+    /// concurrency; interpolated from the log₂ histogram; 0 when no
+    /// latency was recorded).
     pub p50_ns: u64,
-    /// 95th-percentile end-to-end request latency in ns.
+    /// 95th-percentile end-to-end request latency in ns (as `p50_ns`).
     pub p95_ns: u64,
-    /// 99th-percentile end-to-end request latency in ns.
+    /// 99th-percentile end-to-end request latency in ns (as `p50_ns`).
     pub p99_ns: u64,
 }
 
@@ -583,11 +585,13 @@ pub struct TraceOpView {
     pub events: u64,
     /// Nanoseconds since the server was created.
     pub uptime_ns: u64,
-    /// Median end-to-end request latency in ns (session).
+    /// Median end-to-end request latency in ns, process-wide since
+    /// this session began (other sessions' requests included under
+    /// concurrency).
     pub p50_ns: u64,
-    /// 95th-percentile end-to-end request latency in ns.
+    /// 95th-percentile end-to-end request latency in ns (as `p50_ns`).
     pub p95_ns: u64,
-    /// 99th-percentile end-to-end request latency in ns.
+    /// 99th-percentile end-to-end request latency in ns (as `p50_ns`).
     pub p99_ns: u64,
     /// The slowest requests seen so far, worst first.
     pub slowest: Vec<SlowRequest>,

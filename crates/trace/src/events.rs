@@ -15,10 +15,10 @@
 //!   [`RING_CAPACITY`] slots, allocated when its thread first records
 //!   with tracing on; when it wraps, the oldest events are overwritten
 //!   — a flight recorder keeps the recent past and never blocks the hot
-//!   path on a full buffer. An exiting thread hands its recorder, ring
-//!   included, to the next thread that starts recording: there are as
-//!   many rings as threads that recorded at once, and an exited
-//!   thread's events stay until its successor overwrites them.
+//!   path on a full buffer. A thread that exits or leaves its trace
+//!   scope hands its recorder, ring included, to the next taker: there
+//!   are as many rings as recorders in use at once, and the events
+//!   stay until a later holder overwrites them. Rings are not scoped.
 //! * **Lock-free to record.** A slot is four relaxed atomic stores plus
 //!   one release bump of the ring head, all in the thread's own
 //!   recorder. The only locks are the registry's, once per thread

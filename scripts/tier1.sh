@@ -15,8 +15,11 @@ cargo build --release --offline
 # the gate instead of the benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 # --workspace is a superset of the gate's `cargo test -q`: it also runs
-# every member crate's unit, integration and doc tests.
-cargo test -q --offline --workspace
+# every member crate's unit, integration and doc tests. The suite must
+# pass one test at a time and with as many test threads as CPUs: tests
+# read their own trace scope and fault plan, never each other's.
+cargo test -q --offline --workspace -- --test-threads=1
+cargo test -q --offline --workspace -- --test-threads="$(nproc)"
 # Lints are part of the gate: warnings are build breaks.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Bench bodies must at least execute (smoke mode runs each body once
