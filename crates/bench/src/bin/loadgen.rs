@@ -42,6 +42,7 @@
 use rlckit::memo::{Eviction, QUANT_BITS};
 use rlckit_bench::timer::{BenchOptions, Harness};
 use rlckit_numeric::rng::Rng;
+use rlckit_par::Parallelism;
 use rlckit_serve::{ServeConfig, Server};
 
 /// One hot key: a named node and an on-grid inductance.
@@ -160,7 +161,7 @@ fn churn_hit_rate(eviction: Eviction, connections: usize, shard_capacity: usize)
         shard_capacity,
         eviction,
     });
-    server.warm_grid(WARM_POINTS);
+    server.warm_grid(WARM_POINTS, Parallelism::Auto);
     let mixes: Vec<(String, usize)> = (0..connections)
         .map(|i| {
             let (lines, hot) = build_churn_mix(0xE71C_7104 + i as u64, 240);
@@ -231,7 +232,7 @@ fn main() {
         queue_depth: 64,
         ..ServeConfig::default()
     });
-    let warmed = server.warm_grid(WARM_POINTS);
+    let warmed = server.warm_grid(WARM_POINTS, Parallelism::Auto);
     // One priming replay pays the mix's cold solves, so the measured
     // replays see the steady serving state a long-running daemon is in.
     let mut out = Vec::with_capacity(64 * requests);

@@ -60,9 +60,11 @@
 //! # When `Auto` spawns
 //!
 //! Spawning and joining scoped workers is not free: about 220 µs of
-//! wall time and 110 µs of CPU for two workers on a 2-CPU Linux VM. A
-//! map whose whole work is shorter than that is faster on the calling
-//! thread, and only the items say how long they take. So under
+//! wall time and 110 µs of CPU for two workers on a 2-CPU Linux VM. The
+//! calling thread is itself one of the workers, so a map at `n` workers
+//! spawns `n − 1` threads (one on a 2-CPU host) and folds one recorder
+//! fewer. A map whose whole work is shorter than the spawn is faster on
+//! the calling thread, and only the items say how long they take. So under
 //! [`Parallelism::Auto`] the calling thread maps items itself, one at a
 //! time, and spawns the workers for the rest only once it has spent
 //! 200 µs (`AUTO_SPAWN_AFTER`, the spawn's own cost) on them (the
@@ -201,7 +203,9 @@ const AUTO_SPAWN_AFTER: Duration = Duration::from_micros(200);
 /// up to `AUTO_SPAWN_AFTER`. Workers then CAS-claim
 /// `remaining / (2·workers)` consecutive items at a time (guided
 /// self-scheduling), so claims start large and halve toward the tail.
-/// `par.tasks` counts the items the workers took.
+/// The calling thread is one of those workers: a map at `n` workers
+/// spawns `n − 1` threads. `par.tasks` counts the items the workers
+/// took.
 ///
 /// The output is bit-identical to the serial evaluation for every
 /// worker count: each element is a pure function of `(input_index,
@@ -287,11 +291,14 @@ where
 
     counter!("par.guided_maps").incr();
     counter!("par.tasks").add((len - first) as u64);
+    // The calling thread is one of the workers, so a map spawns one
+    // thread fewer than it has workers.
     let context = Context::capture();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(len - first) {
+        for _ in 1..threads.min(len - first) {
             scope.spawn(|| context.run(worker));
         }
+        worker();
     });
 
     // The claims partition [first, len); sorted by start they reproduce
@@ -472,23 +479,36 @@ mod tests {
 
     /// `Auto` hands the rest of a map to workers once the calling
     /// thread has spent `AUTO_SPAWN_AFTER` on it: with every item
-    /// longer than that, the calling thread maps at most the first one,
-    /// and the result is still the serial one.
+    /// longer than that, item 0 runs on the calling thread, which then
+    /// works on as one of the workers while at least one item runs on a
+    /// spawned one, and the result is still the serial one. (A calling
+    /// thread's later item waits, boundedly, for a spawned worker to
+    /// take one, so the split does not hang on scheduling luck.)
     #[test]
     fn auto_spawns_once_the_calling_thread_has_run_long_enough() {
         if available_threads() < 2 {
             return;
         }
         let caller = std::thread::current().id();
+        let off_caller = std::sync::atomic::AtomicBool::new(false);
         let xs: Vec<usize> = (0..6).collect();
         let out = par_map(&xs, Parallelism::Auto, |i, &x| {
             std::thread::sleep(AUTO_SPAWN_AFTER + Duration::from_micros(100));
             let on_caller = std::thread::current().id() == caller;
-            assert!(i == 0 || !on_caller, "item {i} ran on the calling thread");
-            Ok(x * 2)
+            if on_caller && i > 0 {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !off_caller.load(Ordering::Relaxed) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            off_caller.fetch_or(!on_caller, Ordering::Relaxed);
+            Ok((x * 2, on_caller))
         })
         .unwrap();
-        assert_eq!(out, (0..6).map(|x| x * 2).collect::<Vec<_>>());
+        let (doubled, on_caller): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        assert_eq!(doubled, (0..6).map(|x| x * 2).collect::<Vec<_>>());
+        assert!(on_caller[0], "item 0 ran off the calling thread");
+        assert!(on_caller.contains(&false), "no item ran on a spawned worker");
     }
 
     /// Pre-fix regression (a spawn per short `Auto` map): a map that is

@@ -11,9 +11,14 @@
 //!
 //! Boot order: load `--snapshot` if present and compatible, then
 //! `--warm-grid` fills whatever grid points are still missing, then the
-//! (possibly grown) memo is saved back to `--snapshot`. Diagnostics go
-//! to stderr; stdout carries only protocol responses. Telemetry follows
-//! the usual `RLCKIT_TRACE` contract and is flushed on exit.
+//! (possibly grown) memo is saved back to `--snapshot`. The warm grid
+//! solves its missing points on nproc threads (`RLCKIT_THREADS`
+//! overrides the count) and preloads them in grid order, so the memo
+//! and the saved snapshot are byte-identical at any thread count; a
+//! traced boot reports the phase as the `serve.warm_grid` span.
+//! Diagnostics go to stderr; stdout carries only protocol responses.
+//! Telemetry follows the usual `RLCKIT_TRACE` contract and is flushed
+//! on exit.
 //!
 //! # Concurrent TCP serving
 //!
@@ -62,6 +67,7 @@ use std::time::Duration;
 use rlckit::memo::Eviction;
 use rlckit_serve::daemon::{serve_connections, Flusher, Rewarmer, TcpOptions};
 use rlckit_serve::snapshot::{self, LoadOutcome};
+use rlckit_par::Parallelism;
 use rlckit_serve::{ServeConfig, Server};
 
 struct Args {
@@ -181,7 +187,7 @@ fn boot(args: &Args) -> std::io::Result<Server> {
         }
     }
     if args.warm_grid > 0 {
-        let solved = server.warm_grid(args.warm_grid);
+        let solved = server.warm_grid(args.warm_grid, Parallelism::Auto);
         eprintln!(
             "rlckit-serve: warm grid solved {solved} new entries ({} total)",
             server.memo().len()

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use rlckit_par::{Context, Parallelism};
 use rlckit_trace::counter;
 
 use crate::engine::{ServeSummary, Server};
@@ -272,7 +273,10 @@ impl Drop for Flusher {
 /// atomically refreshes the snapshot file so the next boot, or a
 /// sibling daemon, warm-starts from the freshest state. Stops (and
 /// joins) on drop. Newly re-solved points are counted under
-/// `serve.rewarm_solved`.
+/// `serve.rewarm_solved`, in the trace scope (and under the fault
+/// plan) of the thread that started it. The re-solves run serially on
+/// the re-warm thread, so a repair never takes CPUs from the serving
+/// pool.
 pub struct Rewarmer {
     stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -290,9 +294,9 @@ impl Rewarmer {
         snapshot_path: Option<PathBuf>,
     ) -> Self {
         let (stop, tick) = mpsc::channel::<()>();
-        let handle = std::thread::spawn(move || {
+        let rewarm = move || {
             while let Err(mpsc::RecvTimeoutError::Timeout) = tick.recv_timeout(period) {
-                let solved = server.warm_grid(points);
+                let solved = server.warm_grid(points, Parallelism::Serial);
                 if solved > 0 {
                     counter!("serve.rewarm_solved").add(solved as u64);
                     eprintln!(
@@ -319,7 +323,9 @@ impl Rewarmer {
                     }
                 }
             }
-        });
+        };
+        let context = Context::capture();
+        let handle = std::thread::spawn(move || context.run(rewarm));
         Self {
             stop: Some(stop),
             handle: Some(handle),
@@ -542,22 +548,30 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let server = Arc::new(Server::new(ServeConfig::default()));
         assert_eq!(server.memo().len(), 0, "cold boot");
-        let rewarmer = Rewarmer::start(
-            Arc::clone(&server),
-            Duration::from_millis(20),
-            1,
-            Some(path.clone()),
-        );
-        // One point per node = 3 entries; wait for the re-warmer to
-        // repair the cold memo and write the snapshot.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while (server.memo().len() < 3 || !path.exists())
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        drop(rewarmer);
+        // Started inside a scope, the re-warmer counts its repairs there.
+        let ((), snap) = rlckit_trace::scoped(|| {
+            let rewarmer = Rewarmer::start(
+                Arc::clone(&server),
+                Duration::from_millis(20),
+                1,
+                Some(path.clone()),
+            );
+            // One point per node = 3 entries; wait for the re-warmer to
+            // repair the cold memo and write the snapshot.
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while (server.memo().len() < 3 || !path.exists())
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            drop(rewarmer);
+        });
         assert_eq!(server.memo().len(), 3, "one grid point per node");
+        assert_eq!(
+            snap.counter("serve.rewarm_solved"),
+            3,
+            "repairs land in the starter's scope"
+        );
         // The refreshed snapshot is complete and loadable (rename was
         // atomic: no torn half-file, no lingering tmp sibling).
         let fresh = rlckit::memo::OptimumMemo::sharded(2, 64);

@@ -90,13 +90,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use rlckit::memo::{key_for, Eviction, OptimumMemo, Served, DEFAULT_CAPACITY};
+use rlckit::memo::{key_for, Eviction, MemoKey, OptimumMemo, Served, DEFAULT_CAPACITY};
 use rlckit::optimizer::optimize_rlc;
-use rlckit_par::{Context, ShardedPool};
-use rlckit_tech::TechNode;
+use rlckit_par::{par_map, Context, Parallelism, ShardedPool};
+use rlckit_tech::{DriverParams, TechNode};
 use rlckit_tline::LineRlc;
 use rlckit_trace::events::EventKind;
-use rlckit_trace::{counter, event, histogram, HistogramSnapshot};
+use rlckit_trace::{counter, event, histogram, span, HistogramSnapshot};
 use rlckit_units::HenriesPerMeter;
 
 use crate::protocol::{
@@ -423,30 +423,65 @@ impl Server {
     /// and preloads the results, so on-grid asks hit from the first
     /// request. Returns the number of entries preloaded (grid points
     /// already present — e.g. from a snapshot — are skipped unsolved).
-    pub fn warm_grid(&self, points_per_node: usize) -> usize {
-        let mut preloaded = 0;
-        let nodes = [
+    ///
+    /// The missing points are listed by one serial probe pass, solved
+    /// on `parallelism` workers ([`par_map`]), and preloaded in grid
+    /// order; a point that was present at the probe but has since been
+    /// evicted by an earlier preload of this pass is solved inline. So
+    /// the memo it leaves — entries, value bits and recency order — and
+    /// the count it returns are those of one serial loop over the grid,
+    /// at every worker count. Boot passes [`Parallelism::Auto`]; the
+    /// live re-warmer passes [`Parallelism::Serial`] so it never takes
+    /// CPUs from the serving pool. Timed as the `serve.warm_grid` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the optimizer panics on a grid point (a failed solve is
+    /// skipped, not a panic).
+    pub fn warm_grid(&self, points_per_node: usize, parallelism: Parallelism) -> usize {
+        let _span = span!("serve.warm_grid");
+        let options = rlckit::optimizer::OptimizerOptions::default();
+        let grid = standard_grid(points_per_node);
+        let points: Vec<(LineRlc, DriverParams)> = [
             TechNode::nm250(),
             TechNode::nm100(),
             TechNode::nm100_with_250nm_dielectric(),
-        ];
-        let options = rlckit::optimizer::OptimizerOptions::default();
-        for node in &nodes {
-            for l_nh_mm in standard_grid(points_per_node) {
+        ]
+        .iter()
+        .flat_map(|node| {
+            grid.iter().map(|&l_nh_mm| {
                 let line = LineRlc::new(
                     node.line().resistance,
                     HenriesPerMeter::from_nano_per_milli(l_nh_mm),
                     node.line().capacitance,
                 );
-                let key = key_for(&line, &node.driver(), options);
-                if self.memo.probe(&key).is_some() {
-                    continue;
-                }
-                if let Ok(opt) = optimize_rlc(&line, &node.driver(), options) {
-                    if self.memo.preload(key, opt) {
-                        preloaded += 1;
-                    }
-                }
+                (line, node.driver())
+            })
+        })
+        .collect();
+        let keys: Vec<MemoKey> = points
+            .iter()
+            .map(|(line, driver)| key_for(line, driver, options))
+            .collect();
+        let solve =
+            |(line, driver): &(LineRlc, DriverParams)| optimize_rlc(line, driver, options).ok();
+
+        let missing: Vec<usize> = (0..points.len())
+            .filter(|&i| self.memo.probe(&keys[i]).is_none())
+            .collect();
+        let solved = par_map(&missing, parallelism, |_, &i| Ok(solve(&points[i])))
+            .unwrap_or_else(|e| panic!("warm-grid solve: {e}"));
+
+        let mut solved = missing.into_iter().zip(solved).peekable();
+        let mut preloaded = 0;
+        for (i, (point, key)) in points.iter().zip(keys).enumerate() {
+            let answer = match solved.next_if(|&(at, _)| at == i) {
+                Some((_, answer)) => answer,
+                None if self.memo.probe(&key).is_some() => continue,
+                None => solve(point),
+            };
+            if answer.is_some_and(|opt| self.memo.preload(key, opt)) {
+                preloaded += 1;
             }
         }
         preloaded
@@ -1175,7 +1210,7 @@ not json at all
     #[test]
     fn warm_start_makes_the_first_on_grid_ask_a_memo_hit() {
         let server = Server::new(ServeConfig::default());
-        let preloaded = server.warm_grid(5);
+        let preloaded = server.warm_grid(5, Parallelism::Auto);
         assert_eq!(preloaded, 3 * 5, "three nodes × five grid points");
         assert_eq!(server.memo().len(), 15);
         // 4.95/4 * 2 = 2.475 nH/mm is the third grid point of the 100nm node.
@@ -1187,13 +1222,93 @@ not json at all
         assert_eq!(summary.hits, 1);
         assert_eq!(summary.misses, 0);
         // Re-warming is idempotent: everything is already present.
-        assert_eq!(server.warm_grid(5), 0);
+        assert_eq!(server.warm_grid(5, Parallelism::Auto), 0);
+    }
+
+    /// The memo `warm_grid` leaves, as comparable bits: every entry's
+    /// key and snapshot-encoded value, shard by shard in recency order.
+    fn memo_bits(server: &Server) -> Vec<(MemoKey, [u64; 8])> {
+        let export = server.memo().export();
+        export
+            .iter()
+            .map(|(key, v)| (*key, crate::snapshot::encode_value(v)))
+            .collect()
+    }
+
+    /// The one-pass serial warm `warm_grid` must reproduce: probe each
+    /// grid point in order, and solve and preload it if it is missing.
+    fn warm_grid_one_pass(server: &Server, points_per_node: usize) -> usize {
+        let options = rlckit::optimizer::OptimizerOptions::default();
+        let mut preloaded = 0;
+        for node in [
+            TechNode::nm250(),
+            TechNode::nm100(),
+            TechNode::nm100_with_250nm_dielectric(),
+        ] {
+            for l_nh_mm in standard_grid(points_per_node) {
+                let line = LineRlc::new(
+                    node.line().resistance,
+                    HenriesPerMeter::from_nano_per_milli(l_nh_mm),
+                    node.line().capacitance,
+                );
+                let key = key_for(&line, &node.driver(), options);
+                if server.memo().probe(&key).is_none() {
+                    let opt = optimize_rlc(&line, &node.driver(), options).unwrap();
+                    preloaded += usize::from(server.memo().preload(key, opt));
+                }
+            }
+        }
+        preloaded
+    }
+
+    /// Every mode of `warm_grid`, and `Serial` in particular, leaves the
+    /// memo (keys, value bits, recency order) and returns the count of
+    /// the one-pass serial warm: from a cold memo, from a memo seeded by
+    /// a smaller grid (the snapshot boot), and with shards small enough
+    /// that the warm evicts, seeded (so points present at the probe are
+    /// evicted before their turn) or not. `Threads(2)` spawns even on a
+    /// grid too short for `Auto` to.
+    #[test]
+    fn parallel_warm_grid_leaves_the_serial_memo_bit_for_bit() {
+        let cases = [
+            ("cold", DEFAULT_CAPACITY, 0),
+            ("seeded", DEFAULT_CAPACITY, 7),
+            ("evicting", 8, 0),
+            ("seeded and evicting", 8, 7),
+        ];
+        for (case, shard_capacity, seed_points) in cases {
+            let warm = |parallelism: Option<Parallelism>| {
+                let server = Server::new(ServeConfig {
+                    workers: 2,
+                    shard_capacity,
+                    ..ServeConfig::default()
+                });
+                warm_grid_one_pass(&server, seed_points);
+                let count = match parallelism {
+                    Some(parallelism) => server.warm_grid(41, parallelism),
+                    None => warm_grid_one_pass(&server, 41),
+                };
+                (count, memo_bits(&server))
+            };
+            let reference = warm(None);
+            assert!(reference.0 > 0, "{case}: the warm must preload something");
+            for parallelism in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Auto,
+            ] {
+                assert!(
+                    warm(Some(parallelism)) == reference,
+                    "{case}: {parallelism:?} differs from the one-pass serial warm"
+                );
+            }
+        }
     }
 
     #[test]
     fn served_answers_are_bit_identical_to_a_cold_solve() {
         let server = Server::new(ServeConfig::default());
-        server.warm_grid(3);
+        server.warm_grid(3, Parallelism::Auto);
         let node = rlckit_tech::TechNode::nm250();
         let line = LineRlc::new(
             node.line().resistance,

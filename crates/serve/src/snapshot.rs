@@ -56,7 +56,7 @@ pub enum LoadOutcome {
     Incompatible,
 }
 
-fn encode_value(v: &RlcOptimum) -> [u64; 8] {
+pub(crate) fn encode_value(v: &RlcOptimum) -> [u64; 8] {
     let damping = match v.damping {
         Damping::Overdamped => 0,
         Damping::CriticallyDamped => 1,

@@ -161,6 +161,29 @@ for field in uptime_ns p50_ns p95_ns p99_ns; do
   fi
 done
 
+# Warm-grid identity leg: boot solves the warm grid on RLCKIT_THREADS
+# workers and preloads it in grid order, so the snapshot a boot saves
+# must be byte-identical at one thread and at nproc. Covered twice, with
+# shards small enough that the warm evicts: a cold boot, and a boot
+# seeded from a smaller grid's snapshot. Bytes only, no timing.
+warm_boot() { # threads grid snapshot
+  RLCKIT_THREADS="$1" cargo run --release --offline -q -p rlckit-serve -- \
+    --stdin --warm-grid "$2" --shard-capacity 40 --snapshot "$3" \
+    < /dev/null > /dev/null 2>> "$serve_dir/warm_boot.log"
+}
+warm_boot 1 101 "$serve_dir/warm_seed.snapshot"
+for threads in 1 "$(nproc)"; do
+  warm_boot "$threads" 201 "$serve_dir/warm_cold_$threads.snapshot"
+  cp "$serve_dir/warm_seed.snapshot" "$serve_dir/warm_seeded_$threads.snapshot"
+  warm_boot "$threads" 201 "$serve_dir/warm_seeded_$threads.snapshot"
+done
+for boot in cold seeded; do
+  if ! cmp -s "$serve_dir/warm_${boot}_1.snapshot" "$serve_dir/warm_${boot}_$(nproc).snapshot"; then
+    echo "tier-1 gate: FAIL — $boot --warm-grid 201 snapshot differs between RLCKIT_THREADS=1 and $(nproc)" >&2
+    exit 1
+  fi
+done
+
 # Trace-op smoke: the live observability snapshot must answer with the
 # slowest-requests table and a nonzero drained-event count.
 printf '%s\n' \
