@@ -13,6 +13,9 @@
 //!   `RLCKIT_CHECK_SEED=<that seed> RLCKIT_CHECK_CASES=1` replays exactly
 //!   that input — seed replay takes the place of shrinking.
 //!
+//! [`oracle`] holds the reference implementations the numeric tests
+//! compare against: the dense LU and the central-difference Jacobian.
+//!
 //! Environment overrides:
 //!
 //! * `RLCKIT_CHECK_SEED` — master seed (decimal or `0x`-prefixed hex);
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod gen;
+pub mod oracle;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -19,8 +19,6 @@
 //! * [`sweeps`] — the inductance sweeps behind Figs. 4–8.
 //! * [`planner`] — integer-repeater route planning on top of the
 //!   continuous optimum, with the delay/cost trade-off.
-//! * [`power`] — switching-power estimates including the glitch-energy
-//!   multiplier of inductive ringing (§1.1).
 //! * [`failure`] — the ring-oscillator logic-failure study of §3.3.1
 //!   (Figs. 9–11), on the in-crate circuit-simulator substrate.
 //! * [`reliability`] — the current-density reliability study of §3.3.2
@@ -74,7 +72,6 @@ pub mod memo;
 pub mod optimizer;
 pub mod outcome;
 pub mod planner;
-pub mod power;
 pub mod reliability;
 pub mod report;
 pub mod sweeps;

@@ -895,7 +895,7 @@ mod tests {
     /// row relative to its largest entry.
     fn jacobian_gap(line: &LineRlc, driver: &DriverParams, h: f64, k: f64, f: f64) -> f64 {
         let (_, analytic) = residuals(line, driver, h, k, f, None).unwrap().scaled(h, k);
-        let oracle = rlckit_numeric::fd::central_jacobian(
+        let oracle = rlckit_check::oracle::central_jacobian(
             |u: &[f64], out: &mut [f64]| {
                 let g = residuals(line, driver, u[0] * h, u[1] * k, f, None).unwrap().g;
                 out.copy_from_slice(&g);

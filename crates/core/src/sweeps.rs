@@ -129,9 +129,10 @@ pub fn inductance_sweep_with(
 ///
 /// # Errors
 ///
-/// Only infrastructure failures surface here (a worker panic turned
-/// into [`NumericError::InvalidInput`] by the campaign engine); solver
-/// failures are recorded per point.
+/// Only infrastructure failures surface here: a worker panic, which
+/// [`par_map`] turns into
+/// [`NumericError::InvalidInput`](rlckit_numeric::NumericError::InvalidInput).
+/// Solver failures are recorded per point.
 pub fn inductance_sweep_outcomes(
     line: &LineParams,
     driver: &DriverParams,

@@ -9,8 +9,6 @@
 //!
 //! * [`partial_self_inductance`] — Ruehli/Grover partial self-inductance
 //!   of a rectangular bar.
-//! * [`mutual_inductance_parallel`] — Grover mutual inductance of two
-//!   parallel filaments.
 //! * [`microstrip_loop_inductance`] — wire over a nearby return plane
 //!   (best case: tight return path).
 //! * [`two_wire_loop_inductance`] — signal/return pair at an arbitrary
@@ -63,24 +61,6 @@ pub fn partial_self_inductance(wire: &WireGeometry, length: Meters) -> Henries {
     assert!(len > 0.0, "length must be positive");
     let wt = wire.width().get() + wire.thickness().get();
     let term = (2.0 * len / wt).ln() + 0.5 + 0.2235 * wt / len;
-    Henries::new(VACUUM_PERMEABILITY / (2.0 * core::f64::consts::PI) * len * term)
-}
-
-/// Mutual partial inductance of two parallel filaments of length `length`
-/// separated by `distance` (Grover):
-/// `M = (µ₀/2π)·ℓ·[ln(ℓ/d + √(1 + (ℓ/d)²)) − √(1 + (d/ℓ)²) + d/ℓ]`.
-///
-/// # Panics
-///
-/// Panics if `length` or `distance` is not strictly positive.
-#[must_use]
-pub fn mutual_inductance_parallel(length: Meters, distance: Meters) -> Henries {
-    let len = length.get();
-    let d = distance.get();
-    assert!(len > 0.0, "length must be positive");
-    assert!(d > 0.0, "distance must be positive");
-    let u = len / d;
-    let term = (u + (1.0 + u * u).sqrt()).ln() - (1.0 + 1.0 / (u * u)).sqrt() + 1.0 / u;
     Henries::new(VACUUM_PERMEABILITY / (2.0 * core::f64::consts::PI) * len * term)
 }
 
@@ -170,22 +150,14 @@ mod tests {
         assert!(l2.get() < 3.0 * l1.get());
     }
 
-    #[test]
-    fn mutual_inductance_decays_with_distance() {
-        let len = Meters::from_milli(1.0);
-        let near = mutual_inductance_parallel(len, Meters::from_micro(4.0));
-        let far = mutual_inductance_parallel(len, Meters::from_micro(400.0));
-        assert!(near.get() > far.get());
-        assert!(far.get() > 0.0);
-    }
-
-    #[test]
-    fn mutual_is_below_self() {
-        let w = table1_wire();
-        let len = Meters::from_milli(1.0);
-        let lp = partial_self_inductance(&w, len);
-        let m = mutual_inductance_parallel(len, Meters::from_micro(4.0));
-        assert!(m.get() < lp.get());
+    /// Grover mutual partial inductance of two parallel filaments of
+    /// length `length` at distance `distance`:
+    /// `M = (µ₀/2π)·ℓ·[ln(ℓ/d + √(1 + (ℓ/d)²)) − √(1 + (d/ℓ)²) + d/ℓ]`.
+    fn mutual_inductance_parallel(length: Meters, distance: Meters) -> Henries {
+        let (len, d) = (length.get(), distance.get());
+        let u = len / d;
+        let term = (u + (1.0 + u * u).sqrt()).ln() - (1.0 + 1.0 / (u * u)).sqrt() + 1.0 / u;
+        Henries::new(VACUUM_PERMEABILITY / (2.0 * core::f64::consts::PI) * len * term)
     }
 
     #[test]

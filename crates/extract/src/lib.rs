@@ -10,7 +10,7 @@
 //! * [`capacitance`] — parallel-plate, Sakurai–Tamaru single-line and
 //!   coupled-line fringe models, and the Miller-factor combination the
 //!   paper discusses in §3 (effective `c` varying up to 4×).
-//! * [`inductance`] — Ruehli/Grover partial self and mutual inductance,
+//! * [`inductance`] — Ruehli/Grover partial self-inductance,
 //!   microstrip and two-wire loop inductance, and the worst-case return
 //!   path bound that justifies the paper's `l < 5 nH/mm` sweep range.
 //! * [`skin`] — frequency-dependent (skin-effect) resistance estimates,

@@ -7,10 +7,9 @@ use core::fmt;
 /// # Examples
 ///
 /// ```
-/// use rlckit_numeric::{dense::Matrix, NumericError};
+/// use rlckit_numeric::{dense::solve2, NumericError};
 ///
-/// let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-/// match singular.lu() {
+/// match solve2([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) {
 ///     Err(NumericError::SingularMatrix { pivot }) => assert!(pivot < 2),
 ///     other => panic!("expected singular matrix, got {other:?}"),
 /// }

@@ -32,33 +32,6 @@ pub fn linspace(start: f64, end: f64, n: usize) -> Vec<f64> {
     }
 }
 
-/// Returns `n` logarithmically spaced points from `start` to `end`
-/// inclusive.
-///
-/// # Panics
-///
-/// Panics if `start` or `end` is not strictly positive.
-///
-/// # Examples
-///
-/// ```
-/// use rlckit_numeric::grid::logspace;
-///
-/// let l = logspace(1.0, 100.0, 3);
-/// assert!((l[1] - 10.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn logspace(start: f64, end: f64, n: usize) -> Vec<f64> {
-    assert!(
-        start > 0.0 && end > 0.0,
-        "logspace endpoints must be positive"
-    );
-    linspace(start.ln(), end.ln(), n)
-        .into_iter()
-        .map(f64::exp)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,19 +48,5 @@ mod tests {
     fn linspace_degenerate_cases() {
         assert!(linspace(0.0, 1.0, 0).is_empty());
         assert_eq!(linspace(2.0, 9.0, 1), vec![2.0]);
-    }
-
-    #[test]
-    fn logspace_is_geometric() {
-        let l = logspace(1e-3, 1e3, 7);
-        for w in l.windows(2) {
-            assert!((w[1] / w[0] - 10.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn logspace_rejects_nonpositive() {
-        let _ = logspace(0.0, 1.0, 3);
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! * [`complex`] — a `Complex` type with the transcendental functions used
 //!   by transmission-line transfer functions (`exp`, `sqrt`, `cosh`, …).
-//! * [`dense`] — dense matrices and LU factorization with partial
-//!   pivoting, and the fixed-size `solve2` behind the 2×2 Newton steps
+//! * [`dense`] — the fixed-size `solve2` behind the 2×2 Newton steps
 //!   of the optimizer.
 //! * [`sparse`] — a triplet-assembled sparse matrix and a sparse LU solver
 //!   with partial pivoting, used by the circuit-simulator substrate.
@@ -20,26 +19,23 @@
 //!   `s`, used to extract the transfer-function moments `b₁ … b_N`.
 //! * [`ilt`] — numerical inverse Laplace transforms (Abate–Whitt Euler and
 //!   fixed Talbot), the oracle for the two-pole Padé approximation.
-//! * [`grid`] — `linspace`/`logspace` sweep helpers.
+//! * [`grid`] — the `linspace` sweep helper.
 //! * [`rng`] — deterministic xoshiro256++ pseudo-random numbers
 //!   (SplitMix64-seeded) for Monte-Carlo studies, bench workloads and the
 //!   `rlckit-check` property harness; the workspace has no registry
 //!   dependencies, so this replaces `rand`.
 //! * [`stats`] — peak/rms/mean of (possibly non-uniformly) sampled
 //!   waveforms.
-//! * [`fd`] — the finite-difference Jacobian that checks the optimizer's
-//!   analytic one.
 //!
 //! # Examples
 //!
-//! Solving a linear system:
+//! Solving a 2×2 linear system:
 //!
 //! ```
-//! use rlckit_numeric::dense::Matrix;
+//! use rlckit_numeric::dense::solve2;
 //!
 //! # fn main() -> Result<(), rlckit_numeric::NumericError> {
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-//! let x = a.lu()?.solve(&[1.0, 2.0])?;
+//! let x = solve2([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0])?;
 //! assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
 //! assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
 //! # Ok(())
@@ -51,7 +47,6 @@
 
 pub mod complex;
 pub mod dense;
-pub mod fd;
 pub mod grid;
 pub mod ilt;
 pub mod minimize;

@@ -2,10 +2,10 @@
 //! `rlckit-check` harness (seeded, deterministic, replayable via
 //! `RLCKIT_CHECK_SEED`).
 
+use rlckit_check::oracle::Matrix;
 use rlckit_check::{check_assume, gen, Check, Gen};
 
 use rlckit_numeric::complex::Complex;
-use rlckit_numeric::dense::Matrix;
 use rlckit_numeric::ilt::EulerInversion;
 use rlckit_numeric::poly::Polynomial;
 use rlckit_numeric::series::Series;

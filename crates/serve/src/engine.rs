@@ -32,7 +32,7 @@
 //!   fields) to serving it alone against the same warm memo — the
 //!   tier-1 parallel-clients smoke `cmp`s exactly this.
 //! * A `stats` request is a **per-session barrier**: the router sleeps
-//!   on a condvar ([`Progress`]) until its writer has put every
+//!   on a condvar (`Progress`) until its writer has put every
 //!   earlier response of *this session* on the wire, then answers from
 //!   the session's quiescent counters — so its `hits` and `misses` are
 //!   a pure function of the session's request prefix, not of

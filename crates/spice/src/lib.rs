@@ -6,15 +6,13 @@
 //!
 //! * [`netlist`] — a circuit builder with resistors, capacitors,
 //!   inductors, independent sources and level-1 MOSFETs.
-//! * [`waveform`] — source waveforms (DC, pulse, PWL, sine).
+//! * [`waveform`] — source waveforms (DC, pulse, PWL).
 //! * [`dc`] — the DC operating point by damped Newton with gmin and
 //!   source stepping fallbacks.
 //! * [`ac`] — small-signal frequency sweeps around the operating point.
 //! * [`transient`] — transient analysis (backward Euler and trapezoidal
 //!   companion models) with per-step Newton iteration and optional
 //!   LTE-controlled adaptive stepping.
-//! * [`parse`] — a SPICE-deck netlist parser for replaying existing
-//!   driver–line–load decks.
 //! * [`measure`] — waveform post-processing: threshold crossings, delay,
 //!   oscillation period, overshoot/undershoot, peak/rms current.
 //! * [`builders`] — the structures the paper simulates: distributed-line
@@ -54,7 +52,6 @@ pub mod dc;
 pub mod measure;
 mod mna;
 pub mod netlist;
-pub mod parse;
 pub mod transient;
 pub mod waveform;
 

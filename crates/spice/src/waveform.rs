@@ -37,17 +37,6 @@ pub enum Waveform {
     /// Piecewise-linear points `(t, v)`, sorted by time; constant
     /// extrapolation outside the range.
     Pwl(Vec<(f64, f64)>),
-    /// A sine `offset + amplitude·sin(2πf·(t − delay))` for `t ≥ delay`.
-    Sine {
-        /// DC offset.
-        offset: f64,
-        /// Amplitude.
-        amplitude: f64,
-        /// Frequency in Hz.
-        frequency: f64,
-        /// Start delay.
-        delay: f64,
-    },
 }
 
 impl Waveform {
@@ -148,20 +137,6 @@ impl Waveform {
                 }
                 points.last().expect("nonempty").1
             }
-            Self::Sine {
-                offset,
-                amplitude,
-                frequency,
-                delay,
-            } => {
-                if t < *delay {
-                    *offset
-                } else {
-                    offset
-                        + amplitude
-                            * (2.0 * core::f64::consts::PI * frequency * (t - delay)).sin()
-                }
-            }
         }
     }
 }
@@ -219,18 +194,6 @@ mod tests {
         let w = Waveform::step(0.0, 1.2, 1e-9, 10e-12);
         assert_eq!(w.value(0.0), 0.0);
         assert_eq!(w.value(2e-9), 1.2);
-    }
-
-    #[test]
-    fn sine_starts_after_delay() {
-        let w = Waveform::Sine {
-            offset: 1.0,
-            amplitude: 0.5,
-            frequency: 1.0,
-            delay: 1.0,
-        };
-        assert_eq!(w.value(0.5), 1.0);
-        assert!((w.value(1.25) - 1.5).abs() < 1e-12); // quarter period
     }
 
     #[test]

@@ -15,9 +15,6 @@
 //!   rigorous `f·100 %` delay by Newton–Raphson on Eq. 3.
 //! * [`awe`] — higher-order (AWE-style) reduced models, an extension used
 //!   to quantify what the paper's second-order choice gives up.
-//! * [`coupled`] — even/odd-mode crosstalk analysis of a symmetric
-//!   coupled pair, extending the paper's Miller-factor discussion to the
-//!   inductively coupled case.
 //! * [`exact`] — the numerically-inverted exact step response, the oracle
 //!   against which both reduced models are validated.
 //! * [`km`] — the Kahng–Muddu approximate delay formulas (the paper's
@@ -59,7 +56,6 @@
 
 pub mod abcd;
 pub mod awe;
-pub mod coupled;
 pub mod dil;
 pub mod exact;
 pub mod km;

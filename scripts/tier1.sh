@@ -22,6 +22,9 @@ cargo test -q --offline --workspace -- --test-threads=1
 cargo test -q --offline --workspace -- --test-threads="$(nproc)"
 # Lints are part of the gate: warnings are build breaks.
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# So are rustdoc warnings: a doc link to a deleted or private item
+# breaks the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # Bench bodies must at least execute (smoke mode runs each body once
 # and measures nothing), so the baseline stays regenerable. The pass
 # runs with tracing live so the disabled→enabled flip is exercised in

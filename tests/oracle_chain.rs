@@ -51,8 +51,10 @@ fn two_pole_tracks_exact_delay_within_band() {
         let exact = exact_delay(&dil, 0.5).expect("oracle").get();
         let reduced = dil.two_pole().delay(0.5).expect("two-pole").get();
         let err = (reduced - exact).abs() / exact;
+        // Measured worst case on this grid: the two-pole delay is 13.0 %
+        // short at 100 nm, l = 3 nH/mm, h = 14 mm, k = 400.
         assert!(
-            err < 0.2,
+            err < 0.15,
             "two-pole off by {:.1}% at {dil:?}",
             err * 100.0
         );
