@@ -203,20 +203,14 @@ impl Harness {
         self.results.push(stats);
     }
 
-    /// Measures `body` like [`Harness::bench_with`], snapshotting the
-    /// process-wide trace metrics around the whole measurement and
-    /// handing the **delta** to `derive`, whose `(key, value)` pairs
-    /// are appended to the JSON record's extra fields.
+    /// Measures `body` like [`Harness::bench_with`] in a trace scope of
+    /// its own and hands that scope's snapshot — the body's exact
+    /// telemetry, including the `rlckit-par` workers and pool jobs it
+    /// hands out — to `derive`, whose `(key, value)` pairs are appended
+    /// to the JSON record's extra fields.
     ///
-    /// The body runs in the caller's trace scope, the root in a bench
-    /// binary, as production code does: in a scope of its own every
-    /// `ShardedPool` job would take and fold a recorder, and the
-    /// measurement would include that. A bench binary runs one body at
-    /// a time, so the delta is the body's own telemetry; its histogram
-    /// extremes are the process's (see `Snapshot::since`).
-    ///
-    /// The delta covers calibration and warmup runs too, so derive
-    /// ratios *within* the snapshot (e.g. a histogram's
+    /// The snapshot covers calibration and warmup runs too, so derive
+    /// ratios *within* it (e.g. a histogram's
     /// `mean()` = iterations per solve) rather than dividing by the
     /// timed iteration count — ratios are insensitive to the extra
     /// runs. A no-op beyond the plain measurement in smoke mode.
@@ -230,13 +224,11 @@ impl Harness {
         if !self.selected(name) {
             return;
         }
-        let before = rlckit_trace::snapshot();
-        self.bench_with(name, opts, body);
+        let ((), snap) = rlckit_trace::scoped(|| self.bench_with(name, opts, body));
         if self.mode == Mode::Smoke {
             return;
         }
-        let delta = rlckit_trace::snapshot().since(&before);
-        let extras = derive(&delta);
+        let extras = derive(&snap);
         if let Some(s) = self.results.last_mut() {
             if s.name == name {
                 s.extra.extend(extras);

@@ -498,11 +498,12 @@ pub fn response_lcrit(id: u64, lcrit: HenriesPerMeter, served: Served) -> String
 /// deterministic at the barrier (`in_flight` is always 0 there — the
 /// barrier *is* "nothing in flight"); the `*_ns` fields are wall
 /// clock, named per the trace-crate contract so determinism checks can
-/// strip them. `hits`/`misses` are **session-scoped**, so a
-/// connection's stats responses are byte-identical to a solo replay
-/// even while other connections share the daemon; `entries` and
-/// `evictions` observe the shared memo and are constant across
-/// connections only in an eviction-free (e.g. all-hot) mix.
+/// strip them. The counts are **session-scoped**, so a connection's
+/// stats responses are byte-identical to a solo replay even while
+/// other connections share the daemon, as long as they leave what the
+/// memo retains alone (e.g. an all-hot mix): `entries` observes the
+/// shared memo, and `evictions` count what this session's inserts
+/// evicted from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsView {
     /// Entries currently retained across all shards (process-wide).
@@ -513,16 +514,15 @@ pub struct StatsView {
     pub hits: u64,
     /// This session's fresh solves over its preceding request prefix.
     pub misses: u64,
-    /// `memo.evictions` observed since this session began
-    /// (process-wide under concurrency; 0 in an eviction-free mix).
+    /// Memo entries this session's inserts evicted over its preceding
+    /// request prefix (0 in an eviction-free mix).
     pub evictions: u64,
     /// Requests submitted but not yet written (0 at a barrier).
     pub in_flight: u64,
     /// Nanoseconds since the server was created.
     pub uptime_ns: u64,
-    /// Median end-to-end request latency in ns, process-wide since
-    /// this session began (other sessions' requests included under
-    /// concurrency; interpolated from the log₂ histogram; 0 when no
+    /// Median end-to-end latency in ns of this session's query
+    /// requests (interpolated from the log₂ histogram; 0 when no
     /// latency was recorded).
     pub p50_ns: u64,
     /// 95th-percentile end-to-end request latency in ns (as `p50_ns`).
@@ -585,9 +585,8 @@ pub struct TraceOpView {
     pub events: u64,
     /// Nanoseconds since the server was created.
     pub uptime_ns: u64,
-    /// Median end-to-end request latency in ns, process-wide since
-    /// this session began (other sessions' requests included under
-    /// concurrency).
+    /// Median end-to-end latency in ns of this session's query
+    /// requests answered so far (as [`StatsView::p50_ns`]).
     pub p50_ns: u64,
     /// 95th-percentile end-to-end request latency in ns (as `p50_ns`).
     pub p95_ns: u64,

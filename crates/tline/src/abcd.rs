@@ -113,12 +113,6 @@ impl Abcd {
     pub fn determinant(&self) -> Complex {
         self.a * self.d - self.b * self.c
     }
-
-    /// Voltage transfer function into an open output: `V_out/V_in = 1/a`.
-    #[must_use]
-    pub fn open_circuit_voltage_gain(&self) -> Complex {
-        self.a.recip()
-    }
 }
 
 #[cfg(test)]

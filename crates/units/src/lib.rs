@@ -40,7 +40,7 @@ mod per_length;
 mod scalar;
 
 pub use per_length::{FaradsPerMeter, HenriesPerMeter, OhmsPerMeter};
-pub use scalar::{Amperes, Farads, Henries, Hertz, Meters, Ohms, Seconds, Volts, Watts};
+pub use scalar::{Amperes, Farads, Henries, Hertz, Meters, Ohms, Seconds, Volts};
 
 /// Computes the lossless characteristic impedance `Z₀ = √(l/c)` of a line.
 ///

@@ -2,14 +2,14 @@
 //!
 //! Only the physically meaningful products and quotients that the
 //! methodology actually uses are provided ([C-OVERLOAD]): per-length
-//! densities times length, Ohm's law, RC/LC time constants, and power.
+//! densities times length, Ohm's law, and RC/LC time constants.
 //!
 //! [C-OVERLOAD]: https://rust-lang.github.io/api-guidelines/predictability.html
 
 use core::ops::{Div, Mul};
 
 use crate::per_length::{FaradsPerMeter, HenriesPerMeter, OhmsPerMeter};
-use crate::scalar::{Amperes, Farads, Henries, Meters, Ohms, Seconds, Volts, Watts};
+use crate::scalar::{Amperes, Farads, Henries, Meters, Ohms, Seconds, Volts};
 
 /// Implements a commutative product `$a * $b = $out`.
 macro_rules! product {
@@ -57,11 +57,10 @@ quotient!(Henries, Ohms, Seconds);
 quotient!(Seconds, Ohms, Farads);
 quotient!(Seconds, Farads, Ohms);
 
-// Ohm's law and power.
+// Ohm's law.
 quotient!(Volts, Ohms, Amperes);
 quotient!(Volts, Amperes, Ohms);
 product!(Ohms, Amperes, Volts);
-product!(Volts, Amperes, Watts);
 
 #[cfg(test)]
 mod tests {
@@ -92,13 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn ohms_law_and_power() {
+    fn ohms_law() {
         let i: Amperes = Volts::new(2.5) / Ohms::new(50.0);
         assert!((i.get() - 0.05).abs() < 1e-15);
         let v: Volts = Ohms::new(50.0) * i;
         assert!((v.get() - 2.5).abs() < 1e-12);
-        let p: Watts = v * i;
-        assert!((p.get() - 0.125).abs() < 1e-12);
         let r: Ohms = v / i;
         assert!((r.get() - 50.0).abs() < 1e-9);
     }

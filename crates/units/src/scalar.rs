@@ -225,20 +225,6 @@ quantity! {
     Hertz, "Hz"
 }
 
-quantity! {
-    /// A power in watts.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rlckit_units::{Amperes, Volts, Watts};
-    /// let p = Volts::new(1.2) * Amperes::new(0.02);
-    /// assert!((p.get() - 0.024).abs() < 1e-15);
-    /// # let _: Watts = p;
-    /// ```
-    Watts, "W"
-}
-
 impl Seconds {
     /// Creates a time from a value in milliseconds.
     #[must_use]

@@ -20,6 +20,11 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-di
 # read their own trace scope and fault plan, never each other's.
 cargo test -q --offline --workspace -- --test-threads=1
 cargo test -q --offline --workspace -- --test-threads="$(nproc)"
+# Concurrent serve sessions once leaked telemetry into each other and
+# failed at two test threads about one run in three: repeat that shape.
+for _ in 1 2 3 4 5; do
+  cargo test -q --offline -p rlckit-serve --lib -- --test-threads=2
+done
 # Lints are part of the gate: warnings are build breaks.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # So are rustdoc warnings: a doc link to a deleted or private item
