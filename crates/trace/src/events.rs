@@ -5,27 +5,27 @@
 //! — counters and histograms have no notion of *which* request paid a
 //! cost. This module records the per-request story: fixed-size
 //! structured events `{trace_id, scope, kind, value, t_ns}` written
-//! into the ring of the calling thread's recorder (the same per-thread
-//! store that holds its metric words, see the crate docs) and drained
-//! into one causally-ordered JSONL stream on flush.
+//! into the calling thread's ring and drained into one
+//! causally-ordered JSONL stream on flush.
 //!
 //! # Design
 //!
-//! * **Always available, always bounded.** A recorder's ring has
-//!   [`RING_CAPACITY`] slots, allocated when its thread first records
-//!   with tracing on; when it wraps, the oldest events are overwritten
+//! * **Always available, always bounded.** A ring has
+//!   [`RING_CAPACITY`] slots; a thread takes one on its first event
+//!   with tracing on. When it wraps, the oldest events are overwritten
 //!   — a flight recorder keeps the recent past and never blocks the hot
-//!   path on a full buffer. A thread that exits or leaves its trace
-//!   scope hands its recorder, ring included, to the next taker: there
-//!   are as many rings as recorders in use at once, and the events
-//!   stay until a later holder overwrites them. Rings are not scoped.
+//!   path on a full buffer. A thread that exits hands its ring to the
+//!   next taker, so there are as many rings as threads recording events
+//!   at once, and the events stay until a later holder overwrites them.
+//!   Rings are not scoped: entering a [`Scope`](crate::Scope) swaps a
+//!   thread's recorder, not its ring.
 //! * **Lock-free to record.** A slot is four relaxed atomic stores plus
-//!   one release bump of the ring head, all in the thread's own
-//!   recorder. The only locks are the registry's, once per thread
-//!   (taking a recorder) and once per scope *call site* (registering
-//!   its name). When tracing is disabled ([`crate::enabled`] is false)
-//!   recording is a single relaxed load and an early return — the
-//!   `trace_overhead` bench guards this path's budget in tier-1.
+//!   one release bump of the ring head, all in the thread's own ring.
+//!   The only locks are the registry's, once per thread (taking a ring)
+//!   and once per scope *call site* (registering its name). When
+//!   tracing is disabled ([`crate::enabled`] is false) recording is a
+//!   single relaxed load and an early return — the `trace_overhead`
+//!   bench guards this path's budget in tier-1.
 //! * **Causally ordered on drain.** [`EventKind`] discriminants follow
 //!   the serving pipeline (parse → route → dequeue → probe → solve →
 //!   write → outcome), and [`collect`] sorts by
@@ -60,12 +60,13 @@
 //! assert_eq!(mine[0].value, 3);
 //! ```
 
+use std::cell::OnceCell;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicU32, AtomicU64};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Events retained per recorder before the oldest are overwritten.
+/// Events retained per ring before the oldest are overwritten.
 /// 4096 × 32 bytes = 128 KiB per ring — large enough to hold several
 /// thousand requests' worth of pipeline events, small enough to forget
 /// about.
@@ -147,21 +148,41 @@ struct Slot {
     t_ns: AtomicU64,
 }
 
-/// One recorder's flight-recorder ring. Only the thread holding the
-/// recorder stores; any thread may read (a drain racing a wrapping
-/// writer can observe a torn slot, which [`collect`] tolerates —
-/// serving drains after the pipeline quiesces, where no race exists).
+/// One thread's flight-recorder ring. Only the thread holding it
+/// stores; any thread may read (a drain racing a wrapping writer can
+/// observe a torn slot, which [`collect`] tolerates — serving drains
+/// after the pipeline quiesces, where no race exists).
 pub(crate) struct Ring {
     slots: Box<[Slot]>,
     head: AtomicU64,
 }
 
+/// A thread's ring, taken on its first event. The thread-local
+/// destructor hands it back, events kept.
+struct Taken(OnceCell<Arc<Ring>>);
+
+impl Drop for Taken {
+    fn drop(&mut self) {
+        crate::registry().free_rings.extend(self.0.take());
+    }
+}
+
+thread_local! {
+    static RING: Taken = const { Taken(OnceCell::new()) };
+}
+
 impl Ring {
-    pub(crate) fn new() -> Self {
-        Self {
-            slots: (0..RING_CAPACITY).map(|_| Slot::default()).collect(),
-            head: AtomicU64::new(0),
-        }
+    /// Takes a free ring, or makes one.
+    fn take() -> Arc<Self> {
+        let mut reg = crate::registry();
+        reg.free_rings.pop().unwrap_or_else(|| {
+            let ring = Arc::new(Self {
+                slots: (0..RING_CAPACITY).map(|_| Slot::default()).collect(),
+                head: AtomicU64::new(0),
+            });
+            reg.rings.push(Arc::clone(&ring));
+            ring
+        })
     }
 
     fn push(&self, trace_id: u64, scope_id: u32, kind: EventKind, value: u64, t_ns: u64) {
@@ -208,7 +229,7 @@ fn now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Records one event into the calling thread's recorder. Gated on
+/// Records one event into the calling thread's ring. Gated on
 /// [`crate::enabled`]: the disabled path is one relaxed load. Use
 /// through [`crate::event!`], which owns the per-call-site
 /// [`EventScope`].
@@ -218,10 +239,15 @@ pub fn record(scope: &'static EventScope, trace_id: u64, kind: EventKind, value:
     }
     let t_ns = now_ns();
     let scope_id = scope.0.word(crate::Kind::Scope) as u32;
-    crate::with_recorder(|held| {
-        let ring = held.recorder.ring.get_or_init(Ring::new);
-        ring.push(trace_id, scope_id, kind, value, t_ns);
-    });
+    let push = |ring: &Ring| ring.push(trace_id, scope_id, kind, value, t_ns);
+    let pushed = RING.try_with(|taken| push(taken.0.get_or_init(Ring::take)));
+    if pushed.is_err() {
+        // The thread has handed its ring back (another thread-local's
+        // destructor running later): borrow a free one for this event.
+        let ring = Ring::take();
+        push(&ring);
+        crate::registry().free_rings.push(ring);
+    }
 }
 
 /// One drained event.
@@ -249,7 +275,7 @@ pub struct DrainedEvents {
     pub dropped: u64,
 }
 
-/// Drains every recorder's ring into one causally-ordered stream:
+/// Drains every ring into one causally-ordered stream:
 /// sorted by `(trace_id, kind, scope, value)` so the order — like every
 /// field but `t_ns` — is deterministic. Rings are *not* cleared: a
 /// flight recorder's contents survive until overwritten, so a later
@@ -259,7 +285,7 @@ pub fn collect() -> DrainedEvents {
     let mut drained = DrainedEvents::default();
     {
         let reg = crate::registry();
-        for ring in reg.recorders.iter().filter_map(|r| r.ring.get()) {
+        for ring in &reg.rings {
             ring.read_into(&reg.scopes, &mut drained.events, &mut drained.dropped);
         }
     }
