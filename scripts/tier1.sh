@@ -44,9 +44,10 @@ sched_two="$(mktemp -d)"
 sched_five="$(mktemp -d)"
 serve_dir="$(mktemp -d)"
 campaign_dir="$(mktemp -d)"
+sim_dir="$(mktemp -d)"
 trap 'rm -f "$smoke_log" "$fault_log"; \
      rm -rf "$fault_clean" "$fault_armed" "$sched_serial" "$sched_two" "$sched_five" \
-            "$serve_dir" "$campaign_dir"' EXIT
+            "$serve_dir" "$campaign_dir" "$sim_dir"' EXIT
 RLCKIT_BENCH_SMOKE=1 RLCKIT_TRACE=summary cargo bench --offline --workspace 2>&1 \
   | tee "$smoke_log"
 if grep -q '\.no_convergence' "$smoke_log"; then
@@ -418,6 +419,19 @@ for pair in 100nm:clean 100nm_faults_2001:armed; do
   golden="tests/golden/campaign_solo_${pair%%:*}.trace.jsonl"
   if ! cmp -s "$golden" <(grep -v '"type":"span"' "$campaign_dir/${pair#*:}.trace.jsonl"); then
     echo "tier-1 gate: FAIL — solo campaign trace sink drifted from $golden" >&2
+    exit 1
+  fi
+done
+
+# Simulator goldens: the Fig. 9 and Fig. 10 ring-oscillator waveforms
+# (the transient simulator's fixed-step trapezoidal path, Newton and
+# MOSFET stamps included) must equal the committed captures byte for
+# byte, about 1.5 s each in release on 2 CPUs.
+for bin in fig09_waveform_1p8 fig10_waveform_2p2; do
+  RLCKIT_RESULTS_DIR="$sim_dir" \
+    cargo run --release --offline -q -p rlckit-bench --bin "$bin" >/dev/null
+  if ! cmp -s "tests/golden/$bin.csv" "$sim_dir/$bin.csv"; then
+    echo "tier-1 gate: FAIL — $bin CSV drifted from tests/golden/$bin.csv" >&2
     exit 1
   fi
 done
