@@ -4,15 +4,14 @@
 //!   inverse-Laplace oracle — accuracy audited, cost measured;
 //! * analytic-residual Newton vs. fully finite-difference objective
 //!   minimization;
-//! * RLC-ladder section count (simulator fidelity knob);
-//! * transient integration method (trapezoidal vs. backward Euler).
+//! * RLC-ladder section count (simulator fidelity knob).
 
 use std::hint::black_box;
 
 use rlckit::optimizer::{optimize_rlc, optimize_rlc_direct, segment_structure, OptimizerOptions};
 use rlckit_bench::timer::{BenchOptions, Harness};
 use rlckit_spice::builders::{rlc_ladder, LadderLine};
-use rlckit_spice::transient::{simulate, AdaptiveOptions, Method, TransientOptions};
+use rlckit_spice::transient::{simulate, TransientOptions};
 use rlckit_spice::waveform::Waveform;
 use rlckit_spice::Circuit;
 use rlckit_tech::TechNode;
@@ -68,7 +67,7 @@ fn bench_newton_vs_derivative_free(h: &mut Harness) {
     });
 }
 
-fn ladder_step_response(segments: usize, method: Method) -> f64 {
+fn ladder_step_response(segments: usize) -> f64 {
     let mut ckt = Circuit::new();
     let src = ckt.add_node("src");
     let drv = ckt.add_node("drv");
@@ -88,11 +87,7 @@ fn ladder_step_response(segments: usize, method: Method) -> f64 {
         segments,
     );
     ckt.capacitor(far, Circuit::GROUND, 400e-15);
-    let res = simulate(
-        &ckt,
-        &TransientOptions::new(1e-9, 1e-12).with_method(method),
-    )
-    .expect("transient");
+    let res = simulate(&ckt, &TransientOptions::new(1e-9, 1e-12)).expect("transient");
     *res.voltage(far).last().expect("samples")
 }
 
@@ -100,59 +95,7 @@ fn bench_ladder_fidelity(h: &mut Harness) {
     let opts = BenchOptions::with_samples(15);
     for segments in [4usize, 8, 16, 32] {
         h.bench_with(&format!("ladder_segments_{segments}"), &opts, || {
-            black_box(ladder_step_response(segments, Method::Trapezoidal))
-        });
-    }
-}
-
-fn bench_integration_method(h: &mut Harness) {
-    let opts = BenchOptions::with_samples(15);
-    h.bench_with("integration_trapezoidal", &opts, || {
-        black_box(ladder_step_response(8, Method::Trapezoidal))
-    });
-    h.bench_with("integration_backward_euler", &opts, || {
-        black_box(ladder_step_response(8, Method::BackwardEuler))
-    });
-}
-
-fn bench_adaptive_stepping(h: &mut Harness) {
-    // Fixed vs LTE-controlled stepping on the same ladder transient:
-    // the controller should win wall-clock on the long quiet tail.
-    let build = || {
-        let mut ckt = Circuit::new();
-        let src = ckt.add_node("src");
-        let drv = ckt.add_node("drv");
-        let far = ckt.add_node("far");
-        ckt.voltage_source(src, Circuit::GROUND, Waveform::step(0.0, 1.2, 10e-12, 1e-12));
-        ckt.resistor(src, drv, 14.3);
-        rlc_ladder(
-            &mut ckt,
-            drv,
-            far,
-            LadderLine {
-                r_per_m: 4400.0,
-                l_per_m: 1.8e-6,
-                c_per_m: 123.33e-12,
-            },
-            Meters::from_milli(11.1),
-            8,
-        );
-        ckt.capacitor(far, Circuit::GROUND, 400e-15);
-        ckt
-    };
-    let opts = BenchOptions::with_samples(15);
-    {
-        let ckt = build();
-        let topts = TransientOptions::new(4e-9, 1e-12);
-        h.bench_with("stepping_fixed", &opts, || {
-            black_box(simulate(&ckt, &topts).expect("transient"))
-        });
-    }
-    {
-        let ckt = build();
-        let topts = TransientOptions::new(4e-9, 1e-12).with_adaptive(AdaptiveOptions::around(1e-12));
-        h.bench_with("stepping_adaptive", &opts, || {
-            black_box(simulate(&ckt, &topts).expect("transient"))
+            black_box(ladder_step_response(segments))
         });
     }
 }
@@ -162,7 +105,5 @@ fn main() {
     bench_model_order(&mut h);
     bench_newton_vs_derivative_free(&mut h);
     bench_ladder_fidelity(&mut h);
-    bench_integration_method(&mut h);
-    bench_adaptive_stepping(&mut h);
     h.finish();
 }

@@ -42,7 +42,6 @@
 use rlckit::memo::{Eviction, QUANT_BITS};
 use rlckit_bench::timer::{BenchOptions, Harness};
 use rlckit_numeric::rng::Rng;
-use rlckit_par::Parallelism;
 use rlckit_serve::{ServeConfig, Server};
 
 /// One hot key: a named node and an on-grid inductance.
@@ -157,11 +156,10 @@ fn connect_and_replay(addr: &str, text: &str) -> std::io::Result<()> {
 fn churn_hit_rate(eviction: Eviction, connections: usize, shard_capacity: usize) -> f64 {
     let server = Server::new(ServeConfig {
         workers: 4,
-        queue_depth: 64,
         shard_capacity,
         eviction,
     });
-    server.warm_grid(WARM_POINTS, Parallelism::Auto);
+    server.warm_grid(WARM_POINTS);
     let mixes: Vec<(String, usize)> = (0..connections)
         .map(|i| {
             let (lines, hot) = build_churn_mix(0xE71C_7104 + i as u64, 240);
@@ -227,12 +225,8 @@ fn main() {
     let requests = mix.len();
     let input = mix.join("\n") + "\n";
 
-    let server = Server::new(ServeConfig {
-        workers: 4,
-        queue_depth: 64,
-        ..ServeConfig::default()
-    });
-    let warmed = server.warm_grid(WARM_POINTS, Parallelism::Auto);
+    let server = Server::new(ServeConfig::default());
+    let warmed = server.warm_grid(WARM_POINTS);
     // One priming replay pays the mix's cold solves, so the measured
     // replays see the steady serving state a long-running daemon is in.
     let mut out = Vec::with_capacity(64 * requests);

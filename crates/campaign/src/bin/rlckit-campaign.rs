@@ -34,7 +34,7 @@ common options:
 shard: --index <I> --of <N> [--generation <G>]
 merge: --shards <N> --out <CSV> [--degraded <I,J,...>]
 run:   --shards <N> --out <CSV> [--restart-budget <B>] [--stall-timeout-ms <MS>]
-       [--backoff-ms <MS>] [--backoff-cap-ms <MS>]
+       [--backoff-ms <MS>]
 solo:  --out <CSV>
 ";
 
@@ -159,7 +159,6 @@ fn run() -> Result<(), String> {
             cfg.restart_budget = budget.unwrap_or(cfg.restart_budget);
             cfg.stall_timeout = millis(args.parsed("--stall-timeout-ms")?, cfg.stall_timeout);
             cfg.backoff_base = millis(args.parsed("--backoff-ms")?, cfg.backoff_base);
-            cfg.backoff_cap = millis(args.parsed("--backoff-cap-ms")?, cfg.backoff_cap);
             args.finish()?;
             let exe = std::env::current_exe()
                 .map_err(|e| format!("cannot locate own executable: {e}"))?;

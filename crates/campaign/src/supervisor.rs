@@ -9,11 +9,11 @@
 //!   hang, a wedged solve) trips the stall timeout and is killed — a
 //!   responsive-looking PID is not evidence of work.
 //! * **Crashes are relaunched with backoff.** Each death schedules a
-//!   relaunch at `backoff_base × 2^(relaunches−1)` (capped), tracked
-//!   per shard as a deadline so one shard's backoff never delays
-//!   another shard's exit. The relaunch generation is passed to the
-//!   child, which keys the `RLCKIT_SHARD_FAULTS` schedule on it — so
-//!   an injected crash loop converges instead of re-killing the same
+//!   relaunch at `backoff_base × 2^(relaunches−1)`, capped at 2 s,
+//!   tracked per shard as a deadline so one shard's backoff never
+//!   delays another shard's exit. The relaunch generation is passed to
+//!   the child, which keys the `RLCKIT_SHARD_FAULTS` schedule on it —
+//!   so an injected crash loop converges instead of re-killing the same
 //!   point forever.
 //! * **The restart budget bounds the tantrum.** A shard that dies more
 //!   than `restart_budget` times is *degraded*: its checkpoint is
@@ -42,6 +42,9 @@ use rlckit_trace::{counter, event};
 use crate::grid::{shard_file_name, CampaignSpec};
 use crate::merge::{merge_shards, render_csv, MergeError};
 
+/// Ceiling of the relaunch backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// Supervision knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -55,10 +58,9 @@ pub struct SupervisorConfig {
     /// `stall_timeout` and 2×`stall_timeout` after its last observed
     /// growth.
     pub stall_timeout: Duration,
-    /// First relaunch delay; doubles per relaunch of the same shard.
+    /// First relaunch delay; doubles per relaunch of the same shard, up
+    /// to 2 s.
     pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
 }
 
 impl SupervisorConfig {
@@ -70,7 +72,6 @@ impl SupervisorConfig {
             restart_budget: 5,
             stall_timeout: Duration::from_secs(30),
             backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
         }
     }
 
@@ -78,7 +79,7 @@ impl SupervisorConfig {
         let doublings = relaunches.saturating_sub(1).min(20);
         self.backoff_base
             .saturating_mul(1 << doublings)
-            .min(self.backoff_cap)
+            .min(BACKOFF_CAP)
     }
 }
 

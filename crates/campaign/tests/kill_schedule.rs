@@ -59,7 +59,7 @@ fn supervised_run(tag: &str, faults: &str, extra: &[&str]) -> RunResult {
         .args(["run", "--node", spec.node.name()])
         .args(["--points", &spec.points.to_string()])
         .args(["--shards", &SHARDS.to_string()])
-        .args(["--backoff-ms", "2", "--backoff-cap-ms", "20"])
+        .args(["--backoff-ms", "2"])
         .args(extra)
         .arg("--dir")
         .arg(&dir)

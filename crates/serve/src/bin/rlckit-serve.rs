@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! rlckit-serve [--stdin | --tcp ADDR] [--idle-timeout-secs N]
-//!              [--max-connections N] [--workers N] [--queue-depth N]
+//!              [--max-connections N] [--workers N]
 //!              [--shard-capacity N] [--eviction lru|fifo]
-//!              [--warm-grid POINTS] [--snapshot PATH] [--rewarm-secs N]
+//!              [--warm-grid POINTS] [--snapshot PATH]
 //!              [--trace-events PATH] [--trace-flush-secs N]
 //! ```
 //!
@@ -32,11 +32,6 @@
 //! `serve.accept_errors`, and survived; they never terminate the
 //! daemon.
 //!
-//! `--rewarm-secs N` starts a background re-warmer that re-solves
-//! missing warm-grid points every `N` seconds and atomically refreshes
-//! `--snapshot`, so evictions under cold churn are repaired while the
-//! daemon is live.
-//!
 //! # Observability flags
 //!
 //! `--trace-events PATH` enables the flight recorder (see
@@ -61,13 +56,12 @@
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use rlckit::memo::Eviction;
-use rlckit_serve::daemon::{serve_connections, Flusher, Rewarmer, TcpOptions};
+use rlckit_serve::daemon::{serve_connections, Flusher, TcpOptions};
 use rlckit_serve::snapshot::{self, LoadOutcome};
-use rlckit_par::Parallelism;
 use rlckit_serve::{ServeConfig, Server};
 
 struct Args {
@@ -77,16 +71,14 @@ struct Args {
     config: ServeConfig,
     warm_grid: usize,
     snapshot: Option<std::path::PathBuf>,
-    rewarm_secs: u64,
     trace_events: Option<std::path::PathBuf>,
     trace_flush_secs: u64,
 }
 
 fn usage() -> &'static str {
     "usage: rlckit-serve [--stdin | --tcp ADDR] [--idle-timeout-secs N] \
-     [--max-connections N] [--workers N] [--queue-depth N] [--shard-capacity N] \
-     [--eviction lru|fifo] [--warm-grid POINTS] [--snapshot PATH] [--rewarm-secs N] \
-     [--trace-events PATH] [--trace-flush-secs N]"
+     [--max-connections N] [--workers N] [--shard-capacity N] [--eviction lru|fifo] \
+     [--warm-grid POINTS] [--snapshot PATH] [--trace-events PATH] [--trace-flush-secs N]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -97,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         config: ServeConfig::default(),
         warm_grid: 0,
         snapshot: None,
-        rewarm_secs: 0,
         trace_events: None,
         trace_flush_secs: 0,
     };
@@ -127,11 +118,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--queue-depth" => {
-                args.config.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?;
-            }
             "--shard-capacity" => {
                 args.config.shard_capacity = value("--shard-capacity")?
                     .parse()
@@ -150,11 +136,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--warm-grid: {e}"))?;
             }
             "--snapshot" => args.snapshot = Some(value("--snapshot")?.into()),
-            "--rewarm-secs" => {
-                args.rewarm_secs = value("--rewarm-secs")?
-                    .parse()
-                    .map_err(|e| format!("--rewarm-secs: {e}"))?;
-            }
             "--trace-events" => args.trace_events = Some(value("--trace-events")?.into()),
             "--trace-flush-secs" => {
                 args.trace_flush_secs = value("--trace-flush-secs")?
@@ -187,7 +168,7 @@ fn boot(args: &Args) -> std::io::Result<Server> {
         }
     }
     if args.warm_grid > 0 {
-        let solved = server.warm_grid(args.warm_grid, Parallelism::Auto);
+        let solved = server.warm_grid(args.warm_grid);
         eprintln!(
             "rlckit-serve: warm grid solved {solved} new entries ({} total)",
             server.memo().len()
@@ -224,15 +205,7 @@ fn run() -> std::io::Result<ExitCode> {
         rlckit_trace::set_enabled(true);
     }
     let _flusher = (args.trace_flush_secs > 0).then(|| Flusher::start(args.trace_flush_secs));
-    let server = Arc::new(boot(&args)?);
-    let _rewarmer = (args.rewarm_secs > 0).then(|| {
-        Rewarmer::start(
-            Arc::clone(&server),
-            Duration::from_secs(args.rewarm_secs),
-            args.warm_grid,
-            args.snapshot.clone(),
-        )
-    });
+    let server = boot(&args)?;
 
     match &args.tcp {
         None => {

@@ -1,5 +1,5 @@
-//! Daemon plumbing around the engine: the concurrent TCP accept loop,
-//! the periodic metrics flusher, and the background re-warmer.
+//! Daemon plumbing around the engine: the concurrent TCP accept loop
+//! and the periodic metrics flusher.
 //!
 //! # Concurrent connections
 //!
@@ -23,29 +23,22 @@
 //! than [`std::net::TcpStream`] directly so the failure paths are unit
 //! testable without real sockets.
 //!
-//! # Background threads
+//! # Background flushing
 //!
 //! [`Flusher`] ticks [`rlckit_trace::flush`] every period so a
 //! long-lived daemon's counters reach the `RLCKIT_TRACE` sink without
 //! waiting for exit — and flushes **one final time on drop**, so even
 //! a session shorter than one period sinks its counters.
-//! [`Rewarmer`] periodically re-solves missing warm-grid points (an
-//! eviction under cold churn is repaired within one period, not at the
-//! next reboot) and atomically refreshes the `--snapshot` file via
-//! [`snapshot::save_atomic`].
 
 use std::io::{BufReader, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use rlckit_par::{Context, Parallelism};
 use rlckit_trace::counter;
 
 use crate::engine::{ServeSummary, Server};
 use crate::protocol::response_error;
-use crate::snapshot;
 
 /// Default cap on simultaneously served connections
 /// ([`TcpOptions::max_connections`]).
@@ -267,81 +260,6 @@ impl Drop for Flusher {
     }
 }
 
-/// A background re-warmer: every period, re-solves warm-grid points
-/// missing from the server's memo (repairing evictions while the
-/// daemon is live) and — when a snapshot path is configured —
-/// atomically refreshes the snapshot file so the next boot, or a
-/// sibling daemon, warm-starts from the freshest state. Stops (and
-/// joins) on drop. Newly re-solved points are counted under
-/// `serve.rewarm_solved`, in the trace scope (and under the fault
-/// plan) of the thread that started it. The re-solves run serially on
-/// the re-warm thread, so a repair never takes CPUs from the serving
-/// pool.
-pub struct Rewarmer {
-    stop: Option<mpsc::Sender<()>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Rewarmer {
-    /// Starts the re-warm thread: every `period`, re-solve missing
-    /// points of the `points`-per-node warm grid and refresh
-    /// `snapshot_path` (if any) via [`snapshot::save_atomic`].
-    #[must_use]
-    pub fn start(
-        server: Arc<Server>,
-        period: Duration,
-        points: usize,
-        snapshot_path: Option<PathBuf>,
-    ) -> Self {
-        let (stop, tick) = mpsc::channel::<()>();
-        let rewarm = move || {
-            while let Err(mpsc::RecvTimeoutError::Timeout) = tick.recv_timeout(period) {
-                let solved = server.warm_grid(points, Parallelism::Serial);
-                if solved > 0 {
-                    counter!("serve.rewarm_solved").add(solved as u64);
-                    eprintln!(
-                        "rlckit-serve: re-warmer solved {solved} missing grid points ({} total)",
-                        server.memo().len()
-                    );
-                }
-                if let Some(path) = &snapshot_path {
-                    // Refresh even when nothing was re-solved: entries
-                    // added by live traffic reach the snapshot too.
-                    match snapshot::save_atomic(path, server.memo()) {
-                        Ok(written) => {
-                            if solved > 0 {
-                                eprintln!(
-                                    "rlckit-serve: re-warmer refreshed {} ({written} entries)",
-                                    path.display()
-                                );
-                            }
-                        }
-                        Err(e) => eprintln!(
-                            "rlckit-serve: re-warmer snapshot refresh of {} failed: {e}",
-                            path.display()
-                        ),
-                    }
-                }
-            }
-        };
-        let context = Context::capture();
-        let handle = std::thread::spawn(move || context.run(rewarm));
-        Self {
-            stop: Some(stop),
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Rewarmer {
-    fn drop(&mut self) {
-        drop(self.stop.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,47 +456,5 @@ mod tests {
             flushes.load(Ordering::SeqCst) >= 1,
             "a sub-period session must still sink its counters"
         );
-    }
-
-    #[test]
-    fn rewarmer_resolves_missing_points_and_atomically_refreshes_the_snapshot() {
-        let dir = std::env::temp_dir().join(format!("rlckit-rewarm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rewarm.snap");
-        let _ = std::fs::remove_file(&path);
-        let server = Arc::new(Server::new(ServeConfig::default()));
-        assert_eq!(server.memo().len(), 0, "cold boot");
-        // Started inside a scope, the re-warmer counts its repairs there.
-        let ((), snap) = rlckit_trace::scoped(|| {
-            let rewarmer = Rewarmer::start(
-                Arc::clone(&server),
-                Duration::from_millis(20),
-                1,
-                Some(path.clone()),
-            );
-            // One point per node = 3 entries; wait for the re-warmer to
-            // repair the cold memo and write the snapshot.
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            while (server.memo().len() < 3 || !path.exists())
-                && std::time::Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            drop(rewarmer);
-        });
-        assert_eq!(server.memo().len(), 3, "one grid point per node");
-        assert_eq!(
-            snap.counter("serve.rewarm_solved"),
-            3,
-            "repairs land in the starter's scope"
-        );
-        // The refreshed snapshot is complete and loadable (rename was
-        // atomic: no torn half-file, no lingering tmp sibling).
-        let fresh = rlckit::memo::OptimumMemo::sharded(2, 64);
-        match snapshot::load(&path, &fresh).unwrap() {
-            snapshot::LoadOutcome::Loaded(n) => assert_eq!(n, 3),
-            other => panic!("snapshot must load cleanly, got {other:?}"),
-        }
-        assert!(!dir.join("rewarm.snap.tmp").exists(), "tmp sibling must be renamed away");
     }
 }

@@ -122,13 +122,14 @@ pub const SLOW_LOG_CAPACITY: usize = 8;
 /// connections, bench replays).
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Bounded per-worker queue depth: intake backpressures beyond it.
+const QUEUE_DEPTH: usize = 64;
+
 /// Sizing knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads — one per memo shard.
     pub workers: usize,
-    /// Bounded per-worker queue depth (intake backpressures beyond it).
-    pub queue_depth: usize,
     /// Memo entries retained per shard.
     pub shard_capacity: usize,
     /// Eviction policy of the shared memo. Defaults to
@@ -141,7 +142,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            queue_depth: 64,
             shard_capacity: DEFAULT_CAPACITY,
             eviction: Eviction::Lru,
         }
@@ -357,7 +357,7 @@ impl Server {
         ));
         let pool = {
             let memo = Arc::clone(&memo);
-            ShardedPool::new(config.workers, config.queue_depth, move |_shard, job: Job| {
+            ShardedPool::new(config.workers, QUEUE_DEPTH, move |_shard, job: Job| {
                 let Job {
                     seq,
                     trace_id,
@@ -417,20 +417,18 @@ impl Server {
     /// already present — e.g. from a snapshot — are skipped unsolved).
     ///
     /// The missing points are listed by one serial probe pass, solved
-    /// on `parallelism` workers ([`par_map`]), and preloaded in grid
-    /// order; a point that was present at the probe but has since been
-    /// evicted by an earlier preload of this pass is solved inline. So
-    /// the memo it leaves — entries, value bits and recency order — and
-    /// the count it returns are those of one serial loop over the grid,
-    /// at every worker count. Boot passes [`Parallelism::Auto`]; the
-    /// live re-warmer passes [`Parallelism::Serial`] so it never takes
-    /// CPUs from the serving pool. Timed as the `serve.warm_grid` span.
+    /// on [`Parallelism::Auto`] workers ([`par_map`]), and preloaded in
+    /// grid order; a point that was present at the probe but has since
+    /// been evicted by an earlier preload of this pass is solved inline.
+    /// So the memo it leaves — entries, value bits and recency order —
+    /// and the count it returns are those of one serial loop over the
+    /// grid, at every worker count. Timed as the `serve.warm_grid` span.
     ///
     /// # Panics
     ///
     /// Panics if the optimizer panics on a grid point (a failed solve is
     /// skipped, not a panic).
-    pub fn warm_grid(&self, points_per_node: usize, parallelism: Parallelism) -> usize {
+    pub fn warm_grid(&self, points_per_node: usize) -> usize {
         let _span = span!("serve.warm_grid");
         let options = rlckit::optimizer::OptimizerOptions::default();
         let grid = standard_grid(points_per_node);
@@ -461,7 +459,7 @@ impl Server {
         let missing: Vec<usize> = (0..points.len())
             .filter(|&i| self.memo.probe(&keys[i]).is_none())
             .collect();
-        let solved = par_map(&missing, parallelism, |_, &i| Ok(solve(&points[i])))
+        let solved = par_map(&missing, Parallelism::Auto, |_, &i| Ok(solve(&points[i])))
             .unwrap_or_else(|e| panic!("warm-grid solve: {e}"));
 
         let mut solved = missing.into_iter().zip(solved).peekable();
@@ -1375,7 +1373,7 @@ not json at all
     #[test]
     fn warm_start_makes_the_first_on_grid_ask_a_memo_hit() {
         let server = Server::new(ServeConfig::default());
-        let preloaded = server.warm_grid(5, Parallelism::Auto);
+        let preloaded = server.warm_grid(5);
         assert_eq!(preloaded, 3 * 5, "three nodes × five grid points");
         assert_eq!(server.memo().len(), 15);
         // 4.95/4 * 2 = 2.475 nH/mm is the third grid point of the 100nm node.
@@ -1387,7 +1385,7 @@ not json at all
         assert_eq!(summary.hits, 1);
         assert_eq!(summary.misses, 0);
         // Re-warming is idempotent: everything is already present.
-        assert_eq!(server.warm_grid(5, Parallelism::Auto), 0);
+        assert_eq!(server.warm_grid(5), 0);
     }
 
     /// The memo `warm_grid` leaves, as comparable bits: every entry's
@@ -1426,13 +1424,13 @@ not json at all
         preloaded
     }
 
-    /// Every mode of `warm_grid`, and `Serial` in particular, leaves the
-    /// memo (keys, value bits, recency order) and returns the count of
-    /// the one-pass serial warm: from a cold memo, from a memo seeded by
-    /// a smaller grid (the snapshot boot), and with shards small enough
-    /// that the warm evicts, seeded (so points present at the probe are
-    /// evicted before their turn) or not. `Threads(2)` spawns even on a
-    /// grid too short for `Auto` to.
+    /// `warm_grid` leaves the memo (keys, value bits, recency order) and
+    /// returns the count of the one-pass serial warm: from a cold memo,
+    /// from a memo seeded by a smaller grid (the snapshot boot), and
+    /// with shards small enough that the warm evicts, seeded (so points
+    /// present at the probe are evicted before their turn) or not. The
+    /// tier-1 warm-grid leg runs the same comparison of snapshot bytes
+    /// at `RLCKIT_THREADS=1` and at nproc.
     #[test]
     fn parallel_warm_grid_leaves_the_serial_memo_bit_for_bit() {
         let cases = [
@@ -1442,38 +1440,33 @@ not json at all
             ("seeded and evicting", 8, 7),
         ];
         for (case, shard_capacity, seed_points) in cases {
-            let warm = |parallelism: Option<Parallelism>| {
+            let warm = |one_pass: bool| {
                 let server = Server::new(ServeConfig {
                     workers: 2,
                     shard_capacity,
                     ..ServeConfig::default()
                 });
                 warm_grid_one_pass(&server, seed_points);
-                let count = match parallelism {
-                    Some(parallelism) => server.warm_grid(41, parallelism),
-                    None => warm_grid_one_pass(&server, 41),
+                let count = if one_pass {
+                    warm_grid_one_pass(&server, 41)
+                } else {
+                    server.warm_grid(41)
                 };
                 (count, memo_bits(&server))
             };
-            let reference = warm(None);
+            let reference = warm(true);
             assert!(reference.0 > 0, "{case}: the warm must preload something");
-            for parallelism in [
-                Parallelism::Serial,
-                Parallelism::Threads(2),
-                Parallelism::Auto,
-            ] {
-                assert!(
-                    warm(Some(parallelism)) == reference,
-                    "{case}: {parallelism:?} differs from the one-pass serial warm"
-                );
-            }
+            assert!(
+                warm(false) == reference,
+                "{case}: warm_grid differs from the one-pass serial warm"
+            );
         }
     }
 
     #[test]
     fn served_answers_are_bit_identical_to_a_cold_solve() {
         let server = Server::new(ServeConfig::default());
-        server.warm_grid(3, Parallelism::Auto);
+        server.warm_grid(3);
         let node = rlckit_tech::TechNode::nm250();
         let line = LineRlc::new(
             node.line().resistance,

@@ -7,7 +7,6 @@
 //! simultaneously over the one shared pool — plus cross-connection
 //! memo warming and per-session `stats` barrier correctness.
 
-use rlckit_par::Parallelism;
 use rlckit_serve::{ServeConfig, Server};
 
 /// Deterministic splitmix64 — the seed fully determines each mix.
@@ -99,7 +98,7 @@ fn concurrent_sessions_match_their_solo_replays_byte_for_byte() {
     let mixes: Vec<String> = (0..4).map(|i| hot_mix(0xC0FFEE + i, 30)).collect();
 
     let shared = Server::new(ServeConfig::default());
-    assert_eq!(shared.warm_grid(5, Parallelism::Auto), 15);
+    assert_eq!(shared.warm_grid(5), 15);
     let concurrent: Vec<(String, rlckit_serve::ServeSummary)> = std::thread::scope(|scope| {
         let handles: Vec<_> = mixes
             .iter()
@@ -111,7 +110,7 @@ fn concurrent_sessions_match_their_solo_replays_byte_for_byte() {
     for (mix, (out, summary)) in mixes.iter().zip(&concurrent) {
         // Solo replay on a fresh, identically warmed server.
         let solo_server = Server::new(ServeConfig::default());
-        solo_server.warm_grid(5, Parallelism::Auto);
+        solo_server.warm_grid(5);
         let (solo_out, solo_summary) = run_session(&solo_server, mix);
         assert_eq!(
             strip_ns_fields(out),
@@ -163,7 +162,7 @@ fn keys_solved_on_one_connection_hit_on_the_next() {
 #[test]
 fn stats_barriers_stay_session_scoped_under_concurrency() {
     let server = Server::new(ServeConfig::default());
-    assert_eq!(server.warm_grid(5, Parallelism::Auto), 15);
+    assert_eq!(server.warm_grid(5), 15);
     // Each session: 2 distinct on-grid queries, stats, 2 more, stats.
     let session_input = |node: &str| {
         format!(

@@ -2,8 +2,8 @@
 //!
 //! Linearizes the circuit around its DC operating point (MOSFETs and
 //! diodes become their small-signal conductances) and solves the complex
-//! MNA system at each requested frequency, with one chosen source driven
-//! at unit amplitude and every other independent source zeroed.
+//! MNA system at each requested frequency, with one chosen voltage
+//! source driven at unit amplitude and every other source zeroed.
 //!
 //! The complex system `(G + jB)·x = u` is solved through the real sparse
 //! LU kernel via the standard 2n×2n embedding `[[G, −B], [B, G]]`.
@@ -79,26 +79,24 @@ impl AcResult {
     }
 }
 
-/// Runs an AC sweep: `source` is driven with unit amplitude (1 V for a
-/// voltage source, 1 A for a current source) and zero phase; all other
-/// independent sources are zeroed (DC bias is retained only through the
-/// linearization point).
+/// Runs an AC sweep: the voltage source `source` is driven with unit
+/// amplitude (1 V) and zero phase; all other sources are zeroed (DC
+/// bias is retained only through the linearization point).
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::InvalidInput`] if `source` is not an
-/// independent source, and propagates DC-operating-point or
-/// factorization failures.
+/// Returns [`NumericError::InvalidInput`] if `source` is not a voltage
+/// source, and propagates DC-operating-point or factorization failures.
 pub fn ac_analysis(
     circuit: &Circuit,
     source: ElementId,
     frequencies: &[f64],
 ) -> Result<AcResult> {
     match circuit.element(source) {
-        Element::VoltageSource { .. } | Element::CurrentSource { .. } => {}
+        Element::VoltageSource { .. } => {}
         other => {
             return Err(NumericError::InvalidInput(format!(
-                "ac excitation must be an independent source, got {other:?}"
+                "ac excitation must be a voltage source, got {other:?}"
             )))
         }
     }
@@ -187,16 +185,6 @@ pub fn ac_analysis(
                         push_real(&mut mat, br, j, -1.0);
                     }
                     rhs[br] = if idx == source.0 { 1.0 } else { 0.0 };
-                }
-                Element::CurrentSource { from, to, .. } => {
-                    if idx == source.0 {
-                        if let Some(i) = Layout::node_var(*from) {
-                            rhs[i] -= 1.0;
-                        }
-                        if let Some(j) = Layout::node_var(*to) {
-                            rhs[j] += 1.0;
-                        }
-                    }
                 }
                 Element::Diode {
                     anode,
@@ -361,22 +349,5 @@ mod tests {
         assert!((i_l - expected).abs() < 1e-9 * expected.abs(), "{i_l} vs {expected}");
         let i_src = res.branch_current(0, vs).unwrap();
         assert!((i_src + expected).abs() < 1e-9 * expected.abs());
-    }
-
-    #[test]
-    fn current_source_excitation_drives_impedance() {
-        // 1 A into R ∥ C: |V| = |Z|.
-        let mut ckt = Circuit::new();
-        let a = ckt.add_node("a");
-        let is = ckt.current_source(Circuit::GROUND, a, Waveform::Dc(0.0));
-        ckt.resistor(a, Circuit::GROUND, 50.0);
-        ckt.capacitor(a, Circuit::GROUND, 1e-12);
-        let f = 1e9;
-        let res = ac_analysis(&ckt, is, &[f]).unwrap();
-        let z = res.voltage(0, a);
-        let omega = 2.0 * core::f64::consts::PI * f;
-        let expected = (Complex::from_real(1.0 / 50.0) + Complex::new(0.0, omega * 1e-12))
-            .recip();
-        assert!((z - expected).abs() < 1e-6 * expected.abs());
     }
 }

@@ -138,7 +138,6 @@ pub fn sanity_check(circuit: &Circuit) -> Result<()> {
             | Element::Inductor { a, b, .. } => &[*a, *b],
             Element::VoltageSource { plus, minus, .. } => &[*plus, *minus],
             Element::Diode { anode, cathode, .. } => &[*anode, *cathode],
-            Element::CurrentSource { from, to, .. } => &[*from, *to],
             Element::Mosfet {
                 drain,
                 gate,

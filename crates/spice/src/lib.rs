@@ -5,14 +5,14 @@
 //! need, from scratch:
 //!
 //! * [`netlist`] — a circuit builder with resistors, capacitors,
-//!   inductors, independent sources and level-1 MOSFETs.
+//!   inductors, voltage sources, diodes and level-1 MOSFETs.
 //! * [`waveform`] — source waveforms (DC, pulse, PWL).
 //! * [`dc`] — the DC operating point by damped Newton with gmin and
 //!   source stepping fallbacks.
 //! * [`ac`] — small-signal frequency sweeps around the operating point.
-//! * [`transient`] — transient analysis (backward Euler and trapezoidal
-//!   companion models) with per-step Newton iteration and optional
-//!   LTE-controlled adaptive stepping.
+//! * [`transient`] — fixed-step transient analysis (trapezoidal
+//!   companion models after two backward-Euler startup steps) with
+//!   per-step Newton iteration.
 //! * [`measure`] — waveform post-processing: threshold crossings, delay,
 //!   oscillation period, overshoot/undershoot, peak/rms current.
 //! * [`builders`] — the structures the paper simulates: distributed-line

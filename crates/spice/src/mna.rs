@@ -298,18 +298,6 @@ pub(crate) fn assemble(
                 };
                 rhs[br] = value;
             }
-            Element::CurrentSource { from, to, waveform } => {
-                let value = match mode {
-                    Mode::Dc { source_scale, .. } => source_scale * waveform.value(0.0),
-                    Mode::Transient { t, .. } => waveform.value(*t),
-                };
-                if let Some(i) = Layout::node_var(*from) {
-                    rhs[i] -= value;
-                }
-                if let Some(j) = Layout::node_var(*to) {
-                    rhs[j] += value;
-                }
-            }
             Element::Diode {
                 anode,
                 cathode,

@@ -69,15 +69,6 @@ pub enum Element {
         /// Source waveform.
         waveform: Waveform,
     },
-    /// Independent current source (flows from `from` into `to`).
-    CurrentSource {
-        /// Current leaves this node.
-        from: Node,
-        /// Current enters this node.
-        to: Node,
-        /// Source waveform.
-        waveform: Waveform,
-    },
     /// Junction diode (exponential law with high-voltage linearization).
     Diode {
         /// Anode (current flows anode → cathode when forward biased).
@@ -231,17 +222,6 @@ impl Circuit {
             minus,
             waveform,
         })
-    }
-
-    /// Adds an independent current source flowing `from → to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node is foreign.
-    pub fn current_source(&mut self, from: Node, to: Node, waveform: Waveform) -> ElementId {
-        self.check_node(from);
-        self.check_node(to);
-        self.push(Element::CurrentSource { from, to, waveform })
     }
 
     /// Adds a junction diode (anode → cathode).

@@ -2,11 +2,12 @@
 //!
 //! Integration starts from the DC operating point (optionally overridden
 //! per node, which is how a ring oscillator is kicked out of its
-//! metastable DC solution) and advances with backward-Euler or
-//! trapezoidal companion models, solving a Newton iteration at every
-//! step. The trapezoidal method takes a few backward-Euler startup steps
-//! to damp any inconsistent initial conditions, as production simulators
-//! do.
+//! metastable DC solution) and advances at a fixed step with trapezoidal
+//! companion models, solving a Newton iteration at every step.
+//! Trapezoidal integration is A-stable and second order, so the ringing
+//! the paper studies is not artificially damped. The first two steps
+//! use the backward-Euler companion instead, to damp any inconsistent
+//! initial conditions, as production simulators do.
 
 use rlckit_numeric::Result;
 
@@ -14,73 +15,29 @@ use crate::dc::operating_point;
 use crate::mna::{self, Layout, Mode};
 use crate::netlist::{Circuit, Element, ElementId, Node};
 
-/// Integration method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Method {
-    /// Backward Euler: L-stable, first order, numerically damped.
-    BackwardEuler,
-    /// Trapezoidal: A-stable, second order — the default, because the
-    /// ringing the paper studies must not be artificially damped.
-    #[default]
-    Trapezoidal,
-}
+/// Backward-Euler steps taken before trapezoidal integration begins.
+const STARTUP_STEPS: usize = 2;
 
-/// Local-truncation-error control for adaptive stepping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Target LTE per step, in volts (applied to the node voltages).
-    pub error_target: f64,
-    /// Smallest step the controller may take.
-    pub dt_min: f64,
-    /// Largest step the controller may take.
-    pub dt_max: f64,
-}
+/// Newton update tolerance per step (V / A).
+const TOLERANCE: f64 = 1e-6;
 
-impl AdaptiveOptions {
-    /// Sensible defaults around a nominal step: target 1 mV LTE, steps
-    /// between `dt/32` and `16·dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `dt` is strictly positive.
-    #[must_use]
-    pub fn around(dt: f64) -> Self {
-        assert!(dt > 0.0, "nominal step must be positive");
-        Self {
-            error_target: 1e-3,
-            dt_min: dt / 32.0,
-            dt_max: dt * 16.0,
-        }
-    }
-}
+/// Newton iteration budget per step.
+const MAX_NEWTON_ITERATIONS: usize = 100;
 
 /// Options for [`simulate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
     /// End time in seconds.
     pub t_stop: f64,
-    /// Fixed step size in seconds (the initial/nominal step when
-    /// adaptive control is enabled).
+    /// Fixed step size in seconds.
     pub dt: f64,
-    /// Adaptive step control; `None` (the default) steps at fixed `dt`.
-    pub adaptive: Option<AdaptiveOptions>,
-    /// Integration method.
-    pub method: Method,
     /// Node-voltage overrides applied on top of the DC operating point
     /// before the first step (the oscillation kick).
     pub initial_overrides: Vec<(Node, f64)>,
-    /// Newton update tolerance (V / A).
-    pub tolerance: f64,
-    /// Newton iteration budget per step.
-    pub max_newton_iterations: usize,
-    /// Number of backward-Euler startup steps before trapezoidal
-    /// integration begins.
-    pub startup_steps: usize,
 }
 
 impl TransientOptions {
-    /// Creates options with the given horizon and step and the defaults
-    /// used throughout the workspace.
+    /// Creates options with the given horizon and step.
     ///
     /// # Panics
     ///
@@ -91,27 +48,8 @@ impl TransientOptions {
         Self {
             t_stop,
             dt,
-            adaptive: None,
-            method: Method::Trapezoidal,
             initial_overrides: Vec::new(),
-            tolerance: 1e-6,
-            max_newton_iterations: 100,
-            startup_steps: 2,
         }
-    }
-
-    /// Enables adaptive step control with the given settings.
-    #[must_use]
-    pub fn with_adaptive(mut self, adaptive: AdaptiveOptions) -> Self {
-        self.adaptive = Some(adaptive);
-        self
-    }
-
-    /// Switches the integration method.
-    #[must_use]
-    pub fn with_method(mut self, method: Method) -> Self {
-        self.method = method;
-        self
     }
 
     /// Adds an initial node-voltage override (applied after the DC
@@ -204,19 +142,10 @@ pub fn simulate(circuit: &Circuit, options: &TransientOptions) -> Result<Transie
     record(&x, 0.0, &mut times, &mut voltages, &mut currents);
 
     let mut t = 0.0;
-    let mut dt = options.dt;
     let mut step = 0usize;
-    // History for the LTE predictor: (t_prev, x_prev) behind the current x.
-    let mut history: Option<(f64, Vec<f64>)> = None;
-    // A generous global budget so a pathological controller cannot spin.
-    let max_total_steps = n_steps.saturating_mul(64).max(1024);
-
-    while t < options.t_stop && step < max_total_steps {
-        let trap = options.method == Method::Trapezoidal && step >= options.startup_steps;
-        if let Some(a) = &options.adaptive {
-            dt = dt.clamp(a.dt_min, a.dt_max);
-        }
-        let t_next = (t + dt).min(options.t_stop);
+    while t < options.t_stop {
+        let trap = step >= STARTUP_STEPS;
+        let t_next = (t + options.dt).min(options.t_stop);
         let dt_taken = t_next - t;
         if dt_taken <= 0.0 {
             break;
@@ -228,51 +157,14 @@ pub fn simulate(circuit: &Circuit, options: &TransientOptions) -> Result<Transie
             prev: &x,
             cap_current: &cap_current,
         };
-        let solved = mna::solve_newton(
+        let x_next = mna::solve_newton(
             circuit,
             &layout,
             &mode,
             &x,
-            options.tolerance,
-            options.max_newton_iterations,
-        );
-        let x_next = match solved {
-            Ok(x_next) => x_next,
-            Err(e) => {
-                // Newton trouble: with adaptive control, retry smaller.
-                if let Some(a) = &options.adaptive {
-                    if dt > a.dt_min * 1.0001 {
-                        dt = (dt / 4.0).max(a.dt_min);
-                        step += 1;
-                        continue;
-                    }
-                }
-                return Err(e);
-            }
-        };
-
-        // Adaptive: estimate the LTE as the gap between the corrector and
-        // a linear predictor through the last two accepted points.
-        if let (Some(a), Some((t_prev, x_prev))) = (&options.adaptive, &history) {
-            let span = t - t_prev;
-            if span > 0.0 && step >= options.startup_steps {
-                let mut err = 0.0f64;
-                for i in 0..layout.n_nodes - 1 {
-                    let slope = (x[i] - x_prev[i]) / span;
-                    let predicted = x[i] + slope * dt_taken;
-                    err = err.max((x_next[i] - predicted).abs());
-                }
-                if err > 4.0 * a.error_target && dt_taken > a.dt_min * 1.0001 {
-                    // Reject: halve and retry from the same state.
-                    dt = (dt_taken / 2.0).max(a.dt_min);
-                    step += 1;
-                    continue;
-                }
-                // Accept and rescale towards the target (second-order LTE).
-                let ratio = (a.error_target / err.max(1e-30)).sqrt().clamp(0.3, 2.0);
-                dt = (dt_taken * ratio).clamp(a.dt_min, a.dt_max);
-            }
-        }
+            TOLERANCE,
+            MAX_NEWTON_ITERATIONS,
+        )?;
 
         // Update capacitor companion state for the trapezoidal method.
         for (idx, element) in circuit.elements().iter().enumerate() {
@@ -287,7 +179,7 @@ pub fn simulate(circuit: &Circuit, options: &TransientOptions) -> Result<Transie
             }
         }
 
-        history = Some((t, std::mem::replace(&mut x, x_next)));
+        x = x_next;
         t = t_next;
         step += 1;
         record(&x, t, &mut times, &mut voltages, &mut currents);
@@ -365,36 +257,44 @@ mod tests {
     }
 
     #[test]
-    fn trapezoidal_beats_backward_euler_on_energy() {
-        // BE damps the ringing; trapezoidal preserves it. Compare the
-        // second overshoot amplitude.
-        let build = || {
-            let mut ckt = Circuit::new();
-            let inp = ckt.add_node("in");
-            let mid = ckt.add_node("mid");
-            let out = ckt.add_node("out");
-            ckt.voltage_source(inp, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-13));
-            ckt.resistor(inp, mid, 1.0);
-            ckt.inductor(mid, out, 1e-9);
-            ckt.capacitor(out, Circuit::GROUND, 1e-12);
-            (ckt, out)
-        };
-        let late_peak = |method: Method| {
-            let (ckt, out) = build();
-            let res = simulate(
-                &ckt,
-                &TransientOptions::new(3e-9, 2e-12).with_method(method),
-            )
-            .unwrap();
-            let v = res.voltage(out);
-            let start = v.len() * 2 / 3;
-            v[start..].iter().fold(0.0f64, |m, &x| max_nan(m, x))
-        };
-        let trap = late_peak(Method::Trapezoidal);
-        let be = late_peak(Method::BackwardEuler);
+    fn trapezoidal_ringing_matches_the_analytic_step_response() {
+        // Series RLC, R = 1 Ω, L = 1 nH, C = 1 pF: the capacitor voltage
+        // after a unit step is 1 − e^{−αt}(cos ω_d t + (α/ω_d) sin ω_d t)
+        // with α = R/2L and ω_d² = 1/LC − α². Its maxima sit at odd
+        // multiples of π/ω_d, where it reads 1 + e^{−αt}. Backward Euler
+        // would damp the ringing by ~0.3 V by 2 ns; trapezoidal keeps it.
+        let (r, l, c) = (1.0, 1e-9, 1e-12);
+        let mut ckt = Circuit::new();
+        let inp = ckt.add_node("in");
+        let mid = ckt.add_node("mid");
+        let out = ckt.add_node("out");
+        ckt.voltage_source(inp, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-13));
+        ckt.resistor(inp, mid, r);
+        ckt.inductor(mid, out, l);
+        ckt.capacitor(out, Circuit::GROUND, c);
+        let res = simulate(&ckt, &TransientOptions::new(3e-9, 2e-12)).unwrap();
+        let (t, v) = (res.times(), res.voltage(out));
+        let window = |time: f64| (2e-9..=3e-9).contains(&time);
+        let simulated = (0..t.len())
+            .filter(|&i| window(t[i]))
+            .fold(0.0f64, |m, i| max_nan(m, v[i]));
+
+        let alpha = r / (2.0 * l);
+        let omega_d = (1.0 / (l * c) - alpha * alpha).sqrt();
+        let analytic = (1..)
+            .step_by(2)
+            .map(|k| f64::from(k) * std::f64::consts::PI / omega_d)
+            .skip_while(|&time| !window(time))
+            .take_while(|&time| window(time))
+            .map(|time| 1.0 + (-alpha * time).exp())
+            .fold(0.0f64, max_nan);
+        assert!(analytic > 1.35, "analytic peak {analytic}");
+        // Measured gap 1.26 mV (trapezoidal phase lag plus 2 ps sampling
+        // of the peak); the bound adds a 0.74 mV margin.
+        let gap = (simulated - analytic).abs();
         assert!(
-            trap > be + 0.05,
-            "trapezoidal {trap} should ring more than BE {be}"
+            gap < 2e-3,
+            "simulated peak {simulated} vs analytic {analytic}: gap {gap:e}"
         );
     }
 
@@ -449,91 +349,6 @@ mod tests {
         assert!((at(0.25e-9) - 1.0).abs() < 1e-6);
         assert!(at(0.75e-9).abs() < 1e-6);
         assert!((at(1.25e-9) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adaptive_stepping_matches_fixed_stepping() {
-        // Same RC charge curve, fixed vs adaptive: identical physics.
-        let build = || {
-            let mut ckt = Circuit::new();
-            let inp = ckt.add_node("in");
-            let out = ckt.add_node("out");
-            ckt.voltage_source(inp, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-12));
-            ckt.resistor(inp, out, 1e3);
-            ckt.capacitor(out, Circuit::GROUND, 1e-12);
-            (ckt, out)
-        };
-        let (ckt, out) = build();
-        let fixed = simulate(&ckt, &TransientOptions::new(5e-9, 2e-12)).unwrap();
-        let (ckt, out2) = build();
-        let adaptive = simulate(
-            &ckt,
-            &TransientOptions::new(5e-9, 2e-12).with_adaptive(AdaptiveOptions::around(2e-12)),
-        )
-        .unwrap();
-        // Compare at the adaptive sample times by interpolating the fixed run.
-        let interp = |times: &[f64], vals: &[f64], t: f64| {
-            let i = times.partition_point(|&x| x < t).clamp(1, times.len() - 1);
-            let (t0, t1) = (times[i - 1], times[i]);
-            let (v0, v1) = (vals[i - 1], vals[i]);
-            v0 + (v1 - v0) * (t - t0) / (t1 - t0).max(1e-30)
-        };
-        for (i, &t) in adaptive.times().iter().enumerate().skip(3) {
-            let v_a = adaptive.voltage(out2)[i];
-            let v_f = interp(fixed.times(), fixed.voltage(out), t);
-            assert!((v_a - v_f).abs() < 5e-3, "t={t:e}: {v_a} vs {v_f}");
-        }
-    }
-
-    #[test]
-    fn adaptive_takes_fewer_steps_on_quiet_waveforms() {
-        // A charge curve that settles quickly: the controller should
-        // stretch the step well beyond the nominal once quiet.
-        let mut ckt = Circuit::new();
-        let inp = ckt.add_node("in");
-        let out = ckt.add_node("out");
-        ckt.voltage_source(inp, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-12));
-        ckt.resistor(inp, out, 1e3);
-        ckt.capacitor(out, Circuit::GROUND, 1e-13); // τ = 0.1 ns
-        let nominal = TransientOptions::new(20e-9, 5e-12);
-        let fixed = simulate(&ckt, &nominal).unwrap();
-        let adaptive = simulate(
-            &ckt,
-            &nominal.clone().with_adaptive(AdaptiveOptions::around(5e-12)),
-        )
-        .unwrap();
-        assert!(
-            adaptive.times().len() * 2 < fixed.times().len(),
-            "adaptive {} vs fixed {} samples",
-            adaptive.times().len(),
-            fixed.times().len()
-        );
-        let v_end = *adaptive.voltage(out).last().unwrap();
-        assert!((v_end - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn adaptive_resolves_ringing_accurately() {
-        // The RLC ring: adaptive must keep the overshoot and period.
-        let mut ckt = Circuit::new();
-        let inp = ckt.add_node("in");
-        let mid = ckt.add_node("mid");
-        let out = ckt.add_node("out");
-        ckt.voltage_source(inp, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-13));
-        ckt.resistor(inp, mid, 1.0);
-        ckt.inductor(mid, out, 1e-9);
-        ckt.capacitor(out, Circuit::GROUND, 1e-12);
-        let res = simulate(
-            &ckt,
-            &TransientOptions::new(2e-9, 1e-12).with_adaptive(AdaptiveOptions {
-                error_target: 2e-3,
-                dt_min: 0.05e-12,
-                dt_max: 10e-12,
-            }),
-        )
-        .unwrap();
-        let peak = res.voltage(out).iter().fold(0.0f64, |m, &x| max_nan(m, x));
-        assert!(peak > 1.8, "lost the overshoot: {peak}");
     }
 
     #[test]

@@ -1348,28 +1348,30 @@ mod tests {
     }
 
     /// Threads that run one after another reuse the recorder each one
-    /// hands back: the recorder list grows by about the number of
-    /// threads recording at once (sibling tests spawn some too), not by
-    /// the number spawned, and every thread's values and events outlive
-    /// it.
+    /// hands back: they write to about as many recorders as threads
+    /// record at once (sibling tests take some too), not one each, and
+    /// every thread's values and events outlive it. Each thread reports
+    /// the recorder it wrote to, so recorders that sibling tests make
+    /// or keep parked do not count.
     #[test]
     fn short_lived_threads_recycle_recorders() {
         const THREADS: u64 = 256;
         let _flag = enabled_flag_lock();
         set_enabled(true);
-        let before = registry().recorders.len();
+        let mut used = std::collections::BTreeSet::new();
         for t in 0..THREADS {
-            std::thread::spawn(move || {
+            let recorder = std::thread::spawn(move || {
                 counter!("test.recycle_counter").add(t);
                 histogram!("test.recycle_histogram").observe(t % 40);
                 static SPAN: SpanTimer = SpanTimer::new("test.recycle_span");
                 SPAN.record_ns(t + 1);
                 crate::event!(t, "test.recycle_event", events::EventKind::Outcome, t);
+                current_recorder()
             })
             .join()
             .unwrap();
+            used.insert(recorder);
         }
-        let grown = registry().recorders.len() - before;
         let snap = snapshot();
         assert_eq!(
             snap.counter("test.recycle_counter"),
@@ -1387,8 +1389,9 @@ mod tests {
         let mine = events.iter().filter(|e| e.scope == "test.recycle_event");
         assert_eq!(mine.count() as u64, THREADS);
         assert!(
-            grown < 64,
-            "{THREADS} threads in turn made {grown} recorders"
+            used.len() < 64,
+            "{THREADS} threads in turn wrote to {} recorders",
+            used.len()
         );
     }
 
