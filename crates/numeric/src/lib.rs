@@ -9,8 +9,8 @@
 //!   of the optimizer.
 //! * [`sparse`] — a triplet-assembled sparse matrix and a sparse LU solver
 //!   with partial pivoting, used by the circuit-simulator substrate.
-//! * [`roots`] — scalar root finding (Newton–Raphson, bisection, Brent,
-//!   bracket expansion).
+//! * [`roots`] — scalar root finding (Newton–Raphson, bracketed Newton,
+//!   Brent).
 //! * [`minimize`] — golden-section search and Nelder–Mead, used as
 //!   derivative-free cross-checks of the paper's Newton optimizer.
 //! * [`poly`] — dense polynomials with Durand–Kerner complex root finding,

@@ -77,6 +77,12 @@ impl TripletMatrix {
         self.entries.push((row, col, value));
     }
 
+    /// The accumulated triplets `(row, col, value)` in push order.
+    #[must_use]
+    pub fn entries(&self) -> &[(usize, usize, f64)] {
+        &self.entries
+    }
+
     /// Discards all triplets, keeping the allocation and order.
     pub fn clear(&mut self) {
         self.entries.clear();

@@ -340,11 +340,11 @@ impl TwoPole {
             max_iterations: 200,
         };
         // Seeded endpoints: v(0) = 0 exactly, so the lower residual is
-        // 0.0 - f (the identical bits the unfused solver computed), and
+        // 0.0 - f (the identical bits an unseeded solve computes), and
         // f_hi comes from the bracket search above. The fused
         // response+derivative evaluation shares the pole/exponential
         // subexpressions per iteration; the iterate sequence is
-        // bit-identical to the separate-closure path.
+        // bit-identical to separate response and derivative calls.
         let root = newton_bracketed_fdf(
             |t| {
                 let (v, dv) = self.response_with_derivative(t);
@@ -623,9 +623,9 @@ mod tests {
         assert!(TwoPole::try_new(1.0, 0.25).is_ok());
     }
 
-    /// The pre-fusion delay path, reconstructed verbatim: uncapped-free
-    /// bracket expansion (inputs below are all non-degenerate), separate
-    /// response/derivative closures, unseeded endpoints.
+    /// The pre-fusion delay path, reconstructed: plain bracket expansion
+    /// (inputs below are all non-degenerate), separate response and
+    /// derivative calls, unseeded endpoints and a cold start.
     fn reference_delay(tp: &TwoPole, f: f64) -> f64 {
         let t_hi = match tp.damping() {
             Damping::Underdamped => {
@@ -645,11 +645,12 @@ mod tests {
             f_tol: 1e-12,
             max_iterations: 200,
         };
-        rlckit_numeric::roots::newton_bracketed(
-            |t| tp.response(t) - f,
-            |t| tp.response_derivative(t),
+        newton_bracketed_fdf(
+            |t| (tp.response(t) - f, tp.response_derivative(t)),
             0.0,
             t_hi,
+            None,
+            None,
             options,
         )
         .expect("reference solve converges on these inputs")
