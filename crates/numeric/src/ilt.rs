@@ -294,13 +294,11 @@ mod tests {
         // H(s)/s with ζ = 0.3, ωn = 1: the exact paper regime.
         let (zeta, wn) = (0.3, 1.0);
         let e = EulerInversion::new(18);
-        let transform = move |s: Complex| {
-            (s * (s * s / (wn * wn) + s * (2.0 * zeta / wn) + 1.0)).recip()
-        };
+        let transform =
+            move |s: Complex| (s * (s * s / (wn * wn) + s * (2.0 * zeta / wn) + 1.0)).recip();
         let wd = wn * (1.0f64 - zeta * zeta).sqrt();
         let exact = move |t: f64| {
-            1.0 - (-zeta * wn * t).exp()
-                * ((wd * t).cos() + zeta * wn / wd * (wd * t).sin())
+            1.0 - (-zeta * wn * t).exp() * ((wd * t).cos() + zeta * wn / wd * (wd * t).sin())
         };
         check(
             |f, t| e.invert(f, t),

@@ -282,9 +282,7 @@ mod tests {
 
     #[test]
     fn nelder_mead_on_rosenbrock() {
-        let rosenbrock = |x: &[f64]| {
-            (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
-        };
+        let rosenbrock = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
         let m = nelder_mead(
             rosenbrock,
             &[-1.2, 1.0],

@@ -122,11 +122,7 @@ impl Polynomial {
         };
 
         // Initial guesses on a circle whose radius follows the Cauchy bound.
-        let radius = 1.0
-            + monic[..n]
-                .iter()
-                .map(|c| c.abs())
-                .fold(0.0f64, f64::max);
+        let radius = 1.0 + monic[..n].iter().map(|c| c.abs()).fold(0.0f64, f64::max);
         let mut roots: Vec<Complex> = (0..n)
             .map(|k| {
                 // Slightly irrational angle offset avoids symmetry stalls.

@@ -95,7 +95,10 @@ impl Rng {
     /// Panics if the bounds are not finite or `lo > hi`.
     #[must_use]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "bad range [{lo}, {hi})");
+        assert!(
+            lo.is_finite() && hi.is_finite() && lo <= hi,
+            "bad range [{lo}, {hi})"
+        );
         lo + (hi - lo) * self.next_f64()
     }
 

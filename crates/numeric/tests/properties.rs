@@ -33,7 +33,10 @@ fn complex_in(lo: f64, hi: f64) -> Gen<Complex> {
 #[test]
 fn dense_lu_round_trip() {
     Check::new().cases(64).run(
-        &gen::tuple2(well_conditioned_matrix(6), gen::vec_of(gen::range(-10.0, 10.0), 6)),
+        &gen::tuple2(
+            well_conditioned_matrix(6),
+            gen::vec_of(gen::range(-10.0, 10.0), 6),
+        ),
         |(m, b)| {
             let x = m.solve(b).expect("solvable");
             let r = m.mul_vec(&x).expect("dims");
@@ -47,9 +50,16 @@ fn dense_lu_round_trip() {
 /// Sparse LU agrees with dense LU on the same matrix.
 #[test]
 fn sparse_matches_dense() {
-    let entry = gen::tuple3(gen::usize_range(0, 8), gen::usize_range(0, 8), gen::range(-1.0, 1.0));
+    let entry = gen::tuple3(
+        gen::usize_range(0, 8),
+        gen::usize_range(0, 8),
+        gen::range(-1.0, 1.0),
+    );
     Check::new().cases(64).run(
-        &gen::tuple2(gen::vec_in(entry, 1, 40), gen::vec_of(gen::range(-5.0, 5.0), 8)),
+        &gen::tuple2(
+            gen::vec_in(entry, 1, 40),
+            gen::vec_of(gen::range(-5.0, 5.0), 8),
+        ),
         |(entries, b)| {
             let mut t = TripletMatrix::new(8);
             let mut dense = Matrix::zeros(8, 8);
@@ -64,7 +74,12 @@ fn sparse_matches_dense() {
             let xs = t.to_csr().lu().expect("factor").solve(b).expect("solve");
             let xd = dense.solve(b).expect("solve");
             for i in 0..8 {
-                assert!((xs[i] - xd[i]).abs() < 1e-9, "i={i}: {} vs {}", xs[i], xd[i]);
+                assert!(
+                    (xs[i] - xd[i]).abs() < 1e-9,
+                    "i={i}: {} vs {}",
+                    xs[i],
+                    xd[i]
+                );
             }
         },
     );
@@ -74,7 +89,11 @@ fn sparse_matches_dense() {
 #[test]
 fn complex_field_axioms() {
     Check::new().cases(64).run(
-        &gen::tuple3(complex_in(-10.0, 10.0), complex_in(-10.0, 10.0), complex_in(-10.0, 10.0)),
+        &gen::tuple3(
+            complex_in(-10.0, 10.0),
+            complex_in(-10.0, 10.0),
+            complex_in(-10.0, 10.0),
+        ),
         |&(a, b, c)| {
             // Distributivity.
             let lhs = a * (b + c);
@@ -83,7 +102,9 @@ fn complex_field_axioms() {
             // |ab| = |a||b|.
             assert!(((a * b).abs() - a.abs() * b.abs()).abs() < 1e-9 * (1.0 + a.abs() * b.abs()));
             // Conjugation is multiplicative.
-            assert!(((a * b).conj() - a.conj() * b.conj()).abs() < 1e-9 * (1.0 + a.abs() * b.abs()));
+            assert!(
+                ((a * b).conj() - a.conj() * b.conj()).abs() < 1e-9 * (1.0 + a.abs() * b.abs())
+            );
         },
     );
 }
@@ -144,7 +165,10 @@ fn polynomial_roots_are_roots() {
                     .enumerate()
                     .map(|(i, c)| c.abs() * z.abs().powi(i as i32))
                     .sum();
-                assert!(p.eval_complex(z).abs() <= 1e-6 * scale.max(1.0), "residual at {z}");
+                assert!(
+                    p.eval_complex(z).abs() <= 1e-6 * scale.max(1.0),
+                    "residual at {z}"
+                );
             }
         },
     );
@@ -169,7 +193,11 @@ fn euler_ilt_matches_exponential() {
 #[test]
 fn euler_ilt_matches_damped_cosine() {
     Check::new().cases(64).run(
-        &gen::tuple3(gen::range(0.1, 2.0), gen::range(0.5, 6.0), gen::range(0.1, 3.0)),
+        &gen::tuple3(
+            gen::range(0.1, 2.0),
+            gen::range(0.5, 6.0),
+            gen::range(0.1, 3.0),
+        ),
         |&(a, w, t)| {
             let euler = EulerInversion::new(18);
             let got = euler

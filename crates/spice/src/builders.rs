@@ -76,7 +76,11 @@ pub fn rlc_ladder(
         circuit.resistor(prev, mid, r_seg);
         inductors.push(circuit.inductor(mid, next, l_seg));
         // Full shunt cap at interior nodes, half at the final node.
-        let shunt = if seg + 1 == segments { c_seg / 2.0 } else { c_seg };
+        let shunt = if seg + 1 == segments {
+            c_seg / 2.0
+        } else {
+            c_seg
+        };
         circuit.capacitor(next, Circuit::GROUND, shunt);
         prev = next;
     }
@@ -117,9 +121,20 @@ pub fn inverter(
     size: f64,
 ) -> Inverter {
     assert!(size > 0.0, "inverter size must be positive");
-    let nmos = circuit.mosfet(output, input, Circuit::GROUND, params, size, MosPolarity::Nmos);
+    let nmos = circuit.mosfet(
+        output,
+        input,
+        Circuit::GROUND,
+        params,
+        size,
+        MosPolarity::Nmos,
+    );
     let pmos = circuit.mosfet(output, input, vdd, params, size, MosPolarity::Pmos);
-    circuit.capacitor(input, Circuit::GROUND, params.gate_capacitance().get() * size);
+    circuit.capacitor(
+        input,
+        Circuit::GROUND,
+        params.gate_capacitance().get() * size,
+    );
     circuit.capacitor(
         output,
         Circuit::GROUND,
@@ -259,15 +274,7 @@ pub fn buffered_line(
     circuit.voltage_source(
         source,
         Circuit::GROUND,
-        Waveform::pulse(
-            0.0,
-            vdd_value,
-            0.0,
-            edge,
-            edge,
-            period / 2.0 - edge,
-            period,
-        ),
+        Waveform::pulse(0.0, vdd_value, 0.0, edge, edge, period / 2.0 - edge, period),
     );
 
     let mut taps = vec![source];
@@ -352,7 +359,11 @@ mod tests {
         let src = ckt.add_node("src");
         let drv = ckt.add_node("drv");
         let far = ckt.add_node("far");
-        ckt.voltage_source(src, Circuit::GROUND, Waveform::step(0.0, 1.0, 10e-12, 1e-12));
+        ckt.voltage_source(
+            src,
+            Circuit::GROUND,
+            Waveform::step(0.0, 1.0, 10e-12, 1e-12),
+        );
         ckt.resistor(src, drv, rs);
         ckt.capacitor(drv, Circuit::GROUND, cp);
         rlc_ladder(&mut ckt, drv, far, line, Meters::from_milli(14.4), 24);
@@ -372,10 +383,7 @@ mod tests {
         let (r, c, h) = (4400.0, 203.5e-12, 0.0144);
         let b1 = rs * (cp + cl) + r * c * h * h / 2.0 + rs * c * h + cl * r * h;
         // Fully RC: delay should sit in the Elmore neighbourhood.
-        assert!(
-            d > 0.5 * b1 && d < 1.1 * b1,
-            "delay {d:e} vs b1 {b1:e}"
-        );
+        assert!(d > 0.5 * b1 && d < 1.1 * b1, "delay {d:e} vs b1 {b1:e}");
     }
 
     #[test]

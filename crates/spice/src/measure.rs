@@ -42,7 +42,11 @@ pub fn crossings(times: &[f64], values: &[f64], threshold: f64, edge: Edge) -> V
             Edge::Falling => v0 > threshold && v1 <= threshold,
         };
         if hit {
-            let frac = if v1 == v0 { 0.0 } else { (threshold - v0) / (v1 - v0) };
+            let frac = if v1 == v0 {
+                0.0
+            } else {
+                (threshold - v0) / (v1 - v0)
+            };
             found.push(times[i - 1] + frac * (times[i] - times[i - 1]));
         }
     }
@@ -190,8 +194,14 @@ mod tests {
     #[test]
     fn delay_between_shifted_steps() {
         let times: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let input: Vec<f64> = times.iter().map(|&t| if t >= 10.0 { 1.0 } else { 0.0 }).collect();
-        let output: Vec<f64> = times.iter().map(|&t| if t >= 35.0 { 1.0 } else { 0.0 }).collect();
+        let input: Vec<f64> = times
+            .iter()
+            .map(|&t| if t >= 10.0 { 1.0 } else { 0.0 })
+            .collect();
+        let output: Vec<f64> = times
+            .iter()
+            .map(|&t| if t >= 35.0 { 1.0 } else { 0.0 })
+            .collect();
         let d = delay_between(&times, &input, &output, 0.5, Edge::Rising, Edge::Rising).unwrap();
         assert!((d - 25.0).abs() < 1.0);
     }

@@ -56,7 +56,10 @@ impl Waveform {
         width: f64,
         period: f64,
     ) -> Self {
-        assert!(rise >= 0.0 && fall >= 0.0 && width >= 0.0, "negative timing");
+        assert!(
+            rise >= 0.0 && fall >= 0.0 && width >= 0.0,
+            "negative timing"
+        );
         assert!(
             period == 0.0 || period >= rise + width + fall,
             "period shorter than the pulse itself"
