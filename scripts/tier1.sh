@@ -27,6 +27,9 @@ for _ in 1 2 3 4 5; do
 done
 # Lints are part of the gate: warnings are build breaks.
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# So is rustfmt, package by package as each one is formatted: a change
+# that unformats a listed package breaks the gate.
+cargo fmt -p rlckit-numeric -p rlckit-spice -- --check
 # So are rustdoc warnings: a doc link to a deleted or private item
 # breaks the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
