@@ -5,7 +5,7 @@
 use std::hint::black_box;
 
 use rlckit_bench::timer::{BenchOptions, Harness};
-use rlckit_numeric::sparse::TripletMatrix;
+use rlckit_numeric::sparse::SparseMatrix;
 use rlckit_spice::builders::{ring_oscillator, rlc_ladder, LadderLine};
 use rlckit_spice::transient::{simulate, TransientOptions};
 use rlckit_spice::waveform::Waveform;
@@ -61,20 +61,19 @@ fn bench_ring_oscillator_revolution(h: &mut Harness) {
 fn bench_sparse_lu_kernel(h: &mut Harness) {
     // The inner kernel: factor + solve of an MNA-shaped matrix.
     let n = 200;
-    let mut t = TripletMatrix::new(n);
+    let mut a = SparseMatrix::new(n);
     for i in 0..n {
-        t.push(i, i, 4.0);
+        a.add(i, i, 4.0);
         if i + 1 < n {
-            t.push(i, i + 1, -1.0);
-            t.push(i + 1, i, -1.0);
+            a.add(i, i + 1, -1.0);
+            a.add(i + 1, i, -1.0);
         }
     }
-    t.push(0, n - 1, -0.5);
-    t.push(n - 1, 0, -0.5);
-    let csr = t.to_csr();
+    a.add(0, n - 1, -0.5);
+    a.add(n - 1, 0, -0.5);
     let rhs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
     h.bench("sparse_lu_200", || {
-        let lu = csr.lu().expect("factor");
+        let lu = a.lu().expect("factor");
         black_box(lu.solve(&rhs).expect("solve"))
     });
 }

@@ -8,6 +8,7 @@
 //! run on the in-workspace circuit simulator.
 
 use rlckit_numeric::Result;
+use rlckit_par::{par_map, Parallelism};
 use rlckit_spice::builders::{buffered_line, ring_oscillator};
 use rlckit_spice::measure::{self, Edge};
 use rlckit_spice::transient::{simulate, TransientOptions};
@@ -125,20 +126,22 @@ pub fn ring_period(
     )
 }
 
-/// The full Fig. 11 series: oscillation period versus line inductance.
+/// The full Fig. 11 series: oscillation period versus line inductance,
+/// one ring simulation per inductance on [`par_map`] workers (results
+/// in input order, bit-identical to a serial loop).
 ///
 /// # Errors
 ///
-/// Propagates simulator failures.
+/// Propagates the earliest simulator failure.
 pub fn period_vs_inductance(
     node: &TechNode,
     inductances: impl IntoIterator<Item = HenriesPerMeter>,
     options: &RingOscillatorOptions,
 ) -> Result<Vec<(HenriesPerMeter, Option<Seconds>)>> {
-    inductances
-        .into_iter()
-        .map(|l| Ok((l, ring_period(node, l, options)?)))
-        .collect()
+    let inductances: Vec<HenriesPerMeter> = inductances.into_iter().collect();
+    par_map(&inductances, Parallelism::Auto, |_, &l| {
+        Ok((l, ring_period(node, l, options)?))
+    })
 }
 
 /// Detects the false-switching onset: the first swept inductance whose
@@ -317,6 +320,23 @@ mod tests {
             failing.swing_ratio,
             clean.swing_ratio
         );
+    }
+
+    #[test]
+    fn parallel_series_is_bit_identical_to_a_serial_loop() {
+        let node = TechNode::nm100();
+        let ls: Vec<HenriesPerMeter> = [0.0, 1.2, 2.4]
+            .into_iter()
+            .map(HenriesPerMeter::from_nano_per_milli)
+            .collect();
+        let bits = |p: Option<Seconds>| p.map(|p| p.get().to_bits());
+        let parallel = period_vs_inductance(&node, ls.iter().copied(), &fast()).unwrap();
+        assert_eq!(parallel.len(), ls.len());
+        for (&l, &(l_par, p_par)) in ls.iter().zip(&parallel) {
+            let serial = ring_period(&node, l, &fast()).unwrap();
+            assert_eq!(l_par, l);
+            assert_eq!(bits(p_par), bits(serial), "l = {l}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! oscillator and normalizing by the wire cross-section.
 
 use rlckit_numeric::Result;
+use rlckit_par::{par_map, Parallelism};
 use rlckit_spice::builders::ring_oscillator;
 use rlckit_spice::measure::peak_and_rms;
 use rlckit_spice::transient::{simulate, TransientOptions};
@@ -111,20 +112,22 @@ pub fn current_density(
     })
 }
 
-/// The full Fig. 12 series.
+/// The full Fig. 12 series, one ring simulation per inductance on
+/// [`par_map`] workers (results in input order, bit-identical to a
+/// serial loop).
 ///
 /// # Errors
 ///
-/// Propagates simulator failures.
+/// Propagates the earliest simulator failure.
 pub fn current_density_vs_inductance(
     node: &TechNode,
     inductances: impl IntoIterator<Item = HenriesPerMeter>,
     options: &RingOscillatorOptions,
 ) -> Result<Vec<CurrentDensityPoint>> {
-    inductances
-        .into_iter()
-        .map(|l| current_density(node, l, options))
-        .collect()
+    let inductances: Vec<HenriesPerMeter> = inductances.into_iter().collect();
+    par_map(&inductances, Parallelism::Auto, |_, &l| {
+        current_density(node, l, options)
+    })
 }
 
 #[cfg(test)]
@@ -170,6 +173,31 @@ mod tests {
             "peak density {:.3e}",
             p.peak_density
         );
+    }
+
+    #[test]
+    fn parallel_series_is_bit_identical_to_a_serial_loop() {
+        let node = TechNode::nm100();
+        let ls: Vec<HenriesPerMeter> = [0.2, 1.0, 2.0]
+            .into_iter()
+            .map(HenriesPerMeter::from_nano_per_milli)
+            .collect();
+        let bits = |p: &CurrentDensityPoint| {
+            [
+                p.inductance.get(),
+                p.peak_current,
+                p.rms_current,
+                p.peak_density,
+                p.rms_density,
+            ]
+            .map(f64::to_bits)
+        };
+        let parallel = current_density_vs_inductance(&node, ls.iter().copied(), &fast()).unwrap();
+        assert_eq!(parallel.len(), ls.len());
+        for (&l, p_par) in ls.iter().zip(&parallel) {
+            let serial = current_density(&node, l, &fast()).unwrap();
+            assert_eq!(bits(p_par), bits(&serial), "l = {l}");
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   by transmission-line transfer functions (`exp`, `sqrt`, `cosh`, …).
 //! * [`dense`] — the fixed-size `solve2` behind the 2×2 Newton steps
 //!   of the optimizer.
-//! * [`sparse`] — a triplet-assembled sparse matrix and a sparse LU solver
-//!   with partial pivoting, used by the circuit-simulator substrate.
+//! * [`sparse`] — a sparse matrix of sorted rows that circuit stamps add
+//!   into, and the sparse LU solver with partial pivoting that factors it,
+//!   used by the circuit-simulator substrate.
 //! * [`roots`] — scalar root finding (Newton–Raphson, bracketed Newton,
 //!   Brent).
 //! * [`minimize`] — golden-section search and Nelder–Mead, used as

@@ -1,192 +1,93 @@
-//! Sparse matrices assembled from triplets, with a sparse LU solver.
+//! A sparse matrix assembled in place, with a sparse LU solver.
 //!
 //! Modified nodal analysis produces matrices whose rows hold only a handful
 //! of entries (each circuit element touches at most four unknowns), but
 //! whose structure is not banded — a ring oscillator's feedback edge puts
-//! an entry in a far corner. The solver here performs row-based Gaussian
-//! elimination with partial pivoting directly on sorted sparse rows, which
-//! is simple, robust, and fast for the few-hundred-unknown systems the
-//! simulator substrate produces.
+//! an entry in a far corner. [`SparseMatrix`] keeps each row as a sorted
+//! `(column, value)` list, the form the LU works on: stamps go straight
+//! into it, and [`SparseLu`] performs row-based Gaussian elimination with
+//! partial pivoting on a copy of those rows, which is simple, robust, and
+//! fast for the few-hundred-unknown systems the simulator substrate
+//! produces.
 
 use crate::{NumericError, Result};
 
-/// A sparse matrix under assembly, as `(row, col, value)` triplets.
+/// A square sparse matrix stored as sorted `(column, value)` rows.
 ///
-/// Duplicate coordinates are summed when the matrix is compressed, which is
-/// exactly the "stamping" discipline of circuit simulators.
+/// [`add`](Self::add) sums into an existing entry, so duplicate
+/// coordinates accumulate in the order they arrive, which is exactly the
+/// "stamping" discipline of circuit simulators.
 ///
 /// # Examples
 ///
 /// ```
-/// use rlckit_numeric::sparse::TripletMatrix;
+/// use rlckit_numeric::sparse::SparseMatrix;
 ///
 /// # fn main() -> Result<(), rlckit_numeric::NumericError> {
-/// let mut a = TripletMatrix::new(2);
-/// a.push(0, 0, 1.0);
-/// a.push(0, 0, 1.0); // stamps accumulate
-/// a.push(0, 1, 1.0);
-/// a.push(1, 0, 1.0);
-/// a.push(1, 1, 3.0);
-/// let x = a.to_csr().lu()?.solve(&[3.0, 5.0])?;
+/// let mut a = SparseMatrix::new(2);
+/// a.add(0, 0, 1.0);
+/// a.add(0, 0, 1.0); // stamps accumulate
+/// a.add(0, 1, 1.0);
+/// a.add(1, 0, 1.0);
+/// a.add(1, 1, 3.0);
+/// assert_eq!(a.row(0), &[(0, 2.0), (1, 1.0)]);
+/// let x = a.lu()?.solve(&[3.0, 5.0])?;
 /// assert!((x[0] - 0.8).abs() < 1e-12);
 /// assert!((x[1] - 1.4).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TripletMatrix {
-    n: usize,
-    entries: Vec<(usize, usize, f64)>,
+pub struct SparseMatrix {
+    rows: Vec<Vec<(usize, f64)>>,
 }
 
-impl TripletMatrix {
-    /// Creates an empty `n × n` triplet matrix.
+impl SparseMatrix {
+    /// Creates an empty `n × n` matrix.
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
-            n,
-            entries: Vec::new(),
+            rows: vec![Vec::new(); n],
         }
     }
 
     /// Returns the matrix order.
     #[must_use]
     pub fn order(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// Returns the number of accumulated triplets (duplicates included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no triplets have been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Adds `value` at `(row, col)`; duplicates are summed on compression.
+    /// Adds `value` at `(row, col)`: into the stored entry if there is
+    /// one, otherwise as a new entry at its sorted position.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.n && col < self.n, "triplet index out of bounds");
-        self.entries.push((row, col, value));
-    }
-
-    /// The accumulated triplets `(row, col, value)` in push order.
-    #[must_use]
-    pub fn entries(&self) -> &[(usize, usize, f64)] {
-        &self.entries
-    }
-
-    /// Discards all triplets, keeping the allocation and order.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Compresses the triplets into compressed-sparse-row form.
-    #[must_use]
-    pub fn to_csr(&self) -> CsrMatrix {
-        let n = self.n;
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
-
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        let mut current_row = 0usize;
-        for (r, c, v) in sorted {
-            while current_row < r {
-                row_ptr.push(col_idx.len());
-                current_row += 1;
-            }
-            // Merge duplicates only within the current row: an entry for
-            // row `r` exists iff entries were pushed after the row-`r`
-            // boundary was recorded.
-            let row_has_entries = *row_ptr.last().expect("nonempty") < col_idx.len();
-            if row_has_entries {
-                if let (Some(&last_col), Some(last_val)) = (col_idx.last(), values.last_mut()) {
-                    if last_col == c {
-                        *last_val += v;
-                        continue;
-                    }
-                }
-            }
-            col_idx.push(c);
-            values.push(v);
-        }
-        while current_row < n {
-            row_ptr.push(col_idx.len());
-            current_row += 1;
-        }
-        CsrMatrix {
-            n,
-            row_ptr,
-            col_idx,
-            values,
+    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+        let n = self.order();
+        assert!(row < n && col < n, "matrix index out of bounds");
+        let entries = &mut self.rows[row];
+        match entries.binary_search_by_key(&col, |&(c, _)| c) {
+            Ok(k) => entries[k].1 += value,
+            Err(k) => entries.insert(k, (col, value)),
         }
     }
-}
 
-/// A compressed-sparse-row matrix.
-///
-/// Produced by [`TripletMatrix::to_csr`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrMatrix {
-    /// Returns the matrix order.
-    #[must_use]
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
-    /// Returns the number of stored (structurally nonzero) entries.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns the entries of row `i` as parallel `(columns, values)`.
+    /// Returns the stored entries of row `i`, sorted by column.
     ///
     /// # Panics
     ///
     /// Panics if `i >= order()`.
     #[must_use]
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let span = self.row_ptr[i]..self.row_ptr[i + 1];
-        (&self.col_idx[span.clone()], &self.values[span])
+    pub fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.rows[i]
     }
 
-    /// Computes `self · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `x.len()` differs
-    /// from the matrix order.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.n {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.n,
-                actual: x.len(),
-            });
+    /// Discards every entry, keeping the order and the row allocations.
+    pub fn clear(&mut self) {
+        for entries in &mut self.rows {
+            entries.clear();
         }
-        Ok((0..self.n)
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
-            })
-            .collect())
     }
 
     /// Factors the matrix with sparse row-based LU and partial pivoting.
@@ -216,21 +117,16 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// Factors a CSR matrix.
+    /// Factors a sparse matrix.
     ///
     /// # Errors
     ///
     /// Returns [`NumericError::SingularMatrix`] if the matrix is singular
     /// to working precision.
-    pub fn factor(a: &CsrMatrix) -> Result<Self> {
-        let n = a.n;
-        // Working rows: sorted (col, value) lists.
-        let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
-            .map(|i| {
-                let (cols, vals) = a.row(i);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
+    pub fn factor(a: &SparseMatrix) -> Result<Self> {
+        let n = a.order();
+        // Working rows: a copy of the matrix's sorted (col, value) rows.
+        let mut rows = a.rows.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut l_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         let mut u_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
@@ -366,48 +262,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn duplicate_triplets_accumulate() {
-        let mut t = TripletMatrix::new(2);
-        t.push(0, 0, 1.5);
-        t.push(0, 0, 2.5);
-        t.push(1, 1, 1.0);
-        let csr = t.to_csr();
-        assert_eq!(csr.nnz(), 2);
-        let (cols, vals) = csr.row(0);
-        assert_eq!(cols, &[0]);
-        assert_eq!(vals, &[4.0]);
+    fn duplicate_entries_accumulate() {
+        let mut a = SparseMatrix::new(2);
+        a.add(0, 0, 1.5);
+        a.add(0, 0, 2.5);
+        a.add(1, 1, 1.0);
+        assert_eq!(a.row(0), &[(0, 4.0)]);
+        assert_eq!(a.row(1), &[(1, 1.0)]);
     }
 
     #[test]
-    fn adjacent_rows_sharing_a_column_do_not_merge() {
-        // Regression: (2,0) followed by (3,0) must stay two entries.
-        let mut t = TripletMatrix::new(4);
-        t.push(2, 0, 1.0);
-        t.push(3, 0, 1.0);
-        let csr = t.to_csr();
-        assert_eq!(csr.nnz(), 2);
-        assert_eq!(csr.row(2).0, &[0]);
-        assert_eq!(csr.row(3).0, &[0]);
+    fn duplicates_sum_left_to_right_bit_for_bit() {
+        // (1e16 + 1) − 1e16 is 0 in f64, while (1e16 − 1e16) + 1 is 1:
+        // only the sum in arrival order gives +0. The duplicates arrive
+        // among 40 ring stamps pushed in descending row order; a sort of
+        // these 43 triplets by coordinate may reorder equal keys, and an
+        // unstable one did here, summing them to 1.
+        let n = 20;
+        let mut a = SparseMatrix::new(n);
+        let mut duplicates = [1e16, 1.0, -1e16].into_iter();
+        for step in 0..n {
+            let i = (n - step) % n;
+            a.add(i, i, 4.0);
+            a.add(i, (i + 1) % n, -1.0);
+            if step % 3 == 2 {
+                if let Some(v) = duplicates.next() {
+                    a.add(3, 7, v);
+                }
+            }
+        }
+        assert_eq!(duplicates.next(), None);
+        let entry = a.row(3).iter().find(|&&(c, _)| c == 7).expect("stamped");
+        assert_eq!(entry.1.to_bits(), 0.0f64.to_bits());
+        assert_eq!(a.row(3), &[(3, 4.0), (4, -1.0), (7, 0.0)]);
     }
 
     #[test]
-    fn empty_rows_are_represented() {
-        let mut t = TripletMatrix::new(3);
-        t.push(2, 2, 1.0);
-        let csr = t.to_csr();
-        assert_eq!(csr.row(0).0.len(), 0);
-        assert_eq!(csr.row(1).0.len(), 0);
-        assert_eq!(csr.row(2).0, &[2]);
+    fn clear_keeps_order_and_drops_entries() {
+        let mut a = SparseMatrix::new(4);
+        a.add(1, 1, 1.0);
+        a.clear();
+        assert_eq!(a.order(), 4);
+        assert!((0..4).all(|i| a.row(i).is_empty()));
     }
 
     #[test]
     fn solve_small_system() {
-        let mut t = TripletMatrix::new(2);
-        t.push(0, 0, 2.0);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        t.push(1, 1, 3.0);
-        let x = t.to_csr().lu().unwrap().solve(&[3.0, 5.0]).unwrap();
+        let mut a = SparseMatrix::new(2);
+        a.add(0, 0, 2.0);
+        a.add(0, 1, 1.0);
+        a.add(1, 0, 1.0);
+        a.add(1, 1, 3.0);
+        let x = a.lu().unwrap().solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
     }
@@ -415,54 +321,40 @@ mod tests {
     #[test]
     fn pivoting_is_exercised() {
         // Zero on the diagonal forces a row swap.
-        let mut t = TripletMatrix::new(2);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        let x = t.to_csr().lu().unwrap().solve(&[3.0, 7.0]).unwrap();
+        let mut a = SparseMatrix::new(2);
+        a.add(0, 1, 1.0);
+        a.add(1, 0, 1.0);
+        let x = a.lu().unwrap().solve(&[3.0, 7.0]).unwrap();
         assert_eq!(x, vec![7.0, 3.0]);
     }
 
     #[test]
     fn singular_is_detected() {
-        let mut t = TripletMatrix::new(2);
-        t.push(0, 0, 1.0);
-        t.push(1, 0, 2.0);
-        assert!(matches!(
-            t.to_csr().lu(),
-            Err(NumericError::SingularMatrix { .. })
-        ));
+        let mut a = SparseMatrix::new(2);
+        a.add(0, 0, 1.0);
+        a.add(1, 0, 2.0);
+        assert!(matches!(a.lu(), Err(NumericError::SingularMatrix { .. })));
     }
 
     #[test]
     fn ring_structure_with_corner_entry() {
         // Chain plus a feedback corner entry, like a ring oscillator MNA.
         let n = 40;
-        let mut t = TripletMatrix::new(n);
+        let mut a = SparseMatrix::new(n);
         for i in 0..n {
-            t.push(i, i, 4.0);
+            a.add(i, i, 4.0);
             if i + 1 < n {
-                t.push(i, i + 1, -1.0);
-                t.push(i + 1, i, -1.0);
+                a.add(i, i + 1, -1.0);
+                a.add(i + 1, i, -1.0);
             }
         }
-        t.push(0, n - 1, -1.5);
-        t.push(n - 1, 0, -0.5);
-        let csr = t.to_csr();
+        a.add(0, n - 1, -1.5);
+        a.add(n - 1, 0, -0.5);
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let x = csr.lu().unwrap().solve(&b).unwrap();
-        let r = csr.mul_vec(&x).unwrap();
-        for i in 0..n {
-            assert!((r[i] - b[i]).abs() < 1e-10, "i={i}");
+        let x = a.lu().unwrap().solve(&b).unwrap();
+        for (i, &bi) in b.iter().enumerate() {
+            let r: f64 = a.row(i).iter().map(|&(c, v)| v * x[c]).sum();
+            assert!((r - bi).abs() < 1e-10, "i={i}");
         }
-    }
-
-    #[test]
-    fn clear_retains_order() {
-        let mut t = TripletMatrix::new(4);
-        t.push(1, 1, 1.0);
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.order(), 4);
     }
 }

@@ -9,7 +9,7 @@
 use rlckit_check::oracle::Matrix;
 use rlckit_numeric::dense::solve2;
 use rlckit_numeric::rng::Rng;
-use rlckit_numeric::sparse::TripletMatrix;
+use rlckit_numeric::sparse::SparseMatrix;
 use rlckit_numeric::NumericError;
 
 #[test]
@@ -142,31 +142,15 @@ fn random_systems_round_trip() {
     }
 }
 
-fn dense_of(t: &TripletMatrix) -> Matrix {
-    let n = t.order();
-    let csr = t.to_csr();
+fn dense_of(a: &SparseMatrix) -> Matrix {
+    let n = a.order();
     let mut m = Matrix::zeros(n, n);
     for i in 0..n {
-        let (cols, vals) = csr.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            m[(i, c)] += v;
+        for &(c, v) in a.row(i) {
+            m[(i, c)] = v;
         }
     }
     m
-}
-
-#[test]
-fn mul_vec_matches_dense() {
-    let mut t = TripletMatrix::new(3);
-    t.push(0, 0, 2.0);
-    t.push(0, 2, -1.0);
-    t.push(1, 1, 3.0);
-    t.push(2, 0, 4.0);
-    t.push(2, 2, 5.0);
-    let x = [1.0, 2.0, 3.0];
-    let y = t.to_csr().mul_vec(&x).unwrap();
-    let yd = dense_of(&t).mul_vec(&x).unwrap();
-    assert_eq!(y, yd);
 }
 
 #[test]
@@ -179,17 +163,17 @@ fn agrees_with_dense_on_random_matrices() {
         ((state >> 33) as f64) / f64::from(u32::MAX) * 2.0 - 1.0
     };
     for n in [3usize, 8, 25] {
-        let mut t = TripletMatrix::new(n);
+        let mut a = SparseMatrix::new(n);
         for i in 0..n {
-            t.push(i, i, 5.0 + next());
+            a.add(i, i, 5.0 + next());
             for _ in 0..3 {
                 let j = ((next().abs() * n as f64) as usize).min(n - 1);
-                t.push(i, j, next());
+                a.add(i, j, next());
             }
         }
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
-        let xs = t.to_csr().lu().unwrap().solve(&b).unwrap();
-        let xd = dense_of(&t).solve(&b).unwrap();
+        let xs = a.lu().unwrap().solve(&b).unwrap();
+        let xd = dense_of(&a).solve(&b).unwrap();
         for i in 0..n {
             assert!((xs[i] - xd[i]).abs() < 1e-9, "n={n} i={i}");
         }

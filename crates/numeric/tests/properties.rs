@@ -9,7 +9,7 @@ use rlckit_numeric::complex::Complex;
 use rlckit_numeric::ilt::EulerInversion;
 use rlckit_numeric::poly::Polynomial;
 use rlckit_numeric::series::Series;
-use rlckit_numeric::sparse::TripletMatrix;
+use rlckit_numeric::sparse::SparseMatrix;
 
 fn well_conditioned_matrix(n: usize) -> Gen<Matrix> {
     gen::vec_of(gen::range(-1.0, 1.0), n * n).map(move |data| {
@@ -61,17 +61,17 @@ fn sparse_matches_dense() {
             gen::vec_of(gen::range(-5.0, 5.0), 8),
         ),
         |(entries, b)| {
-            let mut t = TripletMatrix::new(8);
+            let mut a = SparseMatrix::new(8);
             let mut dense = Matrix::zeros(8, 8);
             for &(i, j, v) in entries {
-                t.push(i, j, v);
+                a.add(i, j, v);
                 dense[(i, j)] += v;
             }
             for i in 0..8 {
-                t.push(i, i, 10.0);
+                a.add(i, i, 10.0);
                 dense[(i, i)] += 10.0;
             }
-            let xs = t.to_csr().lu().expect("factor").solve(b).expect("solve");
+            let xs = a.lu().expect("factor").solve(b).expect("solve");
             let xd = dense.solve(b).expect("solve");
             for i in 0..8 {
                 assert!(

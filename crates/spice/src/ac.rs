@@ -10,15 +10,16 @@
 //! operating point: MOSFETs and diodes enter as their small-signal
 //! conductances, inductors as shorts. `B` holds the terms proportional
 //! to frequency: each capacitor as a conductance of `C`, each inductor
-//! as `−L` on its branch diagonal. Each frequency solves the real
-//! 2n×2n embedding `[[G, −ωB], [ωB, G]]` with the sparse LU kernel.
+//! as `−L` on its branch diagonal. Each frequency walks the assembled
+//! rows once to build the real 2n×2n embedding `[[G, −ωB], [ωB, G]]`
+//! and solves it with the sparse LU kernel.
 //!
 //! This gives the workspace a second, independent route to the paper's
 //! transfer function: the RLC-ladder frequency response measured here
 //! must match the exact `H(jω)` from `rlckit-tline` — an integration
 //! test enforces it.
 
-use rlckit_numeric::sparse::TripletMatrix;
+use rlckit_numeric::sparse::SparseMatrix;
 use rlckit_numeric::{Complex, NumericError, Result};
 use rlckit_trace::counter;
 
@@ -103,7 +104,7 @@ pub fn ac_analysis(circuit: &Circuit, source: ElementId, frequencies: &[f64]) ->
 
     // G and B once per sweep; the stamps' right-hand side (the bias)
     // does not enter the small-signal system.
-    let mut stamps = TripletMatrix::new(2 * n);
+    let mut stamps = SparseMatrix::new(2 * n);
     mna::assemble(
         circuit,
         &layout,
@@ -124,20 +125,20 @@ pub fn ac_analysis(circuit: &Circuit, source: ElementId, frequencies: &[f64]) ->
         }
         let omega = 2.0 * core::f64::consts::PI * f;
         // Real embedding of (G + jωB)x = u:  [[G, −ωB], [ωB, G]]·[Re; Im].
-        // It keeps the stamps' push order, which sets the order in which
-        // `to_csr` sums duplicates and so the phasors' last bits.
-        let mut mat = TripletMatrix::new(2 * n);
-        for &(i, j, v) in stamps.entries() {
-            if j < n {
-                mat.push(i, j, v);
-                mat.push(i + n, j + n, v);
-            } else {
-                mat.push(i, j, -(omega * v));
-                mat.push(i + n, j - n, omega * v);
+        let mut mat = SparseMatrix::new(2 * n);
+        for i in 0..n {
+            for &(j, v) in stamps.row(i) {
+                if j < n {
+                    mat.add(i, j, v);
+                    mat.add(i + n, j + n, v);
+                } else {
+                    mat.add(i, j, -(omega * v));
+                    mat.add(i + n, j - n, omega * v);
+                }
             }
         }
         counter!("spice.lu.factorizations").incr();
-        let solution = mat.to_csr().lu()?.solve(&rhs)?;
+        let solution = mat.lu()?.solve(&rhs)?;
         let phasor: Vec<Complex> = (0..n)
             .map(|i| Complex::new(solution[i], solution[i + n]))
             .collect();

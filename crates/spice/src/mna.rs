@@ -8,10 +8,10 @@
 //! formulation: each Newton iteration assembles `J·x_new = rhs(x_old)`
 //! and convergence is declared when `x_new ≈ x_old`.
 
-use rlckit_numeric::sparse::TripletMatrix;
+use rlckit_numeric::sparse::SparseMatrix;
 use rlckit_numeric::{NumericError, Result};
 use rlckit_tech::device::MosParams;
-use rlckit_trace::{counter, histogram};
+use rlckit_trace::{counter, histogram, span};
 
 use crate::netlist::{Circuit, Element, ElementId, MosPolarity, Node};
 
@@ -190,25 +190,25 @@ pub(crate) fn assemble(
     layout: &Layout,
     x: &[f64],
     mode: &Mode<'_>,
-    mat: &mut TripletMatrix,
+    mat: &mut SparseMatrix,
     rhs: &mut [f64],
 ) {
     mat.clear();
     rhs.fill(0.0);
 
     // Conductance `g` between `a` and `b`, in the columns from `col` on.
-    let stamp_conductance = |mat: &mut TripletMatrix, a: Node, b: Node, g: f64, col: usize| {
+    let stamp_conductance = |mat: &mut SparseMatrix, a: Node, b: Node, g: f64, col: usize| {
         let ia = Layout::node_var(a);
         let ib = Layout::node_var(b);
         if let Some(i) = ia {
-            mat.push(i, i + col, g);
+            mat.add(i, i + col, g);
         }
         if let Some(j) = ib {
-            mat.push(j, j + col, g);
+            mat.add(j, j + col, g);
         }
         if let (Some(i), Some(j)) = (ia, ib) {
-            mat.push(i, j + col, -g);
-            mat.push(j, i + col, -g);
+            mat.add(i, j + col, -g);
+            mat.add(j, i + col, -g);
         }
     };
 
@@ -218,7 +218,7 @@ pub(crate) fn assemble(
         Mode::Transient { .. } | Mode::Ac => 0.0,
     };
     for i in 0..layout.n_nodes - 1 {
-        mat.push(i, i, GMIN + gmin_extra);
+        mat.add(i, i, GMIN + gmin_extra);
     }
     // Branch rows always get a diagonal placeholder so the structure
     // stays square even for degenerate (L = 0) branches.
@@ -260,34 +260,34 @@ pub(crate) fn assemble(
                 let br = layout.branch_index[idx].expect("inductor has a branch");
                 // KCL coupling: +i leaves node a, enters node b.
                 if let Some(i) = Layout::node_var(*a) {
-                    mat.push(i, br, 1.0);
-                    mat.push(br, i, 1.0);
+                    mat.add(i, br, 1.0);
+                    mat.add(br, i, 1.0);
                 }
                 if let Some(j) = Layout::node_var(*b) {
-                    mat.push(j, br, -1.0);
-                    mat.push(br, j, -1.0);
+                    mat.add(j, br, -1.0);
+                    mat.add(br, j, -1.0);
                 }
                 match mode {
                     Mode::Dc { .. } => {
                         // Short: V_a − V_b = 0 (row already stamped); keep a
                         // tiny series resistance for conditioning.
-                        mat.push(br, br, -1e-9);
+                        mat.add(br, br, -1e-9);
                     }
                     Mode::Ac => {
                         // V_a − V_b − jωL·i = 0, conditioned as in DC.
-                        mat.push(br, br, -1e-9);
-                        mat.push(br, br + layout.n_unknowns, -henries);
+                        mat.add(br, br, -1e-9);
+                        mat.add(br, br + layout.n_unknowns, -henries);
                     }
                     Mode::Transient { dt, trap, prev, .. } => {
                         let i_prev = prev[br];
                         if *trap {
                             let v_prev = node_voltage(prev, *a) - node_voltage(prev, *b);
                             let z = 2.0 * henries / dt;
-                            mat.push(br, br, -z.max(1e-12));
+                            mat.add(br, br, -z.max(1e-12));
                             rhs[br] = -z * i_prev - v_prev;
                         } else {
                             let z = henries / dt;
-                            mat.push(br, br, -z.max(1e-12));
+                            mat.add(br, br, -z.max(1e-12));
                             rhs[br] = -z * i_prev;
                         }
                     }
@@ -300,12 +300,12 @@ pub(crate) fn assemble(
             } => {
                 let br = layout.branch_index[idx].expect("source has a branch");
                 if let Some(i) = Layout::node_var(*plus) {
-                    mat.push(i, br, 1.0);
-                    mat.push(br, i, 1.0);
+                    mat.add(i, br, 1.0);
+                    mat.add(br, i, 1.0);
                 }
                 if let Some(j) = Layout::node_var(*minus) {
-                    mat.push(j, br, -1.0);
-                    mat.push(br, j, -1.0);
+                    mat.add(j, br, -1.0);
+                    mat.add(br, j, -1.0);
                 }
                 let value = match mode {
                     Mode::Dc { source_scale, .. } => source_scale * waveform.value(0.0),
@@ -352,13 +352,13 @@ pub(crate) fn assemble(
                 for (row, sign) in terms {
                     let Some(row) = row else { continue };
                     if let Some(col) = id {
-                        mat.push(row, col, sign * lin.g_drain);
+                        mat.add(row, col, sign * lin.g_drain);
                     }
                     if let Some(col) = ig {
-                        mat.push(row, col, sign * lin.g_gate);
+                        mat.add(row, col, sign * lin.g_gate);
                     }
                     if let Some(col) = is {
-                        mat.push(row, col, sign * lin.g_source);
+                        mat.add(row, col, sign * lin.g_source);
                     }
                     rhs[row] -= sign * i_eq;
                 }
@@ -382,7 +382,7 @@ pub(crate) fn solve_newton(
 ) -> Result<Vec<f64>> {
     let n = layout.n_unknowns;
     let mut x = x0.to_vec();
-    let mut mat = TripletMatrix::new(n);
+    let mut mat = SparseMatrix::new(n);
     let mut rhs = vec![0.0; n];
     let has_nonlinear = circuit
         .elements()
@@ -399,9 +399,19 @@ pub(crate) fn solve_newton(
             });
         }
         iterations += 1;
-        assemble(circuit, layout, &x, mode, &mut mat, &mut rhs);
+        {
+            let _span = span!("spice.assemble");
+            assemble(circuit, layout, &x, mode, &mut mat, &mut rhs);
+        }
         counter!("spice.lu.factorizations").incr();
-        let x_new = match mat.to_csr().lu().and_then(|lu| lu.solve(&rhs)) {
+        let lu = {
+            let _span = span!("spice.lu.factor");
+            mat.lu()
+        };
+        let x_new = match lu.and_then(|lu| {
+            let _span = span!("spice.lu.solve");
+            lu.solve(&rhs)
+        }) {
             Ok(x_new) => x_new,
             Err(e) => break Err(e),
         };
@@ -448,6 +458,42 @@ mod tests {
         assert_eq!(layout.n_nodes, 3);
         assert_eq!(layout.branch_index, vec![None, Some(2), Some(3)]);
         assert_eq!(layout.n_unknowns, 4);
+    }
+
+    #[test]
+    fn lu_spans_count_every_factorization() {
+        use crate::transient::{simulate, TransientOptions};
+        use crate::waveform::Waveform;
+        let node = TechNode::nm100();
+        let params = rlckit_tech::device::MosParams::for_node(&node);
+        let vdd_v = node.supply_voltage().get();
+        let mut ckt = Circuit::new();
+        let vdd = ckt.add_node("vdd");
+        let inp = ckt.add_node("in");
+        let out = ckt.add_node("out");
+        ckt.voltage_source(vdd, Circuit::GROUND, Waveform::Dc(vdd_v));
+        ckt.voltage_source(
+            inp,
+            Circuit::GROUND,
+            Waveform::step(0.0, vdd_v, 10e-12, 5e-12),
+        );
+        ckt.mosfet(out, inp, Circuit::GROUND, params, 4.0, MosPolarity::Nmos);
+        ckt.mosfet(out, inp, vdd, params, 4.0, MosPolarity::Pmos);
+        ckt.capacitor(out, Circuit::GROUND, 10e-15);
+        rlckit_trace::set_enabled(true);
+        let (result, snap) =
+            rlckit_trace::scoped(|| simulate(&ckt, &TransientOptions::new(100e-12, 1e-12)));
+        result.expect("transient");
+        let factorizations = snap.counter("spice.lu.factorizations");
+        let newton = &snap.histograms["spice.newton.iterations"];
+        // The inverter switches, so some solves take several iterations.
+        assert!(
+            factorizations > newton.count,
+            "{factorizations} vs {newton:?}"
+        );
+        for name in ["spice.assemble", "spice.lu.factor", "spice.lu.solve"] {
+            assert_eq!(snap.spans[name].count, factorizations, "{name}");
+        }
     }
 
     #[test]
