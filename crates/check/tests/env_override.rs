@@ -36,9 +36,12 @@ fn env_overrides_win_over_code_configuration() {
     let mut expected = Vec::new();
     {
         let store = std::cell::RefCell::new(&mut expected);
-        Check::new().seed(0xabc).cases(3).run(&gen::range(0.0, 1.0), |&v| {
-            store.borrow_mut().push(v.to_bits());
-        });
+        Check::new()
+            .seed(0xabc)
+            .cases(3)
+            .run(&gen::range(0.0, 1.0), |&v| {
+                store.borrow_mut().push(v.to_bits());
+            });
     }
     assert_eq!(seen, expected);
 }

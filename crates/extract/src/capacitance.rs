@@ -181,7 +181,9 @@ mod tests {
             Meters::from_micro(8.0),
             Meters::from_micro(13.9),
         );
-        assert!(sakurai_tamaru_coupling(&near, 3.3).get() > sakurai_tamaru_coupling(&far, 3.3).get());
+        assert!(
+            sakurai_tamaru_coupling(&near, 3.3).get() > sakurai_tamaru_coupling(&far, 3.3).get()
+        );
     }
 
     #[test]

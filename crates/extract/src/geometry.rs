@@ -152,11 +152,7 @@ impl Material {
     ///
     /// Panics if the resistivity is not strictly positive.
     #[must_use]
-    pub fn new(
-        resistivity: f64,
-        temperature_coefficient: f64,
-        reference_temperature: f64,
-    ) -> Self {
+    pub fn new(resistivity: f64, temperature_coefficient: f64, reference_temperature: f64) -> Self {
         assert!(resistivity > 0.0, "resistivity must be positive");
         Self {
             resistivity,

@@ -86,10 +86,7 @@ pub fn microstrip_loop_inductance(wire: &WireGeometry) -> HenriesPerMeter {
 ///
 /// Panics if `return_distance` does not exceed the GMD radius.
 #[must_use]
-pub fn two_wire_loop_inductance(
-    wire: &WireGeometry,
-    return_distance: Meters,
-) -> HenriesPerMeter {
+pub fn two_wire_loop_inductance(wire: &WireGeometry, return_distance: Meters) -> HenriesPerMeter {
     let r = rectangular_gmd_radius(wire).get();
     let d = return_distance.get();
     assert!(d > r, "return distance must exceed the GMD radius");

@@ -137,8 +137,7 @@ mod tests {
     fn dc_limit_matches_dc_extraction() {
         let wire = table1_wire();
         let dc = crate::resistance::resistance_per_length(&wire, Material::COPPER_INTERCONNECT);
-        let low_f =
-            ac_resistance_per_length(&wire, Material::COPPER_INTERCONNECT, Hertz::new(1e5));
+        let low_f = ac_resistance_per_length(&wire, Material::COPPER_INTERCONNECT, Hertz::new(1e5));
         assert!((low_f.get() - dc.get()).abs() < 1e-12 * dc.get());
     }
 

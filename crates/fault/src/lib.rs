@@ -126,7 +126,10 @@ fn env_config() -> Option<(u64, f64)> {
 fn parse_spec(raw: &str) -> Option<(u64, f64)> {
     let (seed_str, rate_str) = raw.split_once(':')?;
     let seed_str = seed_str.trim();
-    let seed = match seed_str.strip_prefix("0x").or_else(|| seed_str.strip_prefix("0X")) {
+    let seed = match seed_str
+        .strip_prefix("0x")
+        .or_else(|| seed_str.strip_prefix("0X"))
+    {
         Some(hex) => u64::from_str_radix(hex, 16).ok()?,
         None => seed_str.parse().ok()?,
     };
@@ -189,7 +192,14 @@ fn target_hit(seed: u64, rate: f64, key: u64) -> Option<u32> {
 /// keeps injection decisions stable across serial/parallel execution
 /// and checkpoint resume.
 pub fn with_scope<R>(key: u64, f: impl FnOnce() -> R) -> R {
-    entered(|outer| Scope { plan: outer.plan, key, ..Scope::default() }, f)
+    entered(
+        |outer| Scope {
+            plan: outer.plan,
+            key,
+            ..Scope::default()
+        },
+        f,
+    )
 }
 
 /// Advances the current scope to its next attempt: resets the hit
@@ -405,7 +415,12 @@ mod tests {
     #[test]
     fn plan_is_deterministic_and_rate_bounded() {
         let hits: Vec<Option<u32>> = (0..1000).map(|k| target_hit(99, 0.3, k)).collect();
-        assert_eq!(hits, (0..1000).map(|k| target_hit(99, 0.3, k)).collect::<Vec<_>>());
+        assert_eq!(
+            hits,
+            (0..1000)
+                .map(|k| target_hit(99, 0.3, k))
+                .collect::<Vec<_>>()
+        );
         let faulted = hits.iter().filter(|h| h.is_some()).count();
         // 30 % of 1000 scopes, generously bracketed.
         assert!((200..400).contains(&faulted), "{faulted} faulted scopes");
@@ -465,7 +480,9 @@ mod tests {
             with_plan(plan, || {
                 with_scope(0, || {
                     barrier.wait();
-                    (0..TARGET_WINDOW).filter(|_| should_inject("test.site")).count()
+                    (0..TARGET_WINDOW)
+                        .filter(|_| should_inject("test.site"))
+                        .count()
                 })
             })
         };
@@ -502,7 +519,14 @@ mod tests {
             parse_shard_spec("7:0.5:abort").map(|s| s.mode),
             Some(ShardFaultMode::Abort)
         );
-        for bad in ["", "42", "42:1.5", "42:0.5:explode", "x:0.5", "42:0.5:hang:extra"] {
+        for bad in [
+            "",
+            "42",
+            "42:1.5",
+            "42:0.5:explode",
+            "x:0.5",
+            "42:0.5:hang:extra",
+        ] {
             assert_eq!(parse_shard_spec(bad), None, "{bad:?}");
         }
     }
@@ -518,7 +542,9 @@ mod tests {
         let gen0: Vec<bool> = (0..1000).map(|i| should_fault(&spec, 0, i)).collect();
         assert_eq!(
             gen0,
-            (0..1000).map(|i| should_fault(&spec, 0, i)).collect::<Vec<_>>()
+            (0..1000)
+                .map(|i| should_fault(&spec, 0, i))
+                .collect::<Vec<_>>()
         );
         let faulted = gen0.iter().filter(|&&f| f).count();
         assert!((200..400).contains(&faulted), "{faulted} faulted slots");
@@ -526,7 +552,10 @@ mod tests {
         // at point i in generation 0 does not deterministically die
         // there again in generation 1.
         let gen1: Vec<bool> = (0..1000).map(|i| should_fault(&spec, 1, i)).collect();
-        assert_ne!(gen0, gen1, "generations must have independent kill schedules");
+        assert_ne!(
+            gen0, gen1,
+            "generations must have independent kill schedules"
+        );
         // Rate bounds.
         let always = ShardFaultSpec { rate: 1.0, ..spec };
         let never = ShardFaultSpec { rate: 0.0, ..spec };
@@ -539,7 +568,9 @@ mod tests {
         let (fired, snap) = rlckit_trace::scoped(|| {
             with_plan(Some((23, 1.0)), || {
                 with_scope(4, || {
-                    (0..TARGET_WINDOW).filter(|_| faultpoint!("fault.selftest")).count()
+                    (0..TARGET_WINDOW)
+                        .filter(|_| faultpoint!("fault.selftest"))
+                        .count()
                 })
             })
         });

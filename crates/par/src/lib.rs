@@ -268,8 +268,7 @@ where
                     break 'claims;
                 }
                 let end = start + guided_claim(len - start, threads);
-                match next.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed)
-                {
+                match next.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed) {
                     Ok(_) => break end,
                     Err(observed) => start = observed,
                 }
@@ -508,7 +507,10 @@ mod tests {
         let (doubled, on_caller): (Vec<_>, Vec<_>) = out.into_iter().unzip();
         assert_eq!(doubled, (0..6).map(|x| x * 2).collect::<Vec<_>>());
         assert!(on_caller[0], "item 0 ran off the calling thread");
-        assert!(on_caller.contains(&false), "no item ran on a spawned worker");
+        assert!(
+            on_caller.contains(&false),
+            "no item ran on a spawned worker"
+        );
     }
 
     /// Pre-fix regression (a spawn per short `Auto` map): a map that is

@@ -189,7 +189,10 @@ impl<Req: Send + 'static> ShardedPool<Req> {
         // serving layer answers it inline with the id it already parsed
         // rather than losing the correlation.
         let Some(senders) = senders.as_ref() else {
-            return Err(PoolClosed { shard, request: req });
+            return Err(PoolClosed {
+                shard,
+                request: req,
+            });
         };
         counter!("par.pool.submitted").incr();
         let depth = self.depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
@@ -296,7 +299,8 @@ mod tests {
         rlckit_trace::set_enabled(true);
         let pool = ShardedPool::new(2, 8, move |_, _req: usize| {});
         for i in 0..6u64 {
-            pool.submit_traced(i as usize % 2, 9000 + i, i as usize).unwrap();
+            pool.submit_traced(i as usize % 2, 9000 + i, i as usize)
+                .unwrap();
         }
         // Untraced submissions must not fabricate events.
         pool.submit(0, 99).unwrap();
@@ -384,7 +388,11 @@ mod tests {
                 .unwrap_or_else(|_| panic!("submitter thread still holds the pool"))
                 .join();
         });
-        assert_eq!(handled.load(Ordering::SeqCst), 4, "no request may be dropped");
+        assert_eq!(
+            handled.load(Ordering::SeqCst),
+            4,
+            "no request may be dropped"
+        );
         let snap = scope.snapshot();
         assert!(
             snap.counter("par.pool.backpressure") >= 1,

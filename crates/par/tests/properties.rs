@@ -13,7 +13,10 @@ use rlckit_par::{par_map, Parallelism};
 fn work(i: usize, x: f64) -> f64 {
     let mut acc = x;
     for k in 0..40 {
-        acc = (acc * 1.000_000_1 + f64::from(k as u16)).sin().mul_add(0.5, x) + i as f64 * 1e-9;
+        acc = (acc * 1.000_000_1 + f64::from(k as u16))
+            .sin()
+            .mul_add(0.5, x)
+            + i as f64 * 1e-9;
     }
     acc
 }

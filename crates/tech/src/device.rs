@@ -202,7 +202,10 @@ mod tests {
     #[test]
     fn cutoff_below_threshold() {
         let (mos, _) = params();
-        assert_eq!(mos.nmos_current(1.0, mos.threshold().get() - 0.01, 1.0), 0.0);
+        assert_eq!(
+            mos.nmos_current(1.0, mos.threshold().get() - 0.01, 1.0),
+            0.0
+        );
         assert_eq!(mos.nmos_derivatives(1.0, 0.0, 1.0), (0.0, 0.0));
     }
 
@@ -220,9 +223,9 @@ mod tests {
     fn derivatives_match_finite_differences() {
         let (mos, vdd) = params();
         let cases = [
-            (vdd.get(), 0.3),          // triode
-            (vdd.get(), vdd.get()),    // saturation
-            (0.8 * vdd.get(), 0.1),    // shallow triode
+            (vdd.get(), 0.3),       // triode
+            (vdd.get(), vdd.get()), // saturation
+            (0.8 * vdd.get(), 0.1), // shallow triode
         ];
         for (vgs, vds) in cases {
             let (gm, gds) = mos.nmos_derivatives(37.0, vgs, vds);
@@ -233,7 +236,10 @@ mod tests {
             let gds_fd = (mos.nmos_current(37.0, vgs, vds + eps)
                 - mos.nmos_current(37.0, vgs, vds - eps))
                 / (2.0 * eps);
-            assert!((gm - gm_fd).abs() <= 1e-4 * gm_fd.abs().max(1e-12), "gm at {vgs},{vds}");
+            assert!(
+                (gm - gm_fd).abs() <= 1e-4 * gm_fd.abs().max(1e-12),
+                "gm at {vgs},{vds}"
+            );
             assert!(
                 (gds - gds_fd).abs() <= 1e-4 * gds_fd.abs().max(1e-12),
                 "gds at {vgs},{vds}"

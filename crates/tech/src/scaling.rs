@@ -51,10 +51,7 @@ pub fn interpolate_node(feature_nm: f64) -> TechNode {
     let interp = |va: f64, vb: f64| geometric_interp(feature_nm, 250.0, va, 100.0, vb);
 
     let line = LineParams::new(
-        OhmsPerMeter::new(interp(
-            a.line().resistance.get(),
-            b.line().resistance.get(),
-        )),
+        OhmsPerMeter::new(interp(a.line().resistance.get(), b.line().resistance.get())),
         FaradsPerMeter::new(interp(
             a.line().capacitance.get(),
             b.line().capacitance.get(),
@@ -75,10 +72,7 @@ pub fn interpolate_node(feature_nm: f64) -> TechNode {
         )),
     );
     let eps = interp(a.relative_permittivity(), b.relative_permittivity());
-    let vdd = Volts::new(interp(
-        a.supply_voltage().get(),
-        b.supply_voltage().get(),
-    ));
+    let vdd = Volts::new(interp(a.supply_voltage().get(), b.supply_voltage().get()));
     TechNode::custom(
         format!("{feature_nm:.0}nm(interp)"),
         "top",
@@ -99,16 +93,14 @@ mod tests {
         let n = interpolate_node(250.0);
         let a = TechNode::nm250();
         assert!(
-            (n.driver().output_resistance.get() - a.driver().output_resistance.get()).abs()
-                < 1e-6
+            (n.driver().output_resistance.get() - a.driver().output_resistance.get()).abs() < 1e-6
         );
         assert!((n.supply_voltage().get() - 2.5).abs() < 1e-9);
 
         let n = interpolate_node(100.0);
         let b = TechNode::nm100();
         assert!(
-            (n.driver().input_capacitance.get() - b.driver().input_capacitance.get()).abs()
-                < 1e-21
+            (n.driver().input_capacitance.get() - b.driver().input_capacitance.get()).abs() < 1e-21
         );
     }
 

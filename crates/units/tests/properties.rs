@@ -9,7 +9,11 @@ use rlckit_units::{Farads, HenriesPerMeter, Meters, Ohms, OhmsPerMeter, Seconds}
 #[test]
 fn addition_laws() {
     Check::new().cases(64).run(
-        &gen::tuple3(gen::range(-1e3, 1e3), gen::range(-1e3, 1e3), gen::range(-1e3, 1e3)),
+        &gen::tuple3(
+            gen::range(-1e3, 1e3),
+            gen::range(-1e3, 1e3),
+            gen::range(-1e3, 1e3),
+        ),
         |&(a, b, c)| {
             let (qa, qb, qc) = (Ohms::new(a), Ohms::new(b), Ohms::new(c));
             assert!(((qa + qb) - (qb + qa)).get().abs() < 1e-9);
@@ -23,7 +27,11 @@ fn addition_laws() {
 #[test]
 fn scaling_distributes() {
     Check::new().cases(64).run(
-        &gen::tuple3(gen::range(-1e3, 1e3), gen::range(-1e3, 1e3), gen::range(-10.0, 10.0)),
+        &gen::tuple3(
+            gen::range(-1e3, 1e3),
+            gen::range(-1e3, 1e3),
+            gen::range(-10.0, 10.0),
+        ),
         |&(a, b, k)| {
             let lhs = (Seconds::new(a) + Seconds::new(b)) * k;
             let rhs = Seconds::new(a) * k + Seconds::new(b) * k;
