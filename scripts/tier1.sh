@@ -29,7 +29,8 @@ done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # So is rustfmt, package by package as each one is formatted: a change
 # that unformats a listed package breaks the gate.
-cargo fmt -p rlckit-numeric -p rlckit-spice -- --check
+cargo fmt -p rlckit-numeric -p rlckit-spice -p rlckit-trace -p rlckit-check -p rlckit-units \
+  -p rlckit-extract -p rlckit-par -p rlckit-tech -p rlckit-fault -- --check
 # So are rustdoc warnings: a doc link to a deleted or private item
 # breaks the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
